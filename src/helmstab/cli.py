@@ -30,7 +30,6 @@ Config schema::
     output:
       directory: out
     run:
-      workers: 1
       seed: 0
       cache: true
 
@@ -75,6 +74,7 @@ EXIT_TOTAL = 3
 EDGE_MARGIN_WARN = 0.05   # warn when omega^2 sits within 5% of a window edge
 
 GENERATORS = ("two_layer", "linear_depth", "constant")
+RUN_KEYS = ("seed", "cache")
 
 
 @dataclass
@@ -131,7 +131,6 @@ class ExperimentConfig:
     absorbing: bool = False
     first_scales: int | None = None
     out_dir: str = "out"
-    workers: int = 1
     seed: int = 0
     cache: bool = True
     override_window_check: bool = False
@@ -296,11 +295,13 @@ def load_config(path):
         absorbing=bool(acq_sec.get("absorbing", False)),
         first_scales=fit_sec.get("first_scales"),
         out_dir=out_sec.get("directory", "out"),
-        workers=int(run_sec.get("workers", 1)),
         seed=int(run_sec.get("seed", 0)),
         cache=bool(run_sec.get("cache", True)),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
+
+    for key in sorted(set(run_sec) - set(RUN_KEYS)):
+        warnings_.append(f"run.{key} is not a setting of this version; ignored")
 
     # window pre-check per frequency
     for f in freq_list:
@@ -409,7 +410,7 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                     fac_s = time.perf_counter() - t_fac
                     rec = stability.estimate_constant(
                         m1, m2, omega2, acq, freq_hz=f_hz,
-                        workers=cfg.workers, cache=cfg.cache,
+                        cache=cfg.cache,
                         override_window_check=cfg.override_window_check,
                     )
                 except (HelmstabError, ValueError) as exc:
@@ -558,7 +559,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a stability campaign")
     _add_common(p_run)
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--workers", type=int, help="override the worker count")
     p_run.add_argument("--seed", type=int, help="override the RNG seed")
     p_run.add_argument("--override-window-check", action="store_true",
                        help="run even when omega^2 is outside the admissible windows")
@@ -648,7 +648,7 @@ def main(argv=None) -> int:
                                    cfg.receiver_spacing, cfg.sigma)
         try:
             data = fwd.forward_map(
-                m, omega2, acq, workers=cfg.workers, cache=cfg.cache,
+                m, omega2, acq, cache=cfg.cache,
                 override_window_check=cfg.override_window_check,
                 absorbing=cfg.absorbing and mode == fwd.MODE_TOP,
             )
@@ -669,8 +669,6 @@ def main(argv=None) -> int:
     # run
     if args.out:
         cfg.out_dir = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.seed is not None:
         cfg.seed = args.seed
     if args.override_window_check:

@@ -36,12 +36,10 @@ import numpy as np
 
 from .forward import (
     Acquisition,
-    DtnData,
+    _blocks,
     forward_map,
     gaussian_source,
-    read_dtn,
     weighted_operator_norm,
-    write_dtn,
 )
 from .model import SquaredSlownessModel, to_cell_field
 from .solver import (
@@ -64,9 +62,6 @@ __all__ = [
     "frechet_norm_bounds_report",
     "write_bounds_report_csv",
 ]
-
-DERIVATIVE_MAGIC = b"HSDF"
-
 
 @dataclass(frozen=True)
 class PairingResult:
@@ -150,22 +145,25 @@ def _direction_fields(base: SquaredSlownessModel, direction):
     return direction, dnode
 
 
-def _source_fields(base: SquaredSlownessModel, omega2, acq, cache=True):
-    sys_ = assemble(base.grid, to_cell_field(base), omega2, cache=cache)
-    sources = [gaussian_source(base.grid, pos, acq.source_sigma)
-               for pos in acq.source_positions]
-    fields = [solve_dirichlet(sys_, g) for g in sources]
-    return sys_, sources, fields
+def _gaussians(grid, positions, sigma) -> np.ndarray:
+    """Gaussian boundary data centred at ``positions``, one column each."""
+    return np.column_stack([gaussian_source(grid, pos, sigma) for pos in positions])
 
 
-def _first_order_solves(sys_: HelmholtzSystem, dnode, fields, omega2):
+def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
+    """(slice, source-field block) per block of sources; only one block of
+    full-grid fields is alive at a time."""
+    positions = acq.source_positions
+    for block in _blocks(acq.n_sources):
+        g = _gaussians(sys_.grid, positions[block], acq.source_sigma)
+        yield block, solve_dirichlet(sys_, g)
+
+
+def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
+    """First-order fields ``w`` (zero on the boundary) for a block ``u``."""
     grid = sys_.grid
-    zero_g = np.zeros(grid.n_boundary)
-    out = []
-    for u in fields:
-        rhs = omega2 * (dnode * u)[grid.interior_nodes]
-        out.append(solve_dirichlet(sys_, zero_g, rhs))
-    return out
+    rhs = omega2 * (dnode[:, None] * u)[grid.interior_nodes]
+    return solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])), rhs)
 
 
 def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
@@ -177,28 +175,29 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     in ``direction``.
     """
     omega2 = float(omega2)
+    if convention not in ("data", "pairing"):
+        raise ValueError(f"unknown convention {convention!r}")
     direction, dnode = _direction_fields(base, direction)
-    sys_, _sources, fields = _source_fields(base, omega2, acq, cache=cache)
+    sys_ = assemble(base.grid, to_cell_field(base), omega2, cache=cache)
     grid = base.grid
+    values = np.empty((acq.n_sources, acq.n_receivers))
 
     if convention == "data":
-        w_fields = _first_order_solves(sys_, dnode, fields, omega2)
-        values = np.stack([
-            normal_derivative(sys_, w)[acq.receiver_idx] for w in w_fields
-        ])
-    elif convention == "pairing":
-        receivers = [gaussian_source(grid, pos, acq.source_sigma)
-                     for pos in acq.receiver_positions]
-        rec_fields = [solve_dirichlet(sys_, h) for h in receivers]
+        for block, u in _source_blocks(sys_, acq):
+            w = _first_order_solve(sys_, dnode, u, omega2)
+            values[block] = normal_derivative(sys_, w)[acq.receiver_idx].T
+    else:
         interior = grid.interior_nodes
         weight = (sys_.node_volumes * dnode)[interior]
-        values = np.empty((acq.n_sources, acq.n_receivers))
-        for s, u in enumerate(fields):
-            ui = u[interior]
-            for r, v in enumerate(rec_fields):
-                values[s, r] = -omega2 * float(np.sum(weight * ui * v[interior]))
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+        # receiver fields on the interior, weighted by the volume quadrature
+        weighted_v = np.empty((grid.n_interior, acq.n_receivers))
+        positions = acq.receiver_positions
+        for block in _blocks(acq.n_receivers):
+            h = _gaussians(grid, positions[block], acq.source_sigma)
+            weighted_v[:, block] = \
+                weight[:, None] * solve_dirichlet(sys_, h)[interior]
+        for block, u in _source_blocks(sys_, acq):
+            values[block] = -omega2 * u[interior].T @ weighted_v
 
     return DirectionalDerivative(base_model=base, direction=direction,
                                  omega2=omega2, acquisition=acq, values=values,
@@ -217,15 +216,12 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
     """
     omega2 = float(omega2)
     direction, dnode = _direction_fields(base, direction)
-    sys_, _sources, fields = _source_fields(base, omega2, acq, cache=cache)
-    w_fields = _first_order_solves(sys_, dnode, fields, omega2)
-    receivers = [gaussian_source(base.grid, pos, acq.source_sigma)
-                 for pos in acq.receiver_positions]
+    sys_ = assemble(base.grid, to_cell_field(base), omega2, cache=cache)
+    receivers = _gaussians(base.grid, acq.receiver_positions, acq.source_sigma)
     values = np.empty((acq.n_sources, acq.n_receivers))
-    for s, w in enumerate(w_fields):
-        flux = sys_.flux_rows.dot(w)
-        for r, h in enumerate(receivers):
-            values[s, r] = float(np.dot(flux, h))
+    for block, u in _source_blocks(sys_, acq):
+        w = _first_order_solve(sys_, dnode, u, omega2)
+        values[block] = sys_.flux_rows.dot(w).T @ receivers
     return DirectionalDerivative(base_model=base, direction=direction,
                                  omega2=omega2, acquisition=acq, values=values,
                                  convention="pairing")

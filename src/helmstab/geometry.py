@@ -276,9 +276,6 @@ class CubicalPartition:
             f"blocks_per_axis={self.blocks_per_axis}, r0={self.r0:.6g})"
         )
 
-    def is_uniform(self) -> bool:
-        return all(len(set(ws)) == 1 for ws in self.widths_per_axis)
-
 
 def build_grid(extents, cells_per_axis) -> BoxGrid:
     """Construct the computational grid for a rectangular domain."""

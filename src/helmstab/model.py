@@ -9,6 +9,8 @@ i.e. the L2-orthogonal projection onto the span of the block indicators.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -173,25 +175,39 @@ def write_field(path, grid: BoxGrid, field, quantity=QUANTITY_SQ_SLOWNESS):
         fh.write(stored.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    """The next ``size`` bytes of a binary file; ValueError if fewer remain.
+
+    The remaining length is checked before reading, so a corrupt header that
+    claims a huge section fails cleanly instead of allocating for it.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > remaining:
+        raise ValueError(
+            f"{path}: truncated {what} ({remaining} of {size} bytes left)")
+    return fh.read(size)
+
+
 def read_field(path):
     """Read a binary field file; returns ``(field_c2, extents, cells_per_axis)``.
 
     The returned field is always squared slowness, regardless of the stored
-    quantity flag.
+    quantity flag. A truncated file raises ValueError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, dim, quantity = struct.unpack("<HBB", fh.read(4))
+        version, dim, quantity = struct.unpack(
+            "<HBB", _read_exact(fh, 4, path, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        cells = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        extents = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        n = int(np.prod(cells))
-        stored = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
-    if stored.size != n:
-        raise ValueError(f"{path}: truncated data section")
+        cells = struct.unpack(f"<{dim}I", _read_exact(fh, 4 * dim, path, "header"))
+        extents = struct.unpack(f"<{dim}d",
+                                _read_exact(fh, 8 * dim, path, "header"))
+        n = math.prod(cells)   # exact: a corrupt count cannot wrap around
+        stored = np.frombuffer(_read_exact(fh, 8 * n, path, "data section"),
+                               dtype="<f8").astype(float)
     if quantity == QUANTITY_WAVESPEED:
         field = wavespeed_to_squared_slowness(stored)
     elif quantity == QUANTITY_SQ_SLOWNESS:

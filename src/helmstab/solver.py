@@ -9,6 +9,13 @@ are eliminated by the block split
 and the interior matrix is factorized once (sparse direct) and reused across
 right-hand sides.
 
+:func:`solve_dirichlet` takes one right-hand side (``g`` of shape
+``(n_boundary,)``, ``f`` of shape ``(n_interior,)``) or a block of ``k`` of
+them (``(n_boundary, k)`` and ``(n_interior, k)``), which it solves with one
+call into the factorization. Every column must meet the relative residual
+target ``SOLVER_RTOL`` on its own. :func:`normal_derivative` likewise acts
+column-wise on ``(n_nodes, k)`` fields.
+
 Two boundary normal-derivative extractors are provided:
 
 * :func:`normal_derivative` -- the pointwise one-sided stencil
@@ -45,7 +52,6 @@ __all__ = [
     "solve_dirichlet",
     "normal_derivative",
     "flux_normal_derivative",
-    "dtn_pairing",
     "node_coefficients",
     "cell_average",
     "interior_operators",
@@ -60,6 +66,9 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 
 # factorized systems keyed by (grid.key, coeff hash, omega2)
 _system_cache: dict = {}
+# complex absorbing-boundary factorizations of the forward module, keyed by
+# (grid.key, coeff hash, omega2, top face)
+_absorbing_cache: dict = {}
 # discrete spectra keyed by (grid.key, coeff hash); consulted by assemble()
 _eigen_cache: dict = {}
 
@@ -84,6 +93,7 @@ def cached_eigenvalues(grid: BoxGrid, coeff):
 
 def clear_caches():
     _system_cache.clear()
+    _absorbing_cache.clear()
     _eigen_cache.clear()
 
 
@@ -282,32 +292,46 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
 
     ``g`` holds boundary values (one per boundary node, canonical order) and
     ``f`` the interior source (may be None for the homogeneous equation).
-    The boundary trace of the result equals ``g`` exactly.
+    Either ``g`` is one vector of shape ``(n_boundary,)`` with ``f`` of shape
+    ``(n_interior,)`` and the result has shape ``(n_nodes,)``, or ``g`` is a
+    block ``(n_boundary, k)`` with ``f`` ``(n_interior, k)`` and the result is
+    ``(n_nodes, k)``, column j solving for ``g[:, j]`` and ``f[:, j]``. A block
+    is solved with one call into the factorization. Every column must reach a
+    residual of ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
+    :class:`NumericalFailureError` reports the worst column. The boundary
+    trace of the result equals ``g`` exactly.
     """
     grid = sys.grid
     g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n_boundary,):
-        raise ValueError(f"g must have {grid.n_boundary} boundary values")
+    if g.ndim not in (1, 2) or g.shape[0] != grid.n_boundary:
+        raise ValueError(
+            f"g must have {grid.n_boundary} boundary values per column")
     if f is None:
         rhs = -sys.coupling.dot(g)
     else:
         f = np.asarray(f, dtype=float)
-        if f.shape != (grid.n_interior,):
-            raise ValueError(f"f must have {grid.n_interior} interior values")
+        if f.shape != (grid.n_interior,) + g.shape[1:]:
+            raise ValueError(
+                f"f must have {grid.n_interior} interior values per column of g")
         rhs = f - sys.coupling.dot(g)
 
     u_i = sys.factorization.solve(rhs)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm > 0:
-        residual = float(np.linalg.norm(sys.interior_matrix.dot(u_i) - rhs))
-        if residual > SOLVER_RTOL * rhs_norm:
-            raise NumericalFailureError(
-                "direct solve missed the residual target",
-                {"residual": residual, "rhs_norm": rhs_norm,
-                 "target": SOLVER_RTOL * rhs_norm},
-            )
+    rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
+    residual = np.atleast_1d(
+        np.linalg.norm(sys.interior_matrix.dot(u_i) - rhs, axis=0))
+    # a zero right-hand side has the zero solution; no relative target applies
+    failing = np.flatnonzero((rhs_norm > 0) & (residual > SOLVER_RTOL * rhs_norm))
+    if failing.size:
+        j = int(failing[np.argmax(residual[failing] / rhs_norm[failing])])
+        details = {"residual": float(residual[j]),
+                   "rhs_norm": float(rhs_norm[j]),
+                   "target": SOLVER_RTOL * float(rhs_norm[j])}
+        if g.ndim == 2:
+            details["column"] = j
+        raise NumericalFailureError("direct solve missed the residual target",
+                                    details)
 
-    u = np.empty(grid.n_nodes)
+    u = np.empty((grid.n_nodes,) + g.shape[1:])
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
@@ -326,17 +350,18 @@ def normal_derivative(sys_or_grid, u) -> np.ndarray:
 
     One-sided second-order stencil along the owning face's normal:
     ``(3 u0 - 4 u1 + u2) / (2 h)`` with u1, u2 stepping inward. Exact on
-    quadratics.
+    quadratics. ``u`` is one field ``(n_nodes,)`` or a block ``(n_nodes, k)``,
+    whose columns are differentiated independently into ``(n_boundary, k)``.
     """
     grid = sys_or_grid.grid if isinstance(sys_or_grid, HelmholtzSystem) else sys_or_grid
     u = np.asarray(u)
-    if u.shape != (grid.n_nodes,):
+    if u.ndim not in (1, 2) or u.shape[0] != grid.n_nodes:
         raise ValueError(f"u must be a full-grid field with {grid.n_nodes} values")
     if any(n < 3 for n in grid.nodes_per_axis):
         raise ValueError("need at least 3 nodes along every axis for the stencil")
     step, axes = _inward_strides(grid)
     b = grid.boundary_nodes
-    h = np.asarray(grid.spacing)[axes]
+    h = np.asarray(grid.spacing)[axes].reshape((-1,) + (1,) * (u.ndim - 1))
     return (3.0 * u[b] - 4.0 * u[b + step] + u[b + 2 * step]) / (2.0 * h)
 
 
@@ -354,13 +379,6 @@ def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:
     return sys.flux_rows.dot(u) / sys.grid.boundary_weights
 
 
-def dtn_pairing(sys: HelmholtzSystem, g, h) -> float:
-    """Weighted dual pairing <Lambda g, h> via the variational flux."""
-    u = solve_dirichlet(sys, g)
-    flux = sys.flux_rows.dot(u)
-    return float(np.dot(flux, np.asarray(h, dtype=float)))
-
-
 def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
     """Mean of the 2^dim corner nodes per cell, x-fastest order."""
     lattice = np.asarray(u).reshape(grid.nodes_per_axis, order="F")
@@ -369,21 +387,6 @@ def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
         sl = tuple(slice(o, o + n) for o, n in zip(off, grid.cells_per_axis))
         acc = acc + lattice[sl]
     return np.ravel(acc / 2 ** grid.dim, order="F")
-
-
-def dump_solution(path, sys: HelmholtzSystem, u):
-    """Debug dump of a wavefield in the model module's binary container.
-
-    The nodal field is averaged to cells so the file is a regular cell-field
-    file (raw values, no unit conversion).
-    """
-    from .model import QUANTITY_SQ_SLOWNESS, write_field
-
-    u = np.asarray(u, dtype=float)
-    if u.shape != (sys.grid.n_nodes,):
-        raise ValueError("u must be a full-grid field")
-    write_field(path, sys.grid, cell_average(sys.grid, u),
-                quantity=QUANTITY_SQ_SLOWNESS)
 
 
 def interior_operators(grid: BoxGrid, coeff):

@@ -100,7 +100,7 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
                       omega2: float, acq: Acquisition, *,
                       freq_hz: float | None = None,
                       constants: BoundConstants | None = None,
-                      workers: int = 1, override_window_check: bool = False,
+                      override_window_check: bool = False,
                       cache: bool = True) -> StabilityRecord:
     """Estimate the stability constant for one model pair.
 
@@ -115,9 +115,9 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
     omega2 = float(omega2)
 
     model_l2 = l2_distance(m1, m2)
-    d1 = forward_map(m1, omega2, acq, workers=workers, cache=cache,
+    d1 = forward_map(m1, omega2, acq, cache=cache,
                      override_window_check=override_window_check)
-    d2 = forward_map(m2, omega2, acq, workers=workers, cache=cache,
+    d2 = forward_map(m2, omega2, acq, cache=cache,
                      override_window_check=override_window_check)
     data_norm = dtn_operator_norm(d1, d2)
     if data_norm < 1e-14 * model_l2:

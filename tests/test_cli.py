@@ -68,6 +68,15 @@ def test_window_violation_warns(tmp_path):
     assert any("admissible" in w for w in warnings_)
 
 
+def test_removed_run_key_warns(tmp_path):
+    # sources are solved in blocks on one thread; run.workers no longer exists
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    loaded, errors, warnings_ = cli.load_config(path)
+    assert loaded is not None and not errors
+    assert any("run.workers" in w for w in warnings_)
+    assert not hasattr(loaded, "workers")
+
+
 def test_near_edge_warns(tmp_path):
     # first window is (0, 2 pi^2 / B2) = (0, 19.74); pick omega^2 ~ 19.3
     cfg = base_config(tmp_path / "out")
@@ -252,7 +261,7 @@ def test_run_flag_overrides(tmp_path):
     out = tmp_path / "cli_out"
     path = write_config(tmp_path, base_config(tmp_path / "ignored"))
     status = cli.main(["run", "--config", str(path), "--out", str(out),
-                       "--workers", "2", "--seed", "7"])
+                       "--seed", "7"])
     assert status == cli.EXIT_OK
     assert (out / "records.csv").exists()
     text = (out / "records.csv").read_text()

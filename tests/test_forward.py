@@ -119,12 +119,20 @@ def test_forward_map_deterministic(model_pair):
     assert np.array_equal(d1.values, d2.values)
 
 
-def test_forward_map_workers_do_not_change_values(model_pair):
+def test_forward_map_rows_match_per_source_solves(model_pair):
+    # 12 sources: one full block of 8 and a partial block of 4
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
-    serial = forward_map(m1, 8.0, acq, workers=1)
-    threaded = forward_map(m1, 8.0, acq, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
+    assert acq.n_sources % 8 != 0
+    data = forward_map(m1, 8.0, acq)
+    from helmstab.model import to_cell_field
+    from helmstab.solver import assemble, normal_derivative, solve_dirichlet
+
+    sys_ = assemble(m1.grid, to_cell_field(m1), 8.0)
+    for s, pos in enumerate(acq.source_positions):
+        u = solve_dirichlet(sys_, gaussian_source(m1.grid, pos, acq.source_sigma))
+        row = normal_derivative(sys_, u)[acq.receiver_idx]
+        np.testing.assert_allclose(data.values[s], row, rtol=1e-12, atol=0)
 
 
 def test_forward_linearity_in_source_amplitude(model_pair):
@@ -294,6 +302,30 @@ def test_absorbing_mode(model_pair):
     full = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
     with pytest.raises(ValueError):
         forward_map(m1, 8.0, full, absorbing=True)
+
+
+def test_clear_caches_empties_absorbing_cache(model_pair):
+    from helmstab import solver
+
+    m1, _ = model_pair
+    top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
+    forward_map(m1, 8.0, top, absorbing=True)
+    assert solver._absorbing_cache
+    solver.clear_caches()
+    assert not solver._absorbing_cache
+
+
+@pytest.mark.parametrize("keep", [10, 40, 70, 100, -8])
+def test_truncated_dtn_file_raises_value_error(tmp_path, model_pair, keep):
+    # cut inside the fixed header, cell counts, hashes, source positions and
+    # value matrix
+    m1, _ = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    path = tmp_path / "data.hsdt"
+    write_dtn(path, forward_map(m1, 8.0, acq))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError):
+        read_dtn(path)
 
 
 def test_absorbing_roundtrip(tmp_path, model_pair):

@@ -190,6 +190,17 @@ def test_binary_rejects_bad_magic(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("keep", [6, 12, 24, -8])
+def test_truncated_field_file_raises_value_error(tmp_path, keep):
+    # cut inside the version/dim header, cell counts, extents and data
+    g = build_grid((1.0, 2.0), (6, 4))
+    path = tmp_path / "cut.hsmd"
+    write_field(path, g, np.full(g.n_cells, 0.5))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
 def test_text_loader(tmp_path):
     path = tmp_path / "field.txt"
     values = np.array([2000.0, 1000.0, 4000.0])

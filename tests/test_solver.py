@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmstab.errors import NumericalFailureError
 from helmstab.geometry import build_grid
@@ -201,3 +203,53 @@ def test_residual_guard_reports_failure():
     with pytest.raises(NumericalFailureError) as err:
         solve_dirichlet(sys_, np.ones(g.n_boundary))
     assert "residual" in str(err.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(st.integers(3, 9), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 5), min_size=3, max_size=3)),
+       st.integers(1, 12), st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+def test_block_solve_matches_column_solves(cells, k, omega2, seed):
+    # unit box, c^-2 in [0.25, 1]: the first discrete Dirichlet eigenvalue is
+    # at least 2 * 4n^2 sin^2(pi / 2n) >= 18 for n >= 3 cells per axis, so
+    # omega^2 <= 8 keeps every drawn system well away from resonance
+    g = build_grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(seed)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells), omega2)
+    G = rng.normal(size=(g.n_boundary, k))
+    F = rng.normal(size=(g.n_interior, k))
+    block = solve_dirichlet(sys_, G, F)
+    assert block.shape == (g.n_nodes, k)
+    assert np.array_equal(block[g.boundary_nodes], G)
+    nd_block = normal_derivative(sys_, block)
+    assert nd_block.shape == (g.n_boundary, k)
+    for j in range(k):
+        col = solve_dirichlet(sys_, G[:, j], F[:, j])
+        assert np.linalg.norm(block[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+        assert np.array_equal(nd_block[:, j], normal_derivative(sys_, block[:, j]))
+
+
+def test_residual_guard_names_the_failing_column():
+    g = build_grid((1.0, 1.0), (8, 8))
+    sys_ = HelmholtzSystem(g, np.ones(g.n_cells), 2.0)
+    lu = sys_.factorization
+    bad_col = 3
+
+    class PerturbedLU:
+        def solve(self, rhs):
+            x = lu.solve(rhs)
+            x[0, bad_col] += 1e-3
+            return x
+
+    sys_._lu = PerturbedLU()
+    G = np.random.default_rng(4).normal(size=(g.n_boundary, 6))
+    with pytest.raises(NumericalFailureError) as err:
+        solve_dirichlet(sys_, G)
+    rhs = -sys_.coupling.dot(G[:, bad_col])
+    u_i = lu.solve(rhs)
+    u_i[0] += 1e-3
+    expected = np.linalg.norm(sys_.interior_matrix.dot(u_i) - rhs)
+    diag = err.value.diagnostics
+    assert diag["column"] == bad_col
+    assert np.isclose(diag["residual"], expected, rtol=1e-6)
+    assert diag["residual"] > diag["target"]
