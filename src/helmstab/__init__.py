@@ -40,6 +40,7 @@ from .forward import (
 from .derivative import (
     alessandrini_pairing,
     frechet_directional,
+    frechet_jacobian,
     frechet_norm_bounds_report,
 )
 from .stability import (

@@ -24,7 +24,7 @@ Config schema::
       source_spacing: 0.25       # meters, scalar or per axis
       receiver_spacing: 0.125
       sigma: 0.08
-      absorbing: false           # first-order absorbing sides in top mode
+      absorbing: false           # absorbing sides in top mode; forward only
     fit:
       first_scales: 2            # optional; default ceil(n_scales / 2)
     output:
@@ -72,6 +72,9 @@ EXIT_PARTIAL = 2
 EXIT_TOTAL = 3
 
 EDGE_MARGIN_WARN = 0.05   # warn when omega^2 sits within 5% of a window edge
+
+# what a missing, truncated or mismatched model file raises on load
+_MODEL_LOAD_ERRORS = (HelmstabError, ValueError, OSError)
 
 GENERATORS = ("two_layer", "linear_depth", "constant")
 RUN_KEYS = ("seed", "cache")
@@ -365,16 +368,24 @@ def run_campaign(cfg: ExperimentConfig) -> int:
     Records are flushed to ``records.csv`` through an atomic rename after
     every cell, so a crashing cell cannot corrupt earlier rows. A failing
     cell is logged and skipped; the exit code reports partial (2) or total
-    (3) failure.
+    (3) failure. A model that cannot be loaded is a config error (1): one
+    ``error:`` line on stderr and nothing written.
     """
+    if cfg.absorbing:
+        print("warning: acquisition.absorbing applies only to 'helmstab "
+              "forward'; run ignores it", file=sys.stderr)
     grid = cfg.grid()
+    try:
+        field1 = cfg.c1.load(grid, cfg.base_dir)
+        field2 = cfg.c2.load(grid, cfg.base_dir)
+    except _MODEL_LOAD_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     records_path = os.path.join(cfg.out_dir, "records.csv")
     constants_path = os.path.join(cfg.out_dir, "constants.csv")
     comments = _record_comments(cfg)
-
-    field1 = cfg.c1.load(grid, cfg.base_dir)
-    field2 = cfg.c2.load(grid, cfg.base_dir)
 
     acquisitions = {
         mode: fwd.make_acquisition(grid, mode, cfg.source_spacing,
@@ -633,7 +644,11 @@ def main(argv=None) -> int:
             cfg.override_window_check = True
         grid = cfg.grid()
         spec = cfg.c1 if args.model == "c1" else cfg.c2
-        field_ = spec.load(grid, cfg.base_dir)
+        try:
+            field_ = spec.load(grid, cfg.base_dir)
+        except _MODEL_LOAD_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         blocks = cfg.scales[-1]
         partition = build_partition(grid, blocks)
         m = mdl.from_gridded_field(field_, partition, cfg.bounds)

@@ -12,15 +12,32 @@ Consequently the derivative pairing carries a minus sign,
 
 while the derivative of the *sampled* data (normal derivative at receivers)
 is the plain directional derivative of the forward map. Two conventions for
-the derivative matrix are exposed and never mixed within one matrix:
+the derivative matrix are exposed and never mixed within one matrix. Both
+are computed as adjoint nodal products (adjoint-state method)
+
+    entry (s, r)  =  sum over interior nodes i of  dnode_i * u_s,i * z_r,i,
+
+with dnode the nodal coefficient of the direction, u_s the field of source s
+and z_r an adjoint field of receiver r:
 
 * ``convention="data"``: entry (s, r) is the derivative of the receiver
-  sample, computed by solving the first-order equation
-  ``(-Lap - omega^2 c^-2) w = omega^2 dc u~_s`` with w = 0 on the boundary
-  and applying the one-sided normal-derivative stencil at receiver r.
+  sample, i.e. the one-sided normal-derivative stencil at receiver r applied
+  to the first-order field ``(-Lap - omega^2 c^-2) w = omega^2 dc u~_s``
+  (w = 0 on the boundary). The interior matrix is symmetric, so
+  ``z_r = omega^2 A^-1 e_r`` with e_r the transposed stencil
+  (:func:`solver.normal_derivative_adjoint`).
 * ``convention="pairing"``: entry (s, r) is the dual pairing of DF against a
-  receiver functional of the same Gaussian shape as the sources, computed as
-  the (nodal-quadrature) volume integral above.
+  receiver functional of the same Gaussian shape as the sources, the
+  (nodal-quadrature) volume integral above: ``z_r = -omega^2 vol * v_r`` with
+  v_r the solve for receiver r's Gaussian.
+
+Every direction shares the same u_s and z_r, so the derivative along all N
+canonical directions (:func:`frechet_jacobian`) costs n_sources +
+n_receivers solves, not N * n_sources. The source fields are kept on the
+interior nodes (n_interior x n_sources floats) and the adjoint fields stream
+in blocks of 8 receivers, each contracted with a sparse direction-by-node
+weight matrix; solving all receivers at once, or contracting against a
+dense weight matrix, costs more memory for no fewer solves.
 
 The pairing form has an exactly equivalent second implementation -- the
 variational boundary flux of the first-order solution paired with the
@@ -33,6 +50,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
 from .forward import (
     Acquisition,
@@ -48,6 +67,7 @@ from .solver import (
     cell_average,
     node_coefficients,
     normal_derivative,
+    normal_derivative_adjoint,
     solve_dirichlet,
 )
 
@@ -56,6 +76,7 @@ __all__ = [
     "DirectionalDerivative",
     "alessandrini_pairing",
     "frechet_directional",
+    "frechet_jacobian",
     "frechet_pairing_first_order",
     "taylor_remainder",
     "central_difference_matrix",
@@ -133,16 +154,32 @@ class DirectionalDerivative:
         object.__setattr__(self, "values", values)
 
 
-def _direction_fields(base: SquaredSlownessModel, direction):
+def _check_direction(base: SquaredSlownessModel, direction) -> np.ndarray:
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (base.n_subdomains,):
         raise ValueError(
             f"direction needs {base.n_subdomains} entries, got {direction.shape}"
         )
-    dcell = direction[base.partition.cell_to_subdomain]
-    dnode = node_coefficients(base.grid, dcell) if np.any(dcell) else \
-        np.zeros(base.grid.n_nodes)
-    return direction, dnode
+    return direction
+
+
+def _check_convention(convention: str):
+    if convention not in ("data", "pairing"):
+        raise ValueError(f"unknown convention {convention!r}")
+
+
+def _check_grid(base: SquaredSlownessModel, acq: Acquisition):
+    if acq.grid.key != base.grid.key:
+        raise ValueError("acquisition and model live on different grids")
+
+
+def _node_weights(grid, cell_fields) -> sp.csr_matrix:
+    """Direction-by-node weights: row i is the nodal coefficient
+    (:func:`solver.node_coefficients`) of the i-th cell field on the interior
+    nodes. Rows are built one at a time and stored sparse."""
+    interior = grid.interior_nodes
+    return sp.vstack([sp.csr_matrix(node_coefficients(grid, f)[interior])
+                      for f in cell_fields], format="csr")
 
 
 def _gaussians(grid, positions, sigma) -> np.ndarray:
@@ -159,11 +196,75 @@ def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
         yield block, solve_dirichlet(sys_, g)
 
 
-def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
-    """First-order fields ``w`` (zero on the boundary) for a block ``u``."""
+def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
+                    convention: str):
+    """(slice, adjoint-field block on the interior nodes) per block of
+    receivers, scaled so that an entry of the derivative is the plain nodal
+    sum ``sum_i dnode_i u_s,i z_r,i``."""
     grid = sys_.grid
-    rhs = omega2 * (dnode[:, None] * u)[grid.interior_nodes]
-    return solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])), rhs)
+    interior = grid.interior_nodes
+    for block in _blocks(acq.n_receivers):
+        if convention == "data":
+            e = normal_derivative_adjoint(grid, acq.receiver_idx[block])
+            z = solve_dirichlet(sys_, np.zeros((grid.n_boundary, e.shape[1])), e)
+            yield block, omega2 * z[interior]
+        else:
+            h = _gaussians(grid, acq.receiver_positions[block], acq.source_sigma)
+            v = solve_dirichlet(sys_, h)[interior]
+            yield block, -omega2 * sys_.node_volumes[interior, None] * v
+
+
+def _adjoint_products(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
+                      weights: sp.csr_matrix, convention: str) -> np.ndarray:
+    """``(m, n_sources, n_receivers)`` derivative for the m weight rows.
+
+    Entry (j, s, r) is ``sum_i weights[j, i] u_s,i z_r,i`` over the interior
+    nodes, with u_s the source fields and z_r the adjoint fields of
+    :func:`_adjoint_blocks`. The source fields are kept on the interior
+    nodes; the adjoint side streams in blocks, and each receiver scales the
+    sparse weights by z_r instead of forming the dense products u_s z_r.
+    """
+    interior = sys_.grid.interior_nodes
+    u = np.empty((interior.size, acq.n_sources))
+    for block, fields in _source_blocks(sys_, acq):
+        u[:, block] = fields[interior]
+    out = np.empty((weights.shape[0], acq.n_sources, acq.n_receivers))
+    nodes = weights.indices
+    for block, z in _adjoint_blocks(sys_, acq, omega2, convention):
+        for k, r in enumerate(range(block.start, block.stop)):
+            scaled = sp.csr_matrix((weights.data * z[nodes, k], nodes,
+                                    weights.indptr), shape=weights.shape)
+            out[:, :, r] = scaled @ u
+    return out
+
+
+def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
+                     acq: Acquisition, *, convention: str = "data",
+                     directions=None) -> np.ndarray:
+    """Derivative of the forward map along canonical subdomain directions.
+
+    ``directions`` lists subdomain indices (default: all N, in order); slice
+    i of the returned ``(len(directions), n_sources, n_receivers)`` array is
+    the derivative along the indicator of subdomain ``directions[i]``, in
+    the given convention (module docstring). Costs n_sources + n_receivers
+    solves however many directions are asked for.
+    """
+    omega2 = float(omega2)
+    _check_convention(convention)
+    _check_grid(base, acq)
+    n = base.n_subdomains
+    directions = np.arange(n) if directions is None else \
+        np.asarray(directions, dtype=np.int64)
+    if directions.ndim != 1 or directions.size == 0 or \
+            np.any((directions < 0) | (directions >= n)):
+        raise ValueError(
+            f"directions must be a non-empty list of subdomain indices < {n}")
+    grid = base.grid
+    sys_ = assemble(grid, to_cell_field(base), omega2)
+    cells = base.partition.cell_to_subdomain
+    weights = _node_weights(grid, ((cells == j).astype(float)
+                                   for j in directions))
+    return _adjoint_products(sys_, acq, omega2, weights, convention)
 
 
 def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
@@ -172,36 +273,31 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     """Directional derivative of the forward map at ``base``.
 
     See the module docstring for the two conventions. Both are exactly linear
-    in ``direction``.
+    in ``direction``: the result is ``sum_j direction[j] J_j`` with ``J`` from
+    :func:`frechet_jacobian`, computed by the same adjoint products with the
+    single weight row of ``direction``. That costs n_sources + n_receivers
+    solves in either convention (a per-direction first-order data path would
+    take 2 * n_sources), and keeps every source field on the interior nodes
+    while the receivers stream.
     """
     omega2 = float(omega2)
-    if convention not in ("data", "pairing"):
-        raise ValueError(f"unknown convention {convention!r}")
-    direction, dnode = _direction_fields(base, direction)
-    sys_ = assemble(base.grid, to_cell_field(base), omega2, cache=cache)
+    _check_convention(convention)
+    _check_grid(base, acq)
+    direction = _check_direction(base, direction)
     grid = base.grid
-    values = np.empty((acq.n_sources, acq.n_receivers))
-
-    if convention == "data":
-        for block, u in _source_blocks(sys_, acq):
-            w = _first_order_solve(sys_, dnode, u, omega2)
-            values[block] = normal_derivative(sys_, w)[acq.receiver_idx].T
-    else:
-        interior = grid.interior_nodes
-        weight = (sys_.node_volumes * dnode)[interior]
-        # receiver fields on the interior, weighted by the volume quadrature
-        weighted_v = np.empty((grid.n_interior, acq.n_receivers))
-        positions = acq.receiver_positions
-        for block in _blocks(acq.n_receivers):
-            h = _gaussians(grid, positions[block], acq.source_sigma)
-            weighted_v[:, block] = \
-                weight[:, None] * solve_dirichlet(sys_, h)[interior]
-        for block, u in _source_blocks(sys_, acq):
-            values[block] = -omega2 * u[interior].T @ weighted_v
-
+    sys_ = assemble(grid, to_cell_field(base), omega2, cache=cache)
+    weights = _node_weights(grid, [direction[base.partition.cell_to_subdomain]])
+    values = _adjoint_products(sys_, acq, omega2, weights, convention)[0]
     return DirectionalDerivative(base_model=base, direction=direction,
                                  omega2=omega2, acquisition=acq, values=values,
                                  convention=convention)
+
+
+def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
+    """First-order fields ``w`` (zero on the boundary) for a block ``u``."""
+    grid = sys_.grid
+    rhs = omega2 * (dnode[:, None] * u)[grid.interior_nodes]
+    return solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])), rhs)
 
 
 def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
@@ -211,13 +307,16 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
 
     Solves ``(-Lap - omega^2 c^-2) w_s = omega^2 dc u~_s`` per source and
     pairs the variational flux of w_s against each receiver Gaussian. Agrees
-    with the volume-integral pairing to solver tolerance (exact discrete
-    duality).
+    with the adjoint-product pairing to solver tolerance (exact discrete
+    duality); it is the independent cross-check of that path.
     """
     omega2 = float(omega2)
-    direction, dnode = _direction_fields(base, direction)
-    sys_ = assemble(base.grid, to_cell_field(base), omega2, cache=cache)
-    receivers = _gaussians(base.grid, acq.receiver_positions, acq.source_sigma)
+    _check_grid(base, acq)
+    direction = _check_direction(base, direction)
+    grid = base.grid
+    dnode = node_coefficients(grid, direction[base.partition.cell_to_subdomain])
+    sys_ = assemble(grid, to_cell_field(base), omega2, cache=cache)
+    receivers = _gaussians(grid, acq.receiver_positions, acq.source_sigma)
     values = np.empty((acq.n_sources, acq.n_receivers))
     for block, u in _source_blocks(sys_, acq):
         w = _first_order_solve(sys_, dnode, u, omega2)
@@ -267,7 +366,18 @@ def central_difference_matrix(base: SquaredSlownessModel, direction,
 class BoundShapeReport:
     """Operator norms of DF over canonical directions, with the analytic
     bound shapes evaluated at fitted constants (report only, no pass/fail:
-    the paper-level constants are unknown)."""
+    the paper-level constants are unknown).
+
+    When every direction is enumerated, ``jacobian_sigma_min`` is the
+    smallest singular value of the Jacobian as a map from coefficients in
+    the L2 subdomain-volume norm to data in the weighted Frobenius norm, and
+    ``local_lipschitz`` its inverse: the local stability constant of the
+    linearized problem in that Frobenius data norm. The campaign's ``c_est``
+    measures data in the weighted operator norm, which is no larger than the
+    Frobenius norm, so ``local_lipschitz`` is a lower bound on the
+    linearized ``c_est``, not the same quantity. Both are None when
+    directions are sampled.
+    """
 
     omega2: float
     n_subdomains: int
@@ -277,6 +387,8 @@ class BoundShapeReport:
     upper_shape_constant: float    # C in C*omega^2*(1 + omega^2/d)^2
     lower_shape_constant: float    # K in omega^2*exp(-K*(1+omega^2*B2)*N^(4/7))
     b2: float
+    jacobian_sigma_min: float | None = None
+    local_lipschitz: float | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -288,6 +400,23 @@ class BoundShapeReport:
         return float(np.max(self.norms))
 
 
+def _jacobian_sigma_min(jac: np.ndarray, acq: Acquisition,
+                        volumes: np.ndarray) -> float:
+    """Smallest singular value of the ``(n_sources * n_receivers, N)``
+    Jacobian, rows weighted by ``sqrt(w_s w_r)`` and columns by
+    ``1 / sqrt(|Omega_j|)``. Overwrites ``jac``: it is scaled in place and
+    handed to LAPACK without a copy (the flattened transpose of a C-ordered
+    array is Fortran-ordered)."""
+    n = jac.shape[0]
+    if acq.n_sources * acq.n_receivers < n:
+        return 0.0   # more unknowns than data: the Jacobian has a kernel
+    jac *= np.sqrt(np.outer(acq.source_weights, acq.receiver_weights))
+    jac /= np.sqrt(volumes)[:, None, None]
+    sigma = scipy.linalg.svdvals(jac.reshape(n, -1).T, overwrite_a=True,
+                                 check_finite=False)
+    return float(sigma[-1])
+
+
 def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
                                acq: Acquisition, *,
                                distance_to_spectrum: float | None = None,
@@ -296,8 +425,12 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
     """Weighted operator norm of DF(e_j) per canonical direction.
 
     Enumerates all N canonical directions when N <= max_directions, otherwise
-    samples that many without replacement. The two analytic bound shapes are
-    juxtaposed with constants fitted to the observed min/max.
+    samples that many without replacement; the norms are taken from the
+    slices of :func:`frechet_jacobian`. The two analytic bound shapes are
+    juxtaposed with constants fitted to the observed min/max. With every
+    direction enumerated the report also carries the Jacobian's smallest
+    singular value and the local Lipschitz estimate (see
+    :class:`BoundShapeReport`).
     """
     omega2 = float(omega2)
     n = base.n_subdomains
@@ -306,13 +439,13 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
     else:
         rng = np.random.default_rng(rng)
         chosen = sorted(rng.choice(n, size=max_directions, replace=False))
-    norms = []
-    for j in chosen:
-        e = np.zeros(n)
-        e[j] = 1.0
-        df = frechet_directional(base, e, omega2, acq)
-        norms.append(weighted_operator_norm(df.values, acq))
-    norms = np.asarray(norms)
+    jac = frechet_jacobian(base, omega2, acq, directions=chosen)
+    norms = np.array([weighted_operator_norm(j, acq) for j in jac])
+    sigma_min = lipschitz = None
+    if len(chosen) == n:
+        sigma_min = _jacobian_sigma_min(jac, acq,
+                                        base.partition.subdomain_volumes)
+        lipschitz = 1.0 / sigma_min if sigma_min > 0 else np.inf
 
     b2 = base.bounds[1]
     if distance_to_spectrum is not None and distance_to_spectrum > 0:
@@ -329,20 +462,28 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
         omega2=omega2, n_subdomains=n, directions=tuple(chosen), norms=norms,
         distance_to_spectrum=distance_to_spectrum,
         upper_shape_constant=upper_c, lower_shape_constant=float(lower_k),
-        b2=b2,
+        b2=b2, jacobian_sigma_min=sigma_min, local_lipschitz=lipschitz,
     )
 
 
 def write_bounds_report_csv(path, report: BoundShapeReport):
+    """Per-direction norms, then the summary rows; ``jacobian_sigma_min`` and
+    ``local_lipschitz`` are left empty when the directions were sampled."""
+
+    def number(value):
+        return "" if value is None else f"{value:.17g}"
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["direction", "df_opnorm"])
         for j, nrm in zip(report.directions, report.norms):
-            writer.writerow([j, f"{nrm:.17g}"])
+            writer.writerow([j, number(nrm)])
         writer.writerow([])
-        writer.writerow(["omega2", f"{report.omega2:.17g}"])
+        writer.writerow(["omega2", number(report.omega2)])
         writer.writerow(["n_subdomains", report.n_subdomains])
-        writer.writerow(["min_norm", f"{report.min_norm:.17g}"])
-        writer.writerow(["max_norm", f"{report.max_norm:.17g}"])
-        writer.writerow(["upper_shape_constant", f"{report.upper_shape_constant:.17g}"])
-        writer.writerow(["lower_shape_constant", f"{report.lower_shape_constant:.17g}"])
+        writer.writerow(["min_norm", number(report.min_norm)])
+        writer.writerow(["max_norm", number(report.max_norm)])
+        writer.writerow(["upper_shape_constant", number(report.upper_shape_constant)])
+        writer.writerow(["lower_shape_constant", number(report.lower_shape_constant)])
+        writer.writerow(["jacobian_sigma_min", number(report.jacobian_sigma_min)])
+        writer.writerow(["local_lipschitz", number(report.local_lipschitz)])

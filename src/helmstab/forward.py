@@ -42,6 +42,7 @@ __all__ = [
     "make_acquisition",
     "forward_map",
     "dtn_operator_norm",
+    "weighted_operator_norm",
     "weighted_frobenius",
     "write_dtn",
     "read_dtn",

@@ -20,7 +20,9 @@ Two boundary normal-derivative extractors are provided:
 
 * :func:`normal_derivative` -- the pointwise one-sided stencil
   ``(3 u0 - 4 u1 + u2) / (2 h)`` along the outward normal. Exact on
-  quadratics; this is what enters the measured DtN data.
+  quadratics; this is what enters the measured DtN data. Its transpose on
+  the interior nodes, :func:`normal_derivative_adjoint`, is the right-hand
+  side of the adjoint solves of the data-convention derivative.
 * :func:`flux_normal_derivative` -- the variational conormal flux obtained
   from the symmetric bilinear form of the discretization, divided by the
   boundary quadrature weight. Consistent in the integrated (weak) sense and
@@ -51,6 +53,7 @@ __all__ = [
     "assemble",
     "solve_dirichlet",
     "normal_derivative",
+    "normal_derivative_adjoint",
     "flux_normal_derivative",
     "node_coefficients",
     "cell_average",
@@ -363,6 +366,37 @@ def normal_derivative(sys_or_grid, u) -> np.ndarray:
     b = grid.boundary_nodes
     h = np.asarray(grid.spacing)[axes].reshape((-1,) + (1,) * (u.ndim - 1))
     return (3.0 * u[b] - 4.0 * u[b + step] + u[b + 2 * step]) / (2.0 * h)
+
+
+def normal_derivative_adjoint(sys_or_grid, positions) -> np.ndarray:
+    """Transposed normal-derivative stencil on the interior nodes.
+
+    Column j holds the weights with which :func:`normal_derivative` reads an
+    interior field at boundary position ``positions[j]``: for every field
+    ``w`` that vanishes on the boundary,
+    ``normal_derivative(grid, w)[positions] == E.T @ w[grid.interior_nodes]``
+    with ``E`` the returned ``(n_interior, len(positions))`` array. The
+    ``3 u0`` term and every inward node that lies on the boundary (next to an
+    edge or corner) drop out, because ``w`` is zero there. Solving against
+    ``E`` gives the adjoint fields of the receiver samples.
+    """
+    grid = sys_or_grid.grid if isinstance(sys_or_grid, HelmholtzSystem) else sys_or_grid
+    if any(n < 3 for n in grid.nodes_per_axis):
+        raise ValueError("need at least 3 nodes along every axis for the stencil")
+    positions = np.asarray(positions, dtype=np.int64)
+    step, axes = _inward_strides(grid)
+    b = grid.boundary_nodes[positions]
+    step = step[positions]
+    h = np.asarray(grid.spacing)[axes[positions]]
+    interior_position = np.full(grid.n_nodes, -1, dtype=np.int64)
+    interior_position[grid.interior_nodes] = np.arange(grid.n_interior)
+    e = np.zeros((grid.n_interior, positions.size))
+    cols = np.arange(positions.size)
+    for k, coef in ((1, -4.0), (2, 1.0)):
+        rows = interior_position[b + k * step]
+        inside = rows >= 0
+        e[rows[inside], cols[inside]] += coef / (2.0 * h[inside])
+    return e
 
 
 def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:

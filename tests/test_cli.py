@@ -183,6 +183,43 @@ def test_model_file_loading(tmp_path):
     assert status == cli.EXIT_OK
 
 
+def truncated_model_config(tmp_path):
+    from helmstab.geometry import build_grid
+    from helmstab.model import linear_depth_field, write_field
+
+    g = build_grid((1.0, 1.0), (32, 32))
+    path = tmp_path / "c1.hsmd"
+    write_field(path, g, linear_depth_field(g, 1.0, 2.0))
+    path.write_bytes(path.read_bytes()[:6])   # magic plus half a header
+    cfg = base_config(tmp_path / "out")
+    cfg["model"]["c1"] = {"file": "c1.hsmd"}
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("command", ["run", "forward"])
+def test_truncated_model_file_is_a_config_error(tmp_path, capsys, command):
+    argv = [command, "--config", str(truncated_model_config(tmp_path))]
+    if command == "forward":
+        argv += ["--out", str(tmp_path / "out")]
+    status = cli.main(argv)
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_CONFIG
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "c1.hsmd" in errors[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_warns_that_absorbing_is_ignored(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["scales"] = {"blocks": [[2, 2]]}
+    cfg["acquisition"]["absorbing"] = True
+    status = cli.main(["run", "--config", str(write_config(tmp_path, cfg))])
+    assert status == cli.EXIT_OK
+    assert ("warning: acquisition.absorbing applies only to 'helmstab "
+            "forward'; run ignores it") in capsys.readouterr().err
+
+
 def test_plot_data_single_record(tmp_path):
     rec = fill_bounds(make_record(16, 20.0),
                       BoundConstants(k=0.1, k1=0.5, b2=1.0, records_used=1))

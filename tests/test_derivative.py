@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmstab.derivative import (
     alessandrini_pairing,
     central_difference_matrix,
     default_step,
     frechet_directional,
+    frechet_jacobian,
     frechet_norm_bounds_report,
     frechet_pairing_first_order,
     taylor_remainder,
     write_bounds_report_csv,
 )
-from helmstab.forward import gaussian_source, make_acquisition
+from helmstab.forward import Acquisition, gaussian_source, make_acquisition
 from helmstab.geometry import build_grid, build_partition
-from helmstab.model import SquaredSlownessModel
+from helmstab.model import SquaredSlownessModel, to_cell_field
+from helmstab.solver import (
+    assemble,
+    node_coefficients,
+    normal_derivative,
+    solve_dirichlet,
+)
 
 BOUNDS = (0.2, 1.2)
 OMEGA2 = 6.0
@@ -172,18 +181,49 @@ def test_bounds_report(tmp_path):
     assert report.max_norm >= report.min_norm
     assert np.isfinite(report.lower_shape_constant)
 
+    # smallest singular value of the weighted (n_src * n_rec, N) Jacobian,
+    # built column by column from the directional derivative
+    rows = np.sqrt(np.outer(acq.source_weights, acq.receiver_weights)).ravel()
+    columns = []
+    for j in range(p.n_subdomains):
+        e = np.zeros(p.n_subdomains)
+        e[j] = 1.0
+        df = frechet_directional(base, e, OMEGA2, acq).values.ravel()
+        columns.append(rows * df / np.sqrt(p.subdomain_volumes[j]))
+    sigma = np.linalg.svd(np.column_stack(columns), compute_uv=False)[-1]
+    assert np.isclose(report.jacobian_sigma_min, sigma, rtol=1e-10)
+    assert report.local_lipschitz == 1.0 / report.jacobian_sigma_min
+
     path = tmp_path / "report.csv"
     write_bounds_report_csv(path, report)
     text = path.read_text()
     assert "df_opnorm" in text
     assert "lower_shape_constant" in text
+    assert f"jacobian_sigma_min,{report.jacobian_sigma_min:.17g}" in text
+    assert f"local_lipschitz,{report.local_lipschitz:.17g}" in text
 
 
-def test_bounds_report_sampling_cap():
+def test_bounds_report_with_fewer_data_than_unknowns():
+    # one source and two receivers cannot determine four subdomain values
+    g, p, base, _, _ = setup(n=16, blocks=(2, 2))
+    acq = Acquisition(grid=g, mode="full", source_idx=[3], receiver_idx=[9, 20],
+                      source_sigma=0.08, top_face=g.top_face())
+    report = frechet_norm_bounds_report(base, OMEGA2, acq)
+    assert report.jacobian_sigma_min == 0.0
+    assert report.local_lipschitz == np.inf
+
+
+def test_bounds_report_sampling_cap(tmp_path):
     g, p, base, acq, _ = setup(n=24, blocks=(4, 4))
     report = frechet_norm_bounds_report(base, OMEGA2, acq, max_directions=5,
                                         rng=0)
     assert len(report.norms) == 5
+    assert report.jacobian_sigma_min is None
+    assert report.local_lipschitz is None
+    path = tmp_path / "report.csv"
+    write_bounds_report_csv(path, report)
+    lines = path.read_text().splitlines()
+    assert lines[-2:] == ["jacobian_sigma_min,", "local_lipschitz,"]
 
 
 def test_single_direction_matches_fd_slope():
@@ -222,3 +262,100 @@ def test_omega2_prefactor_in_pairing_form():
     assert np.isclose(df.values[0, 0], entry, rtol=1e-12)
     # doubling omega^2 with the same fields doubles the factored entry
     assert np.isclose(-2 * OMEGA2 * integral, 2 * entry, rtol=1e-15)
+
+
+def first_order_data_slice(base, acq, omega2, j):
+    """Data-convention derivative along subdomain j's indicator by the direct
+    route: one first-order solve per source, then the receiver stencil."""
+    grid = base.grid
+    sys_ = assemble(grid, to_cell_field(base), omega2)
+    dnode = node_coefficients(
+        grid, (base.partition.cell_to_subdomain == j).astype(float))
+    g = np.column_stack([gaussian_source(grid, pos, acq.source_sigma)
+                         for pos in acq.source_positions])
+    u = solve_dirichlet(sys_, g)
+    w = solve_dirichlet(sys_, np.zeros_like(g),
+                        omega2 * (dnode[:, None] * u)[grid.interior_nodes])
+    return normal_derivative(sys_, w)[acq.receiver_idx].T
+
+
+def close_in_norm(got, want, rtol):
+    # a receiver whose inward stencil nodes all lie on the boundary (a corner
+    # of a 3-cell axis) gives an exactly zero column on both sides
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+# 3-cell axes at omega^2 up to 8 are deliberately coarse
+@pytest.mark.filterwarnings("ignore:grid resolves only")
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.lists(st.integers(3, 8), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 4), min_size=3, max_size=3)),
+       st.floats(0.5, 8.0), st.integers(1, 10), st.integers(1, 10),
+       st.integers(0, 2**32 - 1))
+def test_jacobian_matches_first_order_references(cells, omega2, n_src, n_rec,
+                                                 seed):
+    # unit box, c^-2 in [0.25, 1], omega^2 <= 8: well below the first
+    # discrete Dirichlet eigenvalue (see test_solver)
+    rng = np.random.default_rng(seed)
+    grid = build_grid((1.0,) * len(cells), cells)
+    blocks = [int(rng.integers(1, c + 1)) for c in cells]
+    partition = build_partition(grid, blocks)
+    n = partition.n_subdomains
+    base = SquaredSlownessModel(partition, rng.uniform(0.25, 1.0, n),
+                                (0.2, 1.2))
+    # boundary position of flat node 0 is a corner: the stencil's inward
+    # nodes there lie on another face
+    corner = grid.boundary_position[0]
+    acq = Acquisition(
+        grid=grid, mode="full",
+        source_idx=rng.choice(grid.n_boundary, size=n_src),
+        receiver_idx=np.append(rng.choice(grid.n_boundary, size=n_rec),
+                               corner),
+        source_sigma=0.4, top_face=grid.top_face())
+
+    data = frechet_jacobian(base, omega2, acq)
+    pairing = frechet_jacobian(base, omega2, acq, convention="pairing")
+    assert data.shape == pairing.shape == (n, n_src, n_rec + 1)
+    for j in range(n):
+        ref = first_order_data_slice(base, acq, omega2, j)
+        assert close_in_norm(data[j], ref, 1e-10)
+        e = np.zeros(n)
+        e[j] = 1.0
+        flux = frechet_pairing_first_order(base, e, omega2, acq).values
+        assert close_in_norm(pairing[j], flux, 1e-8)
+
+    d = rng.normal(size=n)
+    for convention, jac in (("data", data), ("pairing", pairing)):
+        df = frechet_directional(base, d, omega2, acq, convention=convention)
+        combined = np.tensordot(d, jac, axes=1)
+        assert np.max(np.abs(df.values - combined)) <= \
+            1e-12 * np.max(np.abs(combined))
+
+    subset = rng.permutation(n)[: max(1, n // 2)]
+    assert np.array_equal(frechet_jacobian(base, omega2, acq,
+                                           directions=subset), data[subset])
+
+
+def test_jacobian_rejects_bad_directions():
+    _, p, base, acq, _ = setup(n=8, blocks=(2, 2))
+    for bad in ([], [4], [-1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            frechet_jacobian(base, OMEGA2, acq, directions=bad)
+    with pytest.raises(ValueError):
+        frechet_jacobian(base, OMEGA2, acq, convention="flux")
+
+
+def test_derivatives_reject_acquisition_on_another_grid():
+    _, _, base, _, _ = setup(n=8, blocks=(2, 2))
+    e = np.zeros(base.n_subdomains)
+    e[0] = 1.0
+    # same node counts but other extents, and another node count
+    for other in (build_grid((2.0, 1.0), (8, 8)),
+                  build_grid((1.0, 1.0), (16, 16))):
+        acq = make_acquisition(other, "full", 0.5, 0.5, 0.08)
+        with pytest.raises(ValueError, match="different grids"):
+            frechet_jacobian(base, OMEGA2, acq)
+        with pytest.raises(ValueError, match="different grids"):
+            frechet_directional(base, e, OMEGA2, acq)
+        with pytest.raises(ValueError, match="different grids"):
+            frechet_pairing_first_order(base, e, OMEGA2, acq)

@@ -12,6 +12,7 @@ from helmstab.solver import (
     flux_normal_derivative,
     node_coefficients,
     normal_derivative,
+    normal_derivative_adjoint,
     solve_dirichlet,
 )
 
@@ -253,3 +254,18 @@ def test_residual_guard_names_the_failing_column():
     assert diag["column"] == bad_col
     assert np.isclose(diag["residual"], expected, rtol=1e-6)
     assert diag["residual"] > diag["target"]
+
+
+@pytest.mark.parametrize("cells", [(5, 4), (3, 4, 3)])
+def test_normal_derivative_adjoint_is_the_transposed_stencil(cells):
+    # every boundary position, corners and edges included, where some inward
+    # nodes of the stencil lie on another face
+    g = build_grid((1.0,) * len(cells), cells)
+    w = np.zeros(g.n_nodes)
+    w[g.interior_nodes] = np.random.default_rng(3).normal(size=g.n_interior)
+    positions = np.arange(g.n_boundary)
+    e = normal_derivative_adjoint(g, positions)
+    assert e.shape == (g.n_interior, g.n_boundary)
+    expected = normal_derivative(g, w)
+    assert np.allclose(e.T @ w[g.interior_nodes], expected,
+                       rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))

@@ -152,3 +152,15 @@ def test_count_validation():
         discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 0)
     with pytest.raises(ValueError):
         box_dirichlet_eigenvalues((1.0, 1.0), 0)
+
+
+def test_repeated_eigenvalues_are_all_found():
+    # on the 8^3 cube the 2nd to 4th discrete eigenvalues coincide (modes
+    # (2,1,1), (1,2,1), (1,1,2)); all three copies must come back, not the
+    # next distinct eigenvalue in place of one of them
+    g = build_grid((1.0, 1.0, 1.0), (8, 8, 8))
+    s1, s2 = np.sin(np.pi / 16) ** 2, np.sin(np.pi / 8) ** 2
+    exact = 4.0 * 64.0 * np.array([3 * s1] + [s2 + 2 * s1] * 3)
+    for _ in range(5):
+        vals = discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 4)
+        assert np.allclose(vals, exact, rtol=1e-10)
