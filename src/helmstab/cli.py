@@ -29,9 +29,6 @@ Config schema::
       first_scales: 2            # optional; default ceil(n_scales / 2)
     output:
       directory: out
-    run:
-      seed: 0
-      cache: true
 
 Exit codes: 0 success, 1 config error, 2 partial failure, 3 total failure.
 """
@@ -53,7 +50,8 @@ from . import model as mdl
 from . import spectrum, stability
 from .errors import HelmstabError
 from .geometry import BoxGrid, build_grid, build_partition
-from .solver import assemble
+from .solver import assemble  # unused here; benchmarks/spans.py traces this binding
+from .solver import cache_info
 
 __all__ = [
     "ExperimentConfig",
@@ -77,7 +75,6 @@ EDGE_MARGIN_WARN = 0.05   # warn when omega^2 sits within 5% of a window edge
 _MODEL_LOAD_ERRORS = (HelmstabError, ValueError, OSError)
 
 GENERATORS = ("two_layer", "linear_depth", "constant")
-RUN_KEYS = ("seed", "cache")
 
 
 @dataclass
@@ -134,8 +131,6 @@ class ExperimentConfig:
     absorbing: bool = False
     first_scales: int | None = None
     out_dir: str = "out"
-    seed: int = 0
-    cache: bool = True
     override_window_check: bool = False
     base_dir: str = "."
     failures: list = field(default_factory=list)
@@ -298,12 +293,11 @@ def load_config(path):
         absorbing=bool(acq_sec.get("absorbing", False)),
         first_scales=fit_sec.get("first_scales"),
         out_dir=out_sec.get("directory", "out"),
-        seed=int(run_sec.get("seed", 0)),
-        cache=bool(run_sec.get("cache", True)),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
-    for key in sorted(set(run_sec) - set(RUN_KEYS)):
+    # the run: block has no settings left; older configs still carry some
+    for key in sorted(run_sec):
         warnings_.append(f"run.{key} is not a setting of this version; ignored")
 
     # window pre-check per frequency
@@ -358,7 +352,6 @@ def _record_comments(cfg: ExperimentConfig) -> list:
         f"norm_kind: {fwd.NORM_KIND}",
         "bound_exponents: 3D-nominal (1/5 lower, 4/7 upper)",
         f"r0_exponent_dim: {len(cfg.extents)}",
-        f"seed: {cfg.seed}",
     ]
 
 
@@ -408,20 +401,10 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                 n_cells += 1
                 acq = acquisitions[mode]
                 t0 = time.perf_counter()
+                store0 = cache_info()
                 try:
-                    t_asm = time.perf_counter()
-                    sys1 = assemble(grid, mdl.to_cell_field(m1), omega2,
-                                    cache=cfg.cache)
-                    sys2 = assemble(grid, mdl.to_cell_field(m2), omega2,
-                                    cache=cfg.cache)
-                    asm_s = time.perf_counter() - t_asm
-                    t_fac = time.perf_counter()
-                    sys1.factorization
-                    sys2.factorization
-                    fac_s = time.perf_counter() - t_fac
                     rec = stability.estimate_constant(
                         m1, m2, omega2, acq, freq_hz=f_hz,
-                        cache=cfg.cache,
                         override_window_check=cfg.override_window_check,
                     )
                 except (HelmstabError, ValueError) as exc:
@@ -430,13 +413,14 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                     log.error("cell f=%gHz N=%d mode=%s failed: %s",
                               f_hz, partition.n_subdomains, mode, exc)
                     continue
-                solve_mean = (time.perf_counter() - t0 - asm_s - fac_s) \
-                    / (2 * acq.n_sources)
+                store = cache_info()
                 log.info(
-                    "cell f=%gHz N=%d mode=%s: assemble %.3fs, factorize "
-                    "%.3fs, per-source solve mean %.4fs, c_est %.6g",
-                    f_hz, partition.n_subdomains, mode, asm_s, fac_s,
-                    solve_mean, rec.c_est,
+                    "cell f=%gHz N=%d mode=%s: %.3fs, c_est %.6g, "
+                    "factorization store %d hits, %d misses",
+                    f_hz, partition.n_subdomains, mode,
+                    time.perf_counter() - t0, rec.c_est,
+                    store["hits"] - store0["hits"],
+                    store["misses"] - store0["misses"],
                 )
                 records.append(rec)
                 per_group.setdefault((f_hz, mode), []).append(rec)
@@ -570,7 +554,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a stability campaign")
     _add_common(p_run)
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--seed", type=int, help="override the RNG seed")
     p_run.add_argument("--override-window-check", action="store_true",
                        help="run even when omega^2 is outside the admissible windows")
 
@@ -663,7 +646,7 @@ def main(argv=None) -> int:
                                    cfg.receiver_spacing, cfg.sigma)
         try:
             data = fwd.forward_map(
-                m, omega2, acq, cache=cfg.cache,
+                m, omega2, acq,
                 override_window_check=cfg.override_window_check,
                 absorbing=cfg.absorbing and mode == fwd.MODE_TOP,
             )
@@ -684,8 +667,6 @@ def main(argv=None) -> int:
     # run
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.override_window_check:
         cfg.override_window_check = True
     status = run_campaign(cfg)

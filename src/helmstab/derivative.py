@@ -56,8 +56,9 @@ import scipy.sparse as sp
 from .forward import (
     Acquisition,
     _blocks,
+    _gaussians,
     forward_map,
-    gaussian_source,
+    gaussian_source,  # unused here; benchmarks/spans.py traces this binding
     weighted_operator_norm,
 )
 from .model import SquaredSlownessModel, to_cell_field
@@ -100,7 +101,7 @@ class PairingResult:
 
 
 def alessandrini_pairing(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
-                         g, h, omega2: float, *, cache: bool = True) -> PairingResult:
+                         g, h, omega2: float) -> PairingResult:
     """Evaluate both sides of the Alessandrini identity for two models.
 
     Volume side: ``omega^2 * sum_cells (c1 - c2) avg(u) avg(v) vol`` with u
@@ -118,8 +119,8 @@ def alessandrini_pairing(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
     omega2 = float(omega2)
     f1 = to_cell_field(m1)
     f2 = to_cell_field(m2)
-    s1 = assemble(grid, f1, omega2, cache=cache)
-    s2 = assemble(grid, f2, omega2, cache=cache)
+    s1 = assemble(grid, f1, omega2)
+    s2 = assemble(grid, f2, omega2)
 
     u = solve_dirichlet(s1, g)
     v = solve_dirichlet(s2, h)
@@ -180,11 +181,6 @@ def _node_weights(grid, cell_fields) -> sp.csr_matrix:
     interior = grid.interior_nodes
     return sp.vstack([sp.csr_matrix(node_coefficients(grid, f)[interior])
                       for f in cell_fields], format="csr")
-
-
-def _gaussians(grid, positions, sigma) -> np.ndarray:
-    """Gaussian boundary data centred at ``positions``, one column each."""
-    return np.column_stack([gaussian_source(grid, pos, sigma) for pos in positions])
 
 
 def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
@@ -268,8 +264,8 @@ def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
 
 
 def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
-                        acq: Acquisition, *, convention: str = "data",
-                        cache: bool = True) -> DirectionalDerivative:
+                        acq: Acquisition, *,
+                        convention: str = "data") -> DirectionalDerivative:
     """Directional derivative of the forward map at ``base``.
 
     See the module docstring for the two conventions. Both are exactly linear
@@ -285,7 +281,7 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     _check_grid(base, acq)
     direction = _check_direction(base, direction)
     grid = base.grid
-    sys_ = assemble(grid, to_cell_field(base), omega2, cache=cache)
+    sys_ = assemble(grid, to_cell_field(base), omega2)
     weights = _node_weights(grid, [direction[base.partition.cell_to_subdomain]])
     values = _adjoint_products(sys_, acq, omega2, weights, convention)[0]
     return DirectionalDerivative(base_model=base, direction=direction,
@@ -301,8 +297,8 @@ def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
 
 
 def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
-                                omega2: float, acq: Acquisition, *,
-                                cache: bool = True) -> DirectionalDerivative:
+                                omega2: float,
+                                acq: Acquisition) -> DirectionalDerivative:
     """Pairing-convention derivative via the first-order boundary flux.
 
     Solves ``(-Lap - omega^2 c^-2) w_s = omega^2 dc u~_s`` per source and
@@ -315,7 +311,7 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
     direction = _check_direction(base, direction)
     grid = base.grid
     dnode = node_coefficients(grid, direction[base.partition.cell_to_subdomain])
-    sys_ = assemble(grid, to_cell_field(base), omega2, cache=cache)
+    sys_ = assemble(grid, to_cell_field(base), omega2)
     receivers = _gaussians(grid, acq.receiver_positions, acq.source_sigma)
     values = np.empty((acq.n_sources, acq.n_receivers))
     for block, u in _source_blocks(sys_, acq):
@@ -343,9 +339,9 @@ def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
     direction = np.asarray(direction, dtype=float)
     if derivative is None:
         derivative = frechet_directional(base, direction, omega2, acq)
-    d0 = forward_map(base, omega2, acq, check_window=False)
+    d0 = forward_map(base, omega2, acq, override_window_check=True)
     d1 = forward_map(base.perturbed(eps * direction), omega2, acq,
-                     check_window=False)
+                     override_window_check=True)
     resid = d1.values - d0.values - eps * derivative.values
     return weighted_operator_norm(resid, acq)
 
@@ -356,9 +352,9 @@ def central_difference_matrix(base: SquaredSlownessModel, direction,
     """Central finite-difference slope of the data matrix along ``direction``."""
     direction = np.asarray(direction, dtype=float)
     dp = forward_map(base.perturbed(eps * direction), omega2, acq,
-                     check_window=False)
+                     override_window_check=True)
     dm = forward_map(base.perturbed(-eps * direction), omega2, acq,
-                     check_window=False)
+                     override_window_check=True)
     return (dp.values - dm.values) / (2.0 * eps)
 
 

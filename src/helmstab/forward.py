@@ -18,21 +18,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import WindowViolationError
 from .geometry import BoxGrid
 from .model import SquaredSlownessModel, _read_exact, to_cell_field
-from .solver import (
-    _absorbing_cache,
-    _coeff_hash,
-    _fd_stiffness,
-    assemble,
-    node_coefficients,
-    normal_derivative,
-    solve_dirichlet,
-)
+from .solver import assemble, normal_derivative, solve_absorbing, solve_dirichlet
 from .spectrum import frequency_safety, windows_covering
 
 __all__ = [
@@ -68,6 +58,11 @@ def _blocks(n: int):
     """Consecutive slices of at most ``_BLOCK`` items covering ``range(n)``."""
     for start in range(0, n, _BLOCK):
         yield slice(start, min(start + _BLOCK, n))
+
+
+def _gaussians(grid: BoxGrid, positions, sigma) -> np.ndarray:
+    """Gaussian boundary data centred at ``positions``, one column each."""
+    return np.column_stack([gaussian_source(grid, pos, sigma) for pos in positions])
 
 
 @dataclass(frozen=True)
@@ -258,77 +253,11 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
                        source_sigma=float(sigma), top_face=top)
 
 
-# -- absorbing-boundary variant ---------------------------------------------------
-
-def _absorbing_system(grid: BoxGrid, coeff, omega2: float, top_face: int):
-    """Complex factorization with first-order absorbing lateral/bottom faces.
-
-    Top-face-owned nodes keep Dirichlet rows (u = g); every other boundary
-    node gets the impedance row du/dnu - i*omega*c^-1*u = 0 with the one-sided
-    normal stencil. Interior rows are the usual Helmholtz stencil.
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    key = (grid.key, _coeff_hash(coeff), omega2, top_face)
-    hit = _absorbing_cache.get(key)
-    if hit is not None:
-        return hit
-
-    cnode = node_coefficients(grid, coeff)
-    omega = np.sqrt(omega2)
-    n = grid.n_nodes
-    strides = np.asarray(grid.node_strides())
-
-    is_interior = grid.boundary_position < 0
-    fd = _fd_stiffness(grid).tocoo()  # same stencil as the Dirichlet path
-    keep = is_interior[fd.row]
-    rows = [fd.row[keep], grid.interior_nodes]
-    cols = [fd.col[keep], grid.interior_nodes]
-    vals = [fd.data[keep].astype(complex),
-            np.full(grid.n_interior, -omega2) * cnode[grid.interior_nodes]]
-
-    faces = grid.boundary_face
-    axes = faces // 2
-    sides = faces % 2
-    dirichlet_mask = faces == top_face
-    robin = ~dirichlet_mask
-    b = grid.boundary_nodes[robin]
-    h = np.asarray(grid.spacing)[axes[robin]]
-    step = np.where(sides[robin] == 0, strides[axes[robin]],
-                    -strides[axes[robin]])
-    rows += [b, b, b]
-    cols += [b, b + step, b + 2 * step]
-    vals += [3.0 / (2.0 * h) - 1j * omega * np.sqrt(cnode[b]),
-             -4.0 / (2.0 * h) + 0j, 1.0 / (2.0 * h) + 0j]
-
-    d = grid.boundary_nodes[dirichlet_mask]
-    rows.append(d)
-    cols.append(d)
-    vals.append(np.ones(d.size, dtype=complex))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    lu = splu(mat)
-    entry = (lu, np.flatnonzero(dirichlet_mask))
-    _absorbing_cache[key] = entry
-    return entry
-
-
-def _absorbing_solve(grid, coeff, omega2, g, top_face):
-    """Absorbing-boundary fields for a block ``g`` of boundary data."""
-    lu, dirichlet_pos = _absorbing_system(grid, coeff, omega2, top_face)
-    rhs = np.zeros((grid.n_nodes, g.shape[1]), dtype=complex)
-    rhs[grid.boundary_nodes[dirichlet_pos]] = g[dirichlet_pos]
-    return lu.solve(rhs)
-
-
 # -- the forward map ---------------------------------------------------------------
 
 def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
-                *, check_window: bool = True,
-                override_window_check: bool = False, absorbing: bool = False,
-                cache: bool = True) -> DtnData:
+                *, override_window_check: bool = False,
+                absorbing: bool = False) -> DtnData:
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
@@ -340,7 +269,7 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
     if grid.key != model.grid.key:
         raise ValueError("acquisition and model live on different grids")
     omega2 = float(omega2)
-    if check_window and not override_window_check:
+    if not override_window_check:
         safety = frequency_safety(
             omega2, windows_covering(grid.extents, *model.bounds, omega2=omega2)
         )
@@ -358,9 +287,9 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
         values = np.empty((acq.n_sources, acq.n_receivers), dtype=complex)
 
         def solve(g):
-            return _absorbing_solve(grid, coeff, omega2, g, acq.top_face)
+            return solve_absorbing(grid, coeff, omega2, g, acq.top_face)
     else:
-        sys_ = assemble(grid, coeff, omega2, cache=cache)
+        sys_ = assemble(grid, coeff, omega2)
         values = np.empty((acq.n_sources, acq.n_receivers))
 
         def solve(g):
@@ -368,9 +297,7 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
 
     positions = acq.source_positions
     for block in _blocks(acq.n_sources):
-        g = np.column_stack([gaussian_source(grid, pos, acq.source_sigma)
-                             for pos in positions[block]])
-        u = solve(g)
+        u = solve(_gaussians(grid, positions[block], acq.source_sigma))
         values[block] = normal_derivative(grid, u)[acq.receiver_idx].T
 
     meta = {

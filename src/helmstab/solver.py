@@ -30,6 +30,11 @@ Two boundary normal-derivative extractors are provided:
   pointwise stencil is not. Dual pairings ("<Lambda g, h>") must use this
   extractor.
 
+Factorized systems, Dirichlet (:func:`assemble`) and absorbing
+(:func:`solve_absorbing`) alike, live in one content-keyed store that keeps
+the 4 most recently used; :func:`cache_info` counts its hits, misses and
+evictions and :func:`clear_caches` empties it.
+
 The finite-difference choice is not load-bearing for anything downstream:
 an alternative discretization (e.g. discontinuous Galerkin) plugs in by
 producing the same ``HelmholtzSystem`` surface (interior_matrix, coupling,
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +58,7 @@ __all__ = [
     "HelmholtzSystem",
     "assemble",
     "solve_dirichlet",
+    "solve_absorbing",
     "normal_derivative",
     "normal_derivative_adjoint",
     "flux_normal_derivative",
@@ -60,6 +67,7 @@ __all__ = [
     "interior_operators",
     "register_eigenvalues",
     "cached_eigenvalues",
+    "cache_info",
     "clear_caches",
 ]
 
@@ -67,11 +75,14 @@ SOLVER_RTOL = 1e-10
 RESONANCE_RTOL = 1e-8
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
-# factorized systems keyed by (grid.key, coeff hash, omega2)
-_system_cache: dict = {}
-# complex absorbing-boundary factorizations of the forward module, keyed by
-# (grid.key, coeff hash, omega2, top face)
-_absorbing_cache: dict = {}
+# Factorized systems keyed by (kind, grid.key, coeff hash, omega2[, top
+# face]), least recently used first. A campaign cell needs the two systems of
+# its model pair. In the benchmark campaigns a system is needed again after
+# at most 3 other distinct systems (a 3D two-layer field that one scale does
+# not align), so 4 entries keep every reuse; 3 would factorize one twice.
+_STORE_SIZE = 4
+_store: OrderedDict = OrderedDict()
+_store_counts = {"hits": 0, "misses": 0, "evictions": 0}
 # discrete spectra keyed by (grid.key, coeff hash); consulted by assemble()
 _eigen_cache: dict = {}
 
@@ -94,9 +105,31 @@ def cached_eigenvalues(grid: BoxGrid, coeff):
     return _eigen_cache.get((grid.key, _coeff_hash(np.asarray(coeff, dtype=float))))
 
 
+def _stored(key, build):
+    """The store's entry for ``key``, built by ``build()`` on a miss."""
+    entry = _store.get(key)
+    if entry is not None:
+        _store_counts["hits"] += 1
+        _store.move_to_end(key)
+        return entry
+    _store_counts["misses"] += 1
+    entry = _store[key] = build()
+    if len(_store) > _STORE_SIZE:
+        _store.popitem(last=False)
+        _store_counts["evictions"] += 1
+    return entry
+
+
+def cache_info() -> dict:
+    """Hits, misses and evictions of the factorization store since the last
+    :func:`clear_caches`, and its live entry count."""
+    return dict(_store_counts, entries=len(_store))
+
+
 def clear_caches():
-    _system_cache.clear()
-    _absorbing_cache.clear()
+    """Empty the factorization store and the registered spectra."""
+    _store.clear()
+    _store_counts.update(hits=0, misses=0, evictions=0)
     _eigen_cache.clear()
 
 
@@ -246,24 +279,22 @@ class HelmholtzSystem:
                 ) from exc
         return self._lu
 
-    def cache_key(self):
-        return (self.grid.key, _coeff_hash(self.coeff), self.omega2)
 
-
-def assemble(grid: BoxGrid, coeff, omega2: float, *, cache: bool = True,
-             check_resonance: bool = True) -> HelmholtzSystem:
-    """Assemble (and possibly reuse) the discrete system for one coefficient.
+def assemble(grid: BoxGrid, coeff, omega2: float) -> HelmholtzSystem:
+    """Assemble (or reuse from the store) the discrete system for one
+    coefficient.
 
     Refuses to build a system whose omega^2 lies within relative 1e-8 of a
-    *cached* discrete eigenvalue for this (grid, coeff); the spectrum module
-    populates that cache. Warns when the grid resolves fewer than 8 points
+    *registered* discrete eigenvalue for this (grid, coeff); the spectrum
+    module registers them. Warns when the grid resolves fewer than 8 points
     per wavelength.
     """
     coeff = np.ascontiguousarray(coeff, dtype=float)
     omega2 = float(omega2)
+    digest = _coeff_hash(coeff)
 
-    if check_resonance and omega2 > 0:
-        known = cached_eigenvalues(grid, coeff)
+    if omega2 > 0:
+        known = _eigen_cache.get((grid.key, digest))
         if known is not None and known.size:
             rel = np.abs(omega2 - known) / known
             j = int(np.argmin(rel))
@@ -280,14 +311,8 @@ def assemble(grid: BoxGrid, coeff, omega2: float, *, cache: bool = True,
                 stacklevel=2,
             )
 
-    if cache:
-        key = (grid.key, _coeff_hash(coeff), omega2)
-        sys_ = _system_cache.get(key)
-        if sys_ is None:
-            sys_ = HelmholtzSystem(grid, coeff, omega2)
-            _system_cache[key] = sys_
-        return sys_
-    return HelmholtzSystem(grid, coeff, omega2)
+    return _stored(("dirichlet", grid.key, digest, omega2),
+                   lambda: HelmholtzSystem(grid, coeff, omega2))
 
 
 def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
@@ -338,6 +363,72 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
+
+
+def _absorbing_system(grid: BoxGrid, coeff, omega2: float, top_face: int):
+    """Complex factorization with first-order absorbing lateral/bottom faces,
+    and the boundary positions that keep Dirichlet rows.
+
+    Top-face-owned nodes keep Dirichlet rows (u = g); every other boundary
+    node gets the impedance row du/dnu - i*omega*c^-1*u = 0 with the one-sided
+    normal stencil. Interior rows are the usual Helmholtz stencil.
+    """
+    cnode = node_coefficients(grid, coeff)
+    omega = np.sqrt(omega2)
+    n = grid.n_nodes
+    strides = np.asarray(grid.node_strides())
+
+    is_interior = grid.boundary_position < 0
+    fd = _fd_stiffness(grid).tocoo()  # same stencil as the Dirichlet path
+    keep = is_interior[fd.row]
+    rows = [fd.row[keep], grid.interior_nodes]
+    cols = [fd.col[keep], grid.interior_nodes]
+    vals = [fd.data[keep].astype(complex),
+            np.full(grid.n_interior, -omega2) * cnode[grid.interior_nodes]]
+
+    faces = grid.boundary_face
+    axes = faces // 2
+    sides = faces % 2
+    dirichlet_mask = faces == top_face
+    robin = ~dirichlet_mask
+    b = grid.boundary_nodes[robin]
+    h = np.asarray(grid.spacing)[axes[robin]]
+    step = np.where(sides[robin] == 0, strides[axes[robin]],
+                    -strides[axes[robin]])
+    rows += [b, b, b]
+    cols += [b, b + step, b + 2 * step]
+    vals += [3.0 / (2.0 * h) - 1j * omega * np.sqrt(cnode[b]),
+             -4.0 / (2.0 * h) + 0j, 1.0 / (2.0 * h) + 0j]
+
+    d = grid.boundary_nodes[dirichlet_mask]
+    rows.append(d)
+    cols.append(d)
+    vals.append(np.ones(d.size, dtype=complex))
+
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsc()
+    return splu(mat), np.flatnonzero(dirichlet_mask)
+
+
+def solve_absorbing(grid: BoxGrid, coeff, omega2: float, g,
+                    top_face: int) -> np.ndarray:
+    """Complex fields on all nodes for a block ``g`` ``(n_boundary, k)`` of
+    boundary data, with Dirichlet values on ``top_face`` and first-order
+    absorbing rows on every other face (only ``g`` on the top face enters).
+    The factorization comes from the same store as :func:`assemble`'s."""
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != grid.n_boundary:
+        raise ValueError(f"g must be a ({grid.n_boundary}, k) block")
+    coeff = np.ascontiguousarray(coeff, dtype=float)
+    omega2 = float(omega2)
+    lu, dirichlet_pos = _stored(
+        ("absorbing", grid.key, _coeff_hash(coeff), omega2, top_face),
+        lambda: _absorbing_system(grid, coeff, omega2, top_face))
+    rhs = np.zeros((grid.n_nodes, g.shape[1]), dtype=complex)
+    rhs[grid.boundary_nodes[dirichlet_pos]] = g[dirichlet_pos]
+    return lu.solve(rhs)
 
 
 def _inward_strides(grid: BoxGrid):

@@ -69,12 +69,17 @@ def test_window_violation_warns(tmp_path):
 
 
 def test_removed_run_key_warns(tmp_path):
-    # sources are solved in blocks on one thread; run.workers no longer exists
-    path = write_config(tmp_path, base_config(tmp_path / "out"))
-    loaded, errors, warnings_ = cli.load_config(path)
+    # sources are solved in blocks on one thread, every system goes through
+    # one bounded store and nothing in a campaign is random: run.workers,
+    # run.cache and run.seed no longer exist
+    cfg = base_config(tmp_path / "out")
+    cfg["run"] = {"cache": False, "seed": 3, "workers": 1}
+    loaded, errors, warnings_ = cli.load_config(write_config(tmp_path, cfg))
     assert loaded is not None and not errors
-    assert any("run.workers" in w for w in warnings_)
-    assert not hasattr(loaded, "workers")
+    assert warnings_ == [f"run.{key} is not a setting of this version; ignored"
+                         for key in ("cache", "seed", "workers")]
+    for key in ("workers", "cache", "seed"):
+        assert not hasattr(loaded, key)
 
 
 def test_near_edge_warns(tmp_path):
@@ -150,19 +155,46 @@ def test_partial_failure_keeps_going(tmp_path):
 
 
 def test_cache_toggle_does_not_change_results(tmp_path):
+    # run.cache is no longer a setting: it is ignored with a warning and the
+    # records equal those of a config without it byte for byte
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = base_config(out1)
+    del cfg1["run"]
     cfg2 = base_config(out2)
     cfg2["run"]["cache"] = False
     p1 = write_config(tmp_path, cfg1, "a.yaml")
     p2 = write_config(tmp_path, cfg2, "b.yaml")
-    cli.main(["run", "--config", str(p1)])
-    cli.main(["run", "--config", str(p2)])
-    rows1 = read_records_csv(out1 / "records.csv")
-    rows2 = read_records_csv(out2 / "records.csv")
-    for r1, r2 in zip(rows1, rows2):
-        assert abs(r1["c_est"] - r2["c_est"]) <= 1e-14 * abs(r1["c_est"])
-        assert abs(r1["data_norm"] - r2["data_norm"]) <= 1e-14 * r1["data_norm"]
+    _, _, warnings_ = cli.load_config(p2)
+    assert "run.cache is not a setting of this version; ignored" in warnings_
+    assert cli.main(["run", "--config", str(p1)]) == cli.EXIT_OK
+    assert cli.main(["run", "--config", str(p2)]) == cli.EXIT_OK
+    assert (out1 / "records.csv").read_bytes() == \
+        (out2 / "records.csv").read_bytes()
+
+
+def test_one_factorization_per_distinct_system(tmp_path, monkeypatch):
+    # one 16^2 cell has two distinct systems (c1 and c2); each is factorized
+    # once, also when the config still asks for run.cache: false
+    from helmstab import solver
+
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["cells"] = [16, 16]
+    cfg["scales"]["blocks"] = [[2, 2]]
+    cfg["acquisition"]["modes"] = ["full"]
+    cfg["run"] = {"cache": False}
+    path = write_config(tmp_path, cfg)
+    loaded, _, warnings_ = cli.load_config(path)
+    assert loaded is not None
+    assert warnings_ == ["run.cache is not a setting of this version; ignored"]
+
+    calls = []
+    splu = solver.splu
+    monkeypatch.setattr(solver, "splu",
+                        lambda mat: calls.append(mat.shape) or splu(mat))
+    solver.clear_caches()
+    assert cli.run_campaign(loaded) == cli.EXIT_OK
+    assert len(calls) == 2
+    assert solver.cache_info()["misses"] == 2
 
 
 def test_model_file_loading(tmp_path):
@@ -297,9 +329,6 @@ def test_forward_command(tmp_path, capsys):
 def test_run_flag_overrides(tmp_path):
     out = tmp_path / "cli_out"
     path = write_config(tmp_path, base_config(tmp_path / "ignored"))
-    status = cli.main(["run", "--config", str(path), "--out", str(out),
-                       "--seed", "7"])
+    status = cli.main(["run", "--config", str(path), "--out", str(out)])
     assert status == cli.EXIT_OK
     assert (out / "records.csv").exists()
-    text = (out / "records.csv").read_text()
-    assert "# seed: 7" in text

@@ -305,14 +305,36 @@ def test_absorbing_mode(model_pair):
 
 
 def test_clear_caches_empties_absorbing_cache(model_pair):
+    # absorbing and Dirichlet factorizations share one store
     from helmstab import solver
 
     m1, _ = model_pair
     top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
-    forward_map(m1, 8.0, top, absorbing=True)
-    assert solver._absorbing_cache
     solver.clear_caches()
-    assert not solver._absorbing_cache
+    forward_map(m1, 8.0, top, absorbing=True)
+    forward_map(m1, 8.0, top)
+    forward_map(m1, 8.0, top, absorbing=True)
+    assert solver.cache_info() == {"hits": 1, "misses": 2, "evictions": 0,
+                                   "entries": 2}
+    solver.clear_caches()
+    assert solver.cache_info()["entries"] == 0
+
+
+def test_rebuilt_system_gives_identical_data(model_pair):
+    # a system evicted from the store and built again yields the same data
+    from helmstab import solver
+
+    m1, m2 = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    solver.clear_caches()
+    first = forward_map(m1, 8.0, acq)
+    for w2 in (7.0, 7.5, 8.5, 9.0):
+        forward_map(m2, w2, acq, override_window_check=True)
+    assert solver.cache_info()["evictions"] == 1
+    again = forward_map(m1, 8.0, acq)
+    assert solver.cache_info()["misses"] == 6
+    assert np.array_equal(first.values, again.values)
+    solver.clear_caches()
 
 
 @pytest.mark.parametrize("keep", [10, 40, 70, 100, -8])

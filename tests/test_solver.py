@@ -8,11 +8,13 @@ from helmstab.geometry import build_grid
 from helmstab.solver import (
     HelmholtzSystem,
     assemble,
+    cache_info,
     clear_caches,
     flux_normal_derivative,
     node_coefficients,
     normal_derivative,
     normal_derivative_adjoint,
+    solve_absorbing,
     solve_dirichlet,
 )
 
@@ -25,7 +27,7 @@ def unit_square(n, coeff=1.0, omega2=0.0):
 def test_single_interior_node_matrix():
     g = build_grid((1.0, 1.0, 1.0), (2, 2, 2))
     with pytest.warns(UserWarning):  # deliberately under-resolved
-        sys_ = assemble(g, np.full(8, 0.7), 5.0, cache=False)
+        sys_ = assemble(g, np.full(8, 0.7), 5.0)
     # h = 0.5: diagonal 6/h^2 - omega^2 * c = 24 - 3.5
     assert sys_.interior_matrix.shape == (1, 1)
     assert np.isclose(sys_.interior_matrix.toarray()[0, 0], 24.0 - 5.0 * 0.7)
@@ -169,15 +171,24 @@ def test_flux_pairing_matches_weighted_form():
 
 
 def test_factorization_cache_reuse():
+    # the store keeps the 4 most recently used systems: a hit refreshes an
+    # entry, and a fifth distinct system evicts the least recently used one
     clear_caches()
     g = build_grid((1.0, 1.0), (8, 8))
     coeff = np.ones(g.n_cells)
-    s1 = assemble(g, coeff, 2.0, cache=True)
-    s2 = assemble(g, coeff, 2.0, cache=True)
-    assert s1 is s2
-    s3 = assemble(g, coeff, 2.0, cache=False)
-    assert s3 is not s1
+    systems = [assemble(g, coeff, w2) for w2 in (1.0, 2.0, 3.0, 4.0)]
+    assert assemble(g, coeff.copy(), 1.0) is systems[0]
+    assemble(g, coeff, 5.0)
+    assert cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
+                            "entries": 4}
+    assert assemble(g, coeff, 1.0) is systems[0]
+    rebuilt = assemble(g, coeff, 2.0)
+    assert rebuilt is not systems[1]
+    assert cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
+                            "entries": 4}
     clear_caches()
+    assert cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
+                            "entries": 0}
 
 
 def test_invalid_assembly_inputs():
@@ -190,6 +201,9 @@ def test_invalid_assembly_inputs():
         HelmholtzSystem(g, bad, 1.0)
     with pytest.raises(ValueError):
         HelmholtzSystem(g, np.ones(g.n_cells), -2.0)
+    with pytest.raises(ValueError):  # one column must still be a block
+        solve_absorbing(g, np.ones(g.n_cells), 2.0, np.ones(g.n_boundary),
+                        g.top_face())
 
 
 def test_residual_guard_reports_failure():

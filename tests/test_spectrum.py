@@ -141,9 +141,9 @@ def test_eigensolve_registers_resonance_guard():
     coeff = np.ones(g.n_cells)
     vals = discrete_dirichlet_eigenvalues(g, coeff, 2)
     with pytest.raises(NearResonanceError):
-        solver.assemble(g, coeff, float(vals[0]), cache=False)
+        solver.assemble(g, coeff, float(vals[0]))
     # slightly detuned frequency is accepted
-    solver.assemble(g, coeff, float(vals[0]) * 1.01, cache=False)
+    solver.assemble(g, coeff, float(vals[0]) * 1.01)
 
 
 def test_count_validation():
