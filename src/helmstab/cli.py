@@ -13,8 +13,8 @@ Config schema::
       cells: [64, 64]
     model:
       bounds: [0.25, 1.0]        # B1, B2 for c^-2 (s^2/m^2)
-      c1: {generator: two_layer, v_top: 1000, v_bottom: 2000, interface_depth: 0.5}
-      c2: {generator: linear_depth, v_top: 1000, v_bottom: 2000}
+      c1: {generator: two_layer, v_top: 1.0, v_bottom: 2.0, interface_depth: 0.5}
+      c2: {generator: linear_depth, v_top: 1.0, v_bottom: 2.0}
       # or {file: model.hsmd} / {text_file: m.txt, quantity: wavespeed}
     frequencies_hz: [0.45]
     scales:
@@ -24,7 +24,6 @@ Config schema::
       source_spacing: 0.25       # meters, scalar or per axis
       receiver_spacing: 0.125
       sigma: 0.08
-      absorbing: false           # absorbing sides in top mode; forward only
     fit:
       first_scales: 2            # optional; default ceil(n_scales / 2)
     output:
@@ -128,7 +127,6 @@ class ExperimentConfig:
     source_spacing: object
     receiver_spacing: object
     sigma: float
-    absorbing: bool = False
     first_scales: int | None = None
     out_dir: str = "out"
     override_window_check: bool = False
@@ -144,6 +142,17 @@ def _require(section: dict, key: str, errors: list, where: str):
         errors.append(f"{where}: missing required field '{key}'")
         return None
     return section[key]
+
+
+def _section(raw: dict, name: str, errors: list) -> dict:
+    """Config section ``name``; a missing or empty one reads as empty."""
+    sec = raw.get(name)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        errors.append(f"{name}: expected a mapping, got {sec!r}")
+        return {}
+    return sec
 
 
 def _model_spec(raw, errors, where) -> ModelSpec | None:
@@ -195,19 +204,19 @@ def load_config(path):
     if not isinstance(raw, dict):
         return None, [f"{path}: top level must be a mapping"], []
 
-    grid_sec = raw.get("grid", {})
+    grid_sec = _section(raw, "grid", errors)
     extents = _require(grid_sec, "extents", errors, "grid")
     cells = _require(grid_sec, "cells", errors, "grid")
-    model_sec = raw.get("model", {})
+    model_sec = _section(raw, "model", errors)
     bounds = _require(model_sec, "bounds", errors, "model")
     c1_raw = _require(model_sec, "c1", errors, "model")
     c2_raw = _require(model_sec, "c2", errors, "model")
     freqs = raw.get("frequencies_hz")
     if freqs is None:
         errors.append("frequencies_hz: missing required field")
-    scales_sec = raw.get("scales", {})
+    scales_sec = _section(raw, "scales", errors)
     blocks = _require(scales_sec, "blocks", errors, "scales")
-    acq_sec = raw.get("acquisition", {})
+    acq_sec = _section(raw, "acquisition", errors)
     for fld in ("source_spacing", "receiver_spacing", "sigma"):
         _require(acq_sec, fld, errors, "acquisition")
 
@@ -261,19 +270,49 @@ def load_config(path):
             )
         if grid is not None:
             for s in scale_list:
-                if len(s) != grid.dim:
-                    errors.append(f"scales.blocks: {s} has wrong dimension")
+                try:
+                    build_partition(grid, s)
+                except ValueError as exc:
+                    errors.append(f"scales.blocks: {exc}")
 
     modes = acq_sec.get("modes", ["full"])
     if isinstance(modes, str):
         modes = [modes]
+    if not isinstance(modes, list) or not modes:
+        errors.append(
+            f"acquisition.modes: expected a non-empty list of modes, got {modes!r}")
+        modes = []
     for m in modes:
         if m not in (fwd.MODE_FULL, fwd.MODE_TOP):
             errors.append(f"acquisition.modes: unknown mode {m!r}")
 
-    out_sec = raw.get("output", {})
-    run_sec = raw.get("run", {})
-    fit_sec = raw.get("fit", {})
+    try:
+        sigma = float(acq_sec["sigma"])
+    except (TypeError, ValueError):
+        errors.append(
+            f"acquisition.sigma: expected a number, got {acq_sec['sigma']!r}")
+    else:
+        if not sigma > 0:
+            errors.append(f"acquisition.sigma: must be positive, got {sigma:g}")
+        elif grid is not None:
+            # spacings the grid cannot resolve would otherwise fail in run
+            for m in (fwd.MODE_FULL, fwd.MODE_TOP):
+                if m not in modes:
+                    continue
+                try:
+                    fwd.make_acquisition(grid, m, acq_sec["source_spacing"],
+                                         acq_sec["receiver_spacing"], sigma)
+                except (TypeError, ValueError) as exc:
+                    errors.append(f"acquisition ({m} mode): {exc}")
+
+    out_sec = _section(raw, "output", errors)
+    run_sec = _section(raw, "run", errors)
+    fit_sec = _section(raw, "fit", errors)
+    first_scales = fit_sec.get("first_scales")
+    if first_scales is not None and (type(first_scales) is not int
+                                     or first_scales < 1):
+        errors.append("fit.first_scales: expected a positive integer, got "
+                      f"{first_scales!r}")
 
     if errors or grid is None or c1 is None or c2 is None:
         return None, errors, warnings_
@@ -289,16 +328,18 @@ def load_config(path):
         modes=list(modes),
         source_spacing=acq_sec["source_spacing"],
         receiver_spacing=acq_sec["receiver_spacing"],
-        sigma=float(acq_sec["sigma"]),
-        absorbing=bool(acq_sec.get("absorbing", False)),
-        first_scales=fit_sec.get("first_scales"),
+        sigma=sigma,
+        first_scales=first_scales,
         out_dir=out_sec.get("directory", "out"),
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
-    # the run: block has no settings left; older configs still carry some
+    # settings that older configs still carry
     for key in sorted(run_sec):
         warnings_.append(f"run.{key} is not a setting of this version; ignored")
+    if "absorbing" in acq_sec:
+        warnings_.append(
+            "acquisition.absorbing is not a setting of this version; ignored")
 
     # window pre-check per frequency
     for f in freq_list:
@@ -364,9 +405,6 @@ def run_campaign(cfg: ExperimentConfig) -> int:
     (3) failure. A model that cannot be loaded is a config error (1): one
     ``error:`` line on stderr and nothing written.
     """
-    if cfg.absorbing:
-        print("warning: acquisition.absorbing applies only to 'helmstab "
-              "forward'; run ignores it", file=sys.stderr)
     grid = cfg.grid()
     try:
         field1 = cfg.c1.load(grid, cfg.base_dir)
@@ -642,13 +680,17 @@ def main(argv=None) -> int:
         f_hz = cfg.frequencies_hz[idx]
         omega2 = (2.0 * np.pi * f_hz) ** 2
         mode = args.mode or cfg.modes[0]
-        acq = fwd.make_acquisition(grid, mode, cfg.source_spacing,
-                                   cfg.receiver_spacing, cfg.sigma)
+        try:
+            # --mode may name a mode the config does not list
+            acq = fwd.make_acquisition(grid, mode, cfg.source_spacing,
+                                       cfg.receiver_spacing, cfg.sigma)
+        except ValueError as exc:
+            print(f"error: acquisition ({mode} mode): {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         try:
             data = fwd.forward_map(
                 m, omega2, acq,
                 override_window_check=cfg.override_window_check,
-                absorbing=cfg.absorbing and mode == fwd.MODE_TOP,
             )
         except HelmstabError as exc:
             print(f"error: {exc}", file=sys.stderr)

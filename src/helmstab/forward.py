@@ -22,7 +22,7 @@ import numpy as np
 from .errors import WindowViolationError
 from .geometry import BoxGrid
 from .model import SquaredSlownessModel, _read_exact, to_cell_field
-from .solver import assemble, normal_derivative, solve_absorbing, solve_dirichlet
+from .solver import assemble, normal_derivative, solve_dirichlet
 from .spectrum import frequency_safety, windows_covering
 
 __all__ = [
@@ -256,8 +256,7 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 # -- the forward map ---------------------------------------------------------------
 
 def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
-                *, override_window_check: bool = False,
-                absorbing: bool = False) -> DtnData:
+                *, override_window_check: bool = False) -> DtnData:
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
@@ -280,28 +279,15 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
                 f"{safety.nearest_distance:.3g} (use the override to force)"
             )
 
-    coeff = to_cell_field(model)
-    if absorbing:
-        if acq.mode != MODE_TOP:
-            raise ValueError("absorbing boundaries only apply to top-only mode")
-        values = np.empty((acq.n_sources, acq.n_receivers), dtype=complex)
-
-        def solve(g):
-            return solve_absorbing(grid, coeff, omega2, g, acq.top_face)
-    else:
-        sys_ = assemble(grid, coeff, omega2)
-        values = np.empty((acq.n_sources, acq.n_receivers))
-
-        def solve(g):
-            return solve_dirichlet(sys_, g)
-
+    sys_ = assemble(grid, to_cell_field(model), omega2)
+    values = np.empty((acq.n_sources, acq.n_receivers))
     positions = acq.source_positions
     for block in _blocks(acq.n_sources):
-        u = solve(_gaussians(grid, positions[block], acq.source_sigma))
+        u = solve_dirichlet(sys_, _gaussians(grid, positions[block],
+                                             acq.source_sigma))
         values[block] = normal_derivative(grid, u)[acq.receiver_idx].T
 
     meta = {
-        "absorbing": bool(absorbing),
         "model_hash": model.content_hash(),
         "grid_hash": grid.content_hash(),
         "norm": NORM_KIND,
@@ -353,18 +339,17 @@ def weighted_frobenius(d1: DtnData, d2: DtnData) -> float:
 def write_dtn(path, data: DtnData, magic: bytes = _DTN_MAGIC):
     """Binary DtN data dump (little-endian).
 
-    Layout: magic(4s) version(u16) dim(u8) mode(u8) flags(u8: bit0 complex)
-    omega2(f64) sigma(f64) n_src(u32) n_rec(u32) cells(u32 x dim)
-    extents(f64 x dim) model_hash(12s) grid_hash(12s), then source positions,
-    receiver positions, source weights, receiver weights and the row-major
-    value matrix, all f64 (complex values interleave re/im).
+    Layout: magic(4s) version(u16) dim(u8) mode(u8: 0 full, 1 top)
+    flags(u8: reserved, must be 0) omega2(f64) sigma(f64) n_src(u32)
+    n_rec(u32) cells(u32 x dim) extents(f64 x dim) model_hash(12s)
+    grid_hash(12s), then source positions, receiver positions, source
+    weights, receiver weights and the row-major value matrix, all f64.
     """
     acq = data.acquisition
     grid = acq.grid
-    is_complex = np.iscomplexobj(data.values)
     mode_code = 0 if acq.mode == MODE_FULL else 1
     head = magic + struct.pack(
-        "<HBBBddII", _DTN_VERSION, grid.dim, mode_code, 1 if is_complex else 0,
+        "<HBBBddII", _DTN_VERSION, grid.dim, mode_code, 0,
         data.omega2, acq.source_sigma, acq.n_sources, acq.n_receivers,
     )
     head += struct.pack(f"<{grid.dim}I", *grid.cells_per_axis)
@@ -377,16 +362,14 @@ def write_dtn(path, data: DtnData, magic: bytes = _DTN_MAGIC):
         fh.write(acq.receiver_positions.astype("<f8").tobytes())
         fh.write(acq.source_weights.astype("<f8").tobytes())
         fh.write(acq.receiver_weights.astype("<f8").tobytes())
-        if is_complex:
-            fh.write(data.values.astype("<c16").tobytes())
-        else:
-            fh.write(data.values.astype("<f8").tobytes())
+        fh.write(data.values.astype("<f8").tobytes())
 
 
 def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
     """Read a binary DtN dump, rebuilding the grid and acquisition.
 
-    A truncated file raises ValueError.
+    A truncated file, an unknown mode code and a nonzero flags byte (which
+    includes the complex files of earlier versions) raise ValueError.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -399,6 +382,12 @@ def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
             struct.unpack("<HBBBddII", read(struct.calcsize("<HBBBddII")))
         if version != _DTN_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if mode_code not in (0, 1):
+            raise ValueError(f"{path}: unknown acquisition mode code {mode_code}")
+        if flags != 0:
+            raise ValueError(
+                f"{path}: flags byte is {flags}, expected 0 (complex "
+                "absorbing-boundary data are no longer supported)")
         cells = struct.unpack(f"<{dim}I", read(4 * dim))
         extents = struct.unpack(f"<{dim}d", read(8 * dim))
         model_hash = read(12).decode(errors="replace").strip()
@@ -409,11 +398,8 @@ def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
                                 "<f8").reshape(n_rec, dim)
         # weights are derived from the grid on reload
         read(8 * (n_src + n_rec), "weights")
-        if flags & 1:
-            values = np.frombuffer(read(16 * n_src * n_rec, "values"), "<c16")
-        else:
-            values = np.frombuffer(read(8 * n_src * n_rec, "values"), "<f8")
-        values = values.reshape(n_src, n_rec)
+        values = np.frombuffer(read(8 * n_src * n_rec, "values"),
+                               "<f8").reshape(n_src, n_rec)
 
     grid = BoxGrid(extents, cells)
 
@@ -430,26 +416,20 @@ def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
         top_face=grid.top_face(),
     )
     meta = {"model_hash": model_hash, "grid_hash": grid_hash,
-            "absorbing": bool(flags & 1), "norm": NORM_KIND}
+            "norm": NORM_KIND}
     return DtnData(acquisition=acq, omega2=omega2, values=values, metadata=meta)
 
 
 def export_trace_csv(data: DtnData, source_index: int, path):
-    """One source's trace: receiver index, coordinates, and value columns."""
+    """One source's trace: receiver index, coordinates and value."""
     acq = data.acquisition
     if not (0 <= source_index < acq.n_sources):
         raise ValueError(f"source index {source_index} out of range")
     pos = acq.receiver_positions
     row = data.values[source_index]
-    is_complex = np.iscomplexobj(row)
     coord_names = ["x", "y", "z"][: acq.grid.dim]
-    val_cols = ["value_re", "value_im"] if is_complex else ["value"]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["receiver"] + coord_names + val_cols) + "\n")
+        fh.write(",".join(["receiver"] + coord_names + ["value"]) + "\n")
         for r in range(acq.n_receivers):
-            cols = [str(r)] + [f"{c:.17g}" for c in pos[r]]
-            if is_complex:
-                cols += [f"{row[r].real:.17g}", f"{row[r].imag:.17g}"]
-            else:
-                cols += [f"{row[r]:.17g}"]
+            cols = [str(r)] + [f"{c:.17g}" for c in pos[r]] + [f"{row[r]:.17g}"]
             fh.write(",".join(cols) + "\n")

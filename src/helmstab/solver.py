@@ -30,10 +30,10 @@ Two boundary normal-derivative extractors are provided:
   pointwise stencil is not. Dual pairings ("<Lambda g, h>") must use this
   extractor.
 
-Factorized systems, Dirichlet (:func:`assemble`) and absorbing
-(:func:`solve_absorbing`) alike, live in one content-keyed store that keeps
-the 4 most recently used; :func:`cache_info` counts its hits, misses and
-evictions and :func:`clear_caches` empties it.
+Factorized systems from :func:`assemble` live in one store keyed by grid,
+coefficient content hash and omega^2 that keeps the 4 most recently used;
+:func:`cache_info` counts its hits, misses and evictions and
+:func:`clear_caches` empties it.
 
 The finite-difference choice is not load-bearing for anything downstream:
 an alternative discretization (e.g. discontinuous Galerkin) plugs in by
@@ -58,7 +58,6 @@ __all__ = [
     "HelmholtzSystem",
     "assemble",
     "solve_dirichlet",
-    "solve_absorbing",
     "normal_derivative",
     "normal_derivative_adjoint",
     "flux_normal_derivative",
@@ -75,11 +74,11 @@ SOLVER_RTOL = 1e-10
 RESONANCE_RTOL = 1e-8
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
-# Factorized systems keyed by (kind, grid.key, coeff hash, omega2[, top
-# face]), least recently used first. A campaign cell needs the two systems of
-# its model pair. In the benchmark campaigns a system is needed again after
-# at most 3 other distinct systems (a 3D two-layer field that one scale does
-# not align), so 4 entries keep every reuse; 3 would factorize one twice.
+# Factorized systems keyed by (grid.key, coeff hash, omega2), least recently
+# used first. A campaign cell needs the two systems of its model pair. In the
+# benchmark campaigns a system is needed again after at most 3 other distinct
+# systems (a 3D two-layer field that one scale does not align), so 4 entries
+# keep every reuse; 3 would factorize one twice.
 _STORE_SIZE = 4
 _store: OrderedDict = OrderedDict()
 _store_counts = {"hits": 0, "misses": 0, "evictions": 0}
@@ -103,21 +102,6 @@ def register_eigenvalues(grid: BoxGrid, coeff, eigenvalues):
 
 def cached_eigenvalues(grid: BoxGrid, coeff):
     return _eigen_cache.get((grid.key, _coeff_hash(np.asarray(coeff, dtype=float))))
-
-
-def _stored(key, build):
-    """The store's entry for ``key``, built by ``build()`` on a miss."""
-    entry = _store.get(key)
-    if entry is not None:
-        _store_counts["hits"] += 1
-        _store.move_to_end(key)
-        return entry
-    _store_counts["misses"] += 1
-    entry = _store[key] = build()
-    if len(_store) > _STORE_SIZE:
-        _store.popitem(last=False)
-        _store_counts["evictions"] += 1
-    return entry
 
 
 def cache_info() -> dict:
@@ -311,8 +295,18 @@ def assemble(grid: BoxGrid, coeff, omega2: float) -> HelmholtzSystem:
                 stacklevel=2,
             )
 
-    return _stored(("dirichlet", grid.key, digest, omega2),
-                   lambda: HelmholtzSystem(grid, coeff, omega2))
+    key = (grid.key, digest, omega2)
+    sys_ = _store.get(key)
+    if sys_ is not None:
+        _store_counts["hits"] += 1
+        _store.move_to_end(key)
+        return sys_
+    _store_counts["misses"] += 1
+    sys_ = _store[key] = HelmholtzSystem(grid, coeff, omega2)
+    if len(_store) > _STORE_SIZE:
+        _store.popitem(last=False)
+        _store_counts["evictions"] += 1
+    return sys_
 
 
 def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
@@ -363,72 +357,6 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
-
-
-def _absorbing_system(grid: BoxGrid, coeff, omega2: float, top_face: int):
-    """Complex factorization with first-order absorbing lateral/bottom faces,
-    and the boundary positions that keep Dirichlet rows.
-
-    Top-face-owned nodes keep Dirichlet rows (u = g); every other boundary
-    node gets the impedance row du/dnu - i*omega*c^-1*u = 0 with the one-sided
-    normal stencil. Interior rows are the usual Helmholtz stencil.
-    """
-    cnode = node_coefficients(grid, coeff)
-    omega = np.sqrt(omega2)
-    n = grid.n_nodes
-    strides = np.asarray(grid.node_strides())
-
-    is_interior = grid.boundary_position < 0
-    fd = _fd_stiffness(grid).tocoo()  # same stencil as the Dirichlet path
-    keep = is_interior[fd.row]
-    rows = [fd.row[keep], grid.interior_nodes]
-    cols = [fd.col[keep], grid.interior_nodes]
-    vals = [fd.data[keep].astype(complex),
-            np.full(grid.n_interior, -omega2) * cnode[grid.interior_nodes]]
-
-    faces = grid.boundary_face
-    axes = faces // 2
-    sides = faces % 2
-    dirichlet_mask = faces == top_face
-    robin = ~dirichlet_mask
-    b = grid.boundary_nodes[robin]
-    h = np.asarray(grid.spacing)[axes[robin]]
-    step = np.where(sides[robin] == 0, strides[axes[robin]],
-                    -strides[axes[robin]])
-    rows += [b, b, b]
-    cols += [b, b + step, b + 2 * step]
-    vals += [3.0 / (2.0 * h) - 1j * omega * np.sqrt(cnode[b]),
-             -4.0 / (2.0 * h) + 0j, 1.0 / (2.0 * h) + 0j]
-
-    d = grid.boundary_nodes[dirichlet_mask]
-    rows.append(d)
-    cols.append(d)
-    vals.append(np.ones(d.size, dtype=complex))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    return splu(mat), np.flatnonzero(dirichlet_mask)
-
-
-def solve_absorbing(grid: BoxGrid, coeff, omega2: float, g,
-                    top_face: int) -> np.ndarray:
-    """Complex fields on all nodes for a block ``g`` ``(n_boundary, k)`` of
-    boundary data, with Dirichlet values on ``top_face`` and first-order
-    absorbing rows on every other face (only ``g`` on the top face enters).
-    The factorization comes from the same store as :func:`assemble`'s."""
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != grid.n_boundary:
-        raise ValueError(f"g must be a ({grid.n_boundary}, k) block")
-    coeff = np.ascontiguousarray(coeff, dtype=float)
-    omega2 = float(omega2)
-    lu, dirichlet_pos = _stored(
-        ("absorbing", grid.key, _coeff_hash(coeff), omega2, top_face),
-        lambda: _absorbing_system(grid, coeff, omega2, top_face))
-    rhs = np.zeros((grid.n_nodes, g.shape[1]), dtype=complex)
-    rhs[grid.boundary_nodes[dirichlet_pos]] = g[dirichlet_pos]
-    return lu.solve(rhs)
 
 
 def _inward_strides(grid: BoxGrid):

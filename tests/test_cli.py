@@ -1,4 +1,5 @@
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -242,14 +243,112 @@ def test_truncated_model_file_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_warns_that_absorbing_is_ignored(tmp_path, capsys):
+def test_run_warns_that_absorbing_is_ignored(tmp_path):
+    # absorbing sides are gone: the key loads with one warning, the campaign
+    # equals the one without it byte for byte and forward writes real
+    # Dirichlet data
+    from helmstab.forward import read_dtn
+
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    cfg1 = base_config(out1)
+    del cfg1["run"]
+    cfg1["grid"]["cells"] = [16, 16]
+    cfg2 = base_config(out2)
+    del cfg2["run"]
+    cfg2["grid"]["cells"] = [16, 16]
+    cfg2["acquisition"]["absorbing"] = True
+    p1 = write_config(tmp_path, cfg1, "a.yaml")
+    p2 = write_config(tmp_path, cfg2, "b.yaml")
+    loaded, errors, warnings_ = cli.load_config(p2)
+    assert loaded is not None and not errors
+    assert warnings_ == [
+        "acquisition.absorbing is not a setting of this version; ignored"]
+    assert cli.main(["run", "--config", str(p1)]) == cli.EXIT_OK
+    assert cli.main(["run", "--config", str(p2)]) == cli.EXIT_OK
+    for name in ("records.csv", "constants.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    fwd_out = tmp_path / "fwd"
+    assert cli.main(["forward", "--config", str(p2), "--out", str(fwd_out),
+                     "--mode", "top"]) == cli.EXIT_OK
+    (path,) = fwd_out.glob("*.hsdt")
+    data = read_dtn(path)
+    assert data.acquisition.mode == "top"
+    assert data.values.dtype == np.float64
+    (trace,) = fwd_out.glob("*_trace.csv")
+    assert trace.read_text().splitlines()[0] == "receiver,x,y,value"
+
+
+@pytest.mark.parametrize("section, status", [
+    ("grid:", cli.EXIT_CONFIG),
+    ("run:", cli.EXIT_OK),
+    ("acquisition:", cli.EXIT_CONFIG),
+    ("grid: 5", cli.EXIT_CONFIG),
+])
+def test_empty_or_scalar_section(tmp_path, capsys, section, status):
+    # a bare "name:" line is a null section: it loads as empty, so a required
+    # one reports its missing fields; a section that is not a mapping is an
+    # error of its own
     cfg = base_config(tmp_path / "out")
-    cfg["scales"] = {"blocks": [[2, 2]]}
-    cfg["acquisition"]["absorbing"] = True
-    status = cli.main(["run", "--config", str(write_config(tmp_path, cfg))])
-    assert status == cli.EXIT_OK
-    assert ("warning: acquisition.absorbing applies only to 'helmstab "
-            "forward'; run ignores it") in capsys.readouterr().err
+    name = section.split(":")[0]
+    del cfg[name]
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(cfg) + section + "\n")
+    assert cli.main(["validate", "--config", str(path)]) == status
+    out = capsys.readouterr().out
+    if section == "grid: 5":
+        assert "error: grid: expected a mapping, got 5" in out
+    if status == cli.EXIT_CONFIG:
+        assert f"error: {name}" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("section, field, value, message", [
+    ("acquisition", "sigma", "wide",
+     "acquisition.sigma: expected a number, got 'wide'"),
+    ("acquisition", "receiver_spacing", 0.001,
+     "spacing 0.001 finer than grid spacing 0.0625"),
+    ("acquisition", "modes", [],
+     "acquisition.modes: expected a non-empty list of modes, got []"),
+    ("fit", "first_scales", "two",
+     "fit.first_scales: expected a positive integer, got 'two'"),
+    ("scales", "blocks", [[0, 2], [4, 4]],
+     "scales.blocks: block counts must be >= 1, got (0, 2)"),
+], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks"])
+def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
+                                       field, value, message):
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["cells"] = [16, 16]
+    cfg.setdefault(section, {})[field] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert message in text
+    assert "Traceback" not in text
+    assert not (tmp_path / "out").exists()
+
+
+def test_docstring_schema_example_loads_cleanly(tmp_path):
+    # the example config in the module docstring is valid, raises no
+    # warning and projects both models without clamping at every scale
+    from helmstab.geometry import build_partition
+    from helmstab.model import from_gridded_field
+
+    doc = cli.__doc__
+    block = doc[doc.index("Config schema::") + len("Config schema::"):
+                doc.index("Exit codes:")]
+    path = tmp_path / "schema.yaml"
+    path.write_text(textwrap.dedent(block))
+    cfg, errors, warnings_ = cli.load_config(path)
+    assert cfg is not None and errors == [] and warnings_ == []
+    grid = cfg.grid()
+    fields = [spec.load(grid, cfg.base_dir) for spec in (cfg.c1, cfg.c2)]
+    for blocks in cfg.scales:
+        partition = build_partition(grid, blocks)
+        for field in fields:
+            assert from_gridded_field(field, partition,
+                                      cfg.bounds).n_clamped == 0
 
 
 def test_plot_data_single_record(tmp_path):

@@ -267,15 +267,19 @@ def test_dtn_finite_guard(square32):
 
 def test_binary_roundtrip(tmp_path, model_pair):
     m1, _ = model_pair
-    acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
-    data = forward_map(m1, 8.0, acq)
-    path = tmp_path / "data.hsdt"
-    write_dtn(path, data)
-    back = read_dtn(path)
-    assert back.omega2 == data.omega2
-    assert np.array_equal(back.values, data.values)
-    assert np.allclose(back.acquisition.source_positions, acq.source_positions)
-    assert back.metadata["model_hash"] == data.metadata["model_hash"]
+    for mode in (MODE_FULL, MODE_TOP):
+        acq = make_acquisition(m1.grid, mode, 0.25, 0.125, 0.08)
+        data = forward_map(m1, 8.0, acq)
+        path = tmp_path / f"{mode}.hsdt"
+        write_dtn(path, data)
+        back = read_dtn(path)
+        assert back.acquisition.mode == mode
+        assert back.omega2 == data.omega2
+        assert back.values.dtype == np.float64
+        assert np.array_equal(back.values, data.values)
+        assert np.allclose(back.acquisition.source_positions,
+                           acq.source_positions)
+        assert back.metadata["model_hash"] == data.metadata["model_hash"]
 
 
 def test_trace_csv(tmp_path, model_pair):
@@ -287,37 +291,6 @@ def test_trace_csv(tmp_path, model_pair):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "receiver,x,y,value"
     assert len(lines) == 1 + acq.n_receivers
-
-
-def test_absorbing_mode(model_pair):
-    m1, _ = model_pair
-    top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
-    d_abs = forward_map(m1, 8.0, top, absorbing=True)
-    assert np.iscomplexobj(d_abs.values)
-    assert d_abs.metadata["absorbing"] is True
-    d_dir = forward_map(m1, 8.0, top)
-    # impedance sides change the data relative to all-Dirichlet walls
-    assert not np.allclose(d_abs.values.real, d_dir.values)
-
-    full = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
-    with pytest.raises(ValueError):
-        forward_map(m1, 8.0, full, absorbing=True)
-
-
-def test_clear_caches_empties_absorbing_cache(model_pair):
-    # absorbing and Dirichlet factorizations share one store
-    from helmstab import solver
-
-    m1, _ = model_pair
-    top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
-    solver.clear_caches()
-    forward_map(m1, 8.0, top, absorbing=True)
-    forward_map(m1, 8.0, top)
-    forward_map(m1, 8.0, top, absorbing=True)
-    assert solver.cache_info() == {"hits": 1, "misses": 2, "evictions": 0,
-                                   "entries": 2}
-    solver.clear_caches()
-    assert solver.cache_info()["entries"] == 0
 
 
 def test_rebuilt_system_gives_identical_data(model_pair):
@@ -350,14 +323,19 @@ def test_truncated_dtn_file_raises_value_error(tmp_path, model_pair, keep):
         read_dtn(path)
 
 
-def test_absorbing_roundtrip(tmp_path, model_pair):
+@pytest.mark.parametrize("offset, byte", [(7, 7), (8, 1), (8, 2)])
+def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
+                                                byte):
+    # the mode byte (offset 7) must be 0 or 1 and the reserved flags byte
+    # (offset 8) must be 0; flags bit 0 marked the complex files of earlier
+    # versions
     m1, _ = model_pair
-    top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
-    d_abs = forward_map(m1, 8.0, top, absorbing=True)
-    path = tmp_path / "abs.hsdt"
-    write_dtn(path, d_abs)
-    back = read_dtn(path)
-    assert np.array_equal(back.values, d_abs.values)
-    csv_path = tmp_path / "abs_trace.csv"
-    export_trace_csv(d_abs, 1, csv_path)
-    assert "value_re,value_im" in csv_path.read_text().splitlines()[0]
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    path = tmp_path / "data.hsdt"
+    write_dtn(path, forward_map(m1, 8.0, acq))
+    raw = bytearray(path.read_bytes())
+    assert raw[offset] == 0
+    raw[offset] = byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="data.hsdt"):
+        read_dtn(path)

@@ -14,7 +14,6 @@ from helmstab.solver import (
     node_coefficients,
     normal_derivative,
     normal_derivative_adjoint,
-    solve_absorbing,
     solve_dirichlet,
 )
 
@@ -130,17 +129,22 @@ def test_normal_derivative_exact_on_quadratics():
     assert np.allclose(nd, expect, atol=1e-11)
 
 
-def test_dtn_pairing_symmetry():
-    # <Lambda g, h> = <Lambda h, g> to near machine precision (flux pairing)
-    g = build_grid((1.0, 1.0), (32, 32))
-    sys_ = HelmholtzSystem(g, np.full(g.n_cells, 0.5), 3.0)
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        ga = rng.normal(size=g.n_boundary)
-        hb = rng.normal(size=g.n_boundary)
-        pa = np.dot(sys_.flux_rows.dot(solve_dirichlet(sys_, ga)), hb)
-        pb = np.dot(sys_.flux_rows.dot(solve_dirichlet(sys_, hb)), ga)
-        assert abs(pa - pb) <= 1e-8 * max(abs(pa), abs(pb))
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(st.integers(4, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 5), min_size=3, max_size=3)),
+       st.floats(0.5, 8.0), st.integers(0, 2**32 - 1))
+def test_dtn_pairing_symmetry(cells, omega2, seed):
+    # <Lambda g, h> = <Lambda h, g> to near machine precision (flux pairing);
+    # on the unit box with c^-2 <= 1, omega^2 <= 8 stays below the first
+    # Dirichlet eigenvalue 2 pi^2 / B2
+    g = build_grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(seed)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells), omega2)
+    ga = rng.normal(size=g.n_boundary)
+    hb = rng.normal(size=g.n_boundary)
+    pa = np.dot(sys_.flux_rows.dot(solve_dirichlet(sys_, ga)), hb)
+    pb = np.dot(sys_.flux_rows.dot(solve_dirichlet(sys_, hb)), ga)
+    assert abs(pa - pb) <= 1e-8 * max(abs(pa), abs(pb))
 
 
 def test_flux_reciprocity_point_sources():
@@ -201,9 +205,6 @@ def test_invalid_assembly_inputs():
         HelmholtzSystem(g, bad, 1.0)
     with pytest.raises(ValueError):
         HelmholtzSystem(g, np.ones(g.n_cells), -2.0)
-    with pytest.raises(ValueError):  # one column must still be a block
-        solve_absorbing(g, np.ones(g.n_cells), 2.0, np.ones(g.n_boundary),
-                        g.top_face())
 
 
 def test_residual_guard_reports_failure():

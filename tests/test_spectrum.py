@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmstab import solver
 from helmstab.errors import NearResonanceError
@@ -60,16 +62,19 @@ def test_scaling_law_constant_coefficient():
         assert np.allclose(scaled * kappa, base, rtol=1e-12)
 
 
-def test_eigenvalue_sandwich_discrete():
-    g = build_grid((1.0, 1.0), (24, 24))
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(st.integers(4, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 5), min_size=3, max_size=3)),
+       st.integers(0, 2**32 - 1))
+def test_eigenvalue_sandwich_discrete(cells, seed):
+    # lambda_n / B2 <= lambda~_n <= lambda_n / B1 for every c^-2 in [B1, B2]
+    g = build_grid((1.0,) * len(cells), cells)
     lam = discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 5)
-    rng = np.random.default_rng(4)
-    b1, b2 = 0.4, 1.6
-    for _ in range(3):
-        coeff = rng.uniform(b1, b2, g.n_cells)
-        tl = discrete_dirichlet_eigenvalues(g, coeff, 5)
-        assert np.all(lam / b2 <= tl * (1 + 1e-10))
-        assert np.all(tl <= lam / b1 * (1 + 1e-10))
+    b1, b2 = 0.25, 1.0
+    coeff = np.random.default_rng(seed).uniform(b1, b2, g.n_cells)
+    tl = discrete_dirichlet_eigenvalues(g, coeff, 5)
+    assert np.all(lam / b2 <= tl * (1 + 1e-10))
+    assert np.all(tl <= lam / b1 * (1 + 1e-10))
 
 
 def test_degenerate_bounds_windows_have_no_gaps():
