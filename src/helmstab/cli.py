@@ -6,6 +6,16 @@ projected onto the scale's partition, the forward data are simulated,
 and a stability record is written. Constants are fitted per frequency/mode
 afterwards and every record gains its analytic bound columns.
 
+:func:`load_config` is the one place where a config becomes objects. It
+loads both model fields, projects each onto every scale's partition, builds
+the acquisition of every listed mode and the admissible windows of every
+frequency, each once; ``run``, ``forward``, ``windows`` and ``validate``
+only read what it built. So every subcommand fails the same way, with a
+config error, on a model file that cannot be loaded, on a frequency or mode
+listed twice and on a non-finite or mistyped setting. A key the schema does
+not list loads with the warning "<section>.<key> is not a setting of this
+version; ignored". ``forward --mode`` must name a listed mode.
+
 Config schema::
 
     grid:
@@ -36,10 +46,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -54,6 +65,7 @@ from .solver import cache_info
 
 __all__ = [
     "ExperimentConfig",
+    "Frequency",
     "load_config",
     "validate_config",
     "run_campaign",
@@ -70,71 +82,53 @@ EXIT_TOTAL = 3
 
 EDGE_MARGIN_WARN = 0.05   # warn when omega^2 sits within 5% of a window edge
 
-# what a missing, truncated or mismatched model file raises on load
-_MODEL_LOAD_ERRORS = (HelmstabError, ValueError, OSError)
+# what a bad model entry or a missing, truncated or mismatched model file
+# raises on load
+_MODEL_LOAD_ERRORS = (HelmstabError, ValueError, TypeError, OSError)
 
-GENERATORS = ("two_layer", "linear_depth", "constant")
+# every setting of this version: section -> its keys (None: a plain list)
+SCHEMA = {
+    "grid": ("extents", "cells"),
+    "model": ("bounds", "c1", "c2"),
+    "frequencies_hz": None,
+    "scales": ("blocks",),
+    "acquisition": ("modes", "source_spacing", "receiver_spacing", "sigma"),
+    "fit": ("first_scales",),
+    "output": ("directory",),
+}
+
+# model generator -> the fields it needs, in call order
+GENERATORS = {
+    "two_layer": ("v_top", "v_bottom", "interface_depth"),
+    "linear_depth": ("v_top", "v_bottom"),
+    "constant": ("v",),
+}
 
 
-@dataclass
-class ModelSpec:
-    kind: str                 # generator name, "file" or "text_file"
-    params: dict
+@dataclass(frozen=True)
+class Frequency:
+    """One configured frequency with its omega^2 and admissible windows."""
 
-    def load(self, grid: BoxGrid, base_dir=".") -> np.ndarray:
-        """Cell field of squared slowness for this spec."""
-        if self.kind == "two_layer":
-            return mdl.two_layer_field(grid, self.params["v_top"],
-                                       self.params["v_bottom"],
-                                       self.params["interface_depth"])
-        if self.kind == "linear_depth":
-            return mdl.linear_depth_field(grid, self.params["v_top"],
-                                          self.params["v_bottom"])
-        if self.kind == "constant":
-            c = float(self.params["v"])
-            return np.full(grid.n_cells,
-                           float(mdl.wavespeed_to_squared_slowness(c)))
-        if self.kind == "file":
-            path = os.path.join(base_dir, self.params["file"])
-            field_, extents, cells = mdl.read_field(path)
-            if tuple(cells) != grid.cells_per_axis or \
-                    tuple(extents) != grid.extents:
-                raise ValueError(
-                    f"{path}: grid mismatch (file {cells}/{extents}, "
-                    f"config {grid.cells_per_axis}/{grid.extents})"
-                )
-            return field_
-        if self.kind == "text_file":
-            path = os.path.join(base_dir, self.params["text_file"])
-            is_speed = self.params.get("quantity", "squared_slowness") == "wavespeed"
-            field_ = mdl.read_text_field(path, is_wavespeed=is_speed)
-            if field_.shape != (grid.n_cells,):
-                raise ValueError(f"{path}: expected {grid.n_cells} values")
-            return field_
-        raise ValueError(f"unknown model spec kind {self.kind!r}")
+    hz: float
+    omega2: float
+    windows: spectrum.FrequencyWindows
+    safety: spectrum.WindowSafety
 
 
 @dataclass
 class ExperimentConfig:
-    extents: tuple
-    cells: tuple
+    """A loaded campaign: everything its cells use, built once."""
+
     bounds: tuple
-    c1: ModelSpec
-    c2: ModelSpec
-    frequencies_hz: list
-    scales: list              # list of blocks_per_axis tuples
-    modes: list
-    source_spacing: object
-    receiver_spacing: object
-    sigma: float
+    model_pairs: list         # (c1, c2) projected onto each scale, coarse first
+    frequencies: list         # one Frequency per configured frequency
+    acquisitions: dict        # mode -> Acquisition, in config order
     first_scales: int | None = None
     out_dir: str = "out"
     override_window_check: bool = False
-    base_dir: str = "."
-    failures: list = field(default_factory=list)
 
     def grid(self) -> BoxGrid:
-        return build_grid(self.extents, self.cells)
+        return self.model_pairs[0][0].grid
 
 
 def _require(section: dict, key: str, errors: list, where: str):
@@ -155,41 +149,79 @@ def _section(raw: dict, name: str, errors: list) -> dict:
     return sec
 
 
-def _model_spec(raw, errors, where) -> ModelSpec | None:
-    if not isinstance(raw, dict):
-        errors.append(f"{where}: expected a mapping")
-        return None
-    if "file" in raw:
-        return ModelSpec("file", dict(raw))
-    if "text_file" in raw:
-        return ModelSpec("text_file", dict(raw))
-    gen = raw.get("generator")
-    if gen not in GENERATORS:
-        errors.append(
-            f"{where}: 'generator' must be one of {GENERATORS} "
-            f"(or use 'file'/'text_file'), got {gen!r}"
-        )
-        return None
-    needed = {
-        "two_layer": ("v_top", "v_bottom", "interface_depth"),
-        "linear_depth": ("v_top", "v_bottom"),
-        "constant": ("v",),
-    }[gen]
-    for name in needed:
-        if name not in raw:
-            errors.append(f"{where}: generator '{gen}' needs field '{name}'")
-            return None
-    return ModelSpec(gen, dict(raw))
+def _ignored_keys(raw: dict) -> list:
+    """One warning per key that :data:`SCHEMA` does not list."""
+    names = []
+    for name, value in raw.items():
+        if name not in SCHEMA:
+            # an unknown section warns key by key
+            names += ([f"{name}.{key}" for key in sorted(value, key=str)]
+                      if isinstance(value, dict) and value else [str(name)])
+        elif SCHEMA[name] and isinstance(value, dict):
+            names += [f"{name}.{key}" for key in sorted(value, key=str)
+                      if key not in SCHEMA[name]]
+    return [f"{name} is not a setting of this version; ignored"
+            for name in names]
+
+
+def _model_field(spec, grid: BoxGrid, base_dir) -> np.ndarray:
+    """Cell field of squared slowness for one ``model.c1``/``c2`` entry.
+
+    The entry names a generator with its fields, a binary ``file`` or a
+    ``text_file``; paths are relative to ``base_dir``. Raises one of
+    ``_MODEL_LOAD_ERRORS`` for a bad entry or a file that cannot be loaded.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError("expected a mapping")
+    if "file" in spec:
+        path = os.path.join(base_dir, spec["file"])
+        field, extents, cells = mdl.read_field(path)
+        if tuple(cells) != grid.cells_per_axis or \
+                tuple(extents) != grid.extents:
+            raise ValueError(
+                f"{path}: grid mismatch (file {cells}/{extents}, "
+                f"config {grid.cells_per_axis}/{grid.extents})"
+            )
+    elif "text_file" in spec:
+        path = os.path.join(base_dir, spec["text_file"])
+        quantity = spec.get("quantity", "squared_slowness")
+        if quantity not in ("squared_slowness", "wavespeed"):
+            raise ValueError(f"unknown quantity {quantity!r}")
+        field = mdl.read_text_field(path, is_wavespeed=quantity == "wavespeed")
+        if field.shape != (grid.n_cells,):
+            raise ValueError(f"{path}: expected {grid.n_cells} values")
+    else:
+        gen = spec.get("generator")
+        if gen not in GENERATORS:
+            raise ValueError(
+                f"'generator' must be one of {tuple(GENERATORS)} "
+                f"(or use 'file'/'text_file'), got {gen!r}")
+        missing = [name for name in GENERATORS[gen] if name not in spec]
+        if missing:
+            raise ValueError(f"generator '{gen}' needs field '{missing[0]}'")
+        args = [float(spec[name]) for name in GENERATORS[gen]]
+        if not all(map(math.isfinite, args)):
+            raise ValueError(f"generator '{gen}': fields must be finite, "
+                             f"got {args}")
+        if gen == "two_layer":
+            field = mdl.two_layer_field(grid, *args)
+        elif gen == "linear_depth":
+            field = mdl.linear_depth_field(grid, *args)
+        else:
+            field = np.full(grid.n_cells,
+                            float(mdl.wavespeed_to_squared_slowness(args[0])))
+    if not np.all(np.isfinite(field) & (field > 0)):
+        raise ValueError("squared slowness must be positive and finite")
+    return field
 
 
 def load_config(path):
-    """Parse and validate a config file.
+    """Parse and validate a config file and build the campaign it describes.
 
     Returns ``(config_or_None, errors, warnings)``; parse failures report the
     line/column from the YAML parser.
     """
     errors: list[str] = []
-    warnings_: list[str] = []
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -203,14 +235,15 @@ def load_config(path):
         return None, [f"{path}: parse error: {exc}"], []
     if not isinstance(raw, dict):
         return None, [f"{path}: top level must be a mapping"], []
+    warnings_ = _ignored_keys(raw)
 
     grid_sec = _section(raw, "grid", errors)
     extents = _require(grid_sec, "extents", errors, "grid")
     cells = _require(grid_sec, "cells", errors, "grid")
     model_sec = _section(raw, "model", errors)
     bounds = _require(model_sec, "bounds", errors, "model")
-    c1_raw = _require(model_sec, "c1", errors, "model")
-    c2_raw = _require(model_sec, "c2", errors, "model")
+    for name in ("c1", "c2"):
+        _require(model_sec, name, errors, "model")
     freqs = raw.get("frequencies_hz")
     if freqs is None:
         errors.append("frequencies_hz: missing required field")
@@ -223,9 +256,6 @@ def load_config(path):
     if errors:
         return None, errors, warnings_
 
-    c1 = _model_spec(c1_raw, errors, "model.c1")
-    c2 = _model_spec(c2_raw, errors, "model.c2")
-
     try:
         grid = build_grid(extents, cells)
     except (TypeError, ValueError) as exc:
@@ -233,12 +263,12 @@ def load_config(path):
         grid = None
 
     try:
-        b1, b2 = float(bounds[0]), float(bounds[1])
-        if not (0 < b1 <= b2):
-            errors.append(f"model.bounds: need 0 < B1 <= B2, got {bounds}")
-    except (TypeError, ValueError, IndexError):
+        b1, b2 = (float(b) for b in bounds)
+    except (TypeError, ValueError):
         errors.append(f"model.bounds: expected [B1, B2], got {bounds!r}")
-        b1 = b2 = None
+    else:
+        if not (0 < b1 <= b2 < math.inf):
+            errors.append(f"model.bounds: need 0 < B1 <= B2 < inf, got {bounds}")
 
     freq_list = []
     if not isinstance(freqs, (list, tuple)) or not freqs:
@@ -250,14 +280,18 @@ def load_config(path):
             except (TypeError, ValueError):
                 errors.append(f"frequencies_hz: non-numeric entry {f!r}")
                 continue
-            if f <= 0:
-                errors.append(f"frequencies_hz: frequencies must be positive, got {f}")
+            if not 0 < f < math.inf:
+                errors.append("frequencies_hz: frequencies must be positive "
+                              f"and finite, got {f}")
+            elif f in freq_list:
+                errors.append(f"frequencies_hz: {f:g} Hz is listed twice")
             freq_list.append(f)
 
-    scale_list = []
+    partitions = []
     if not isinstance(blocks, (list, tuple)) or not blocks:
         errors.append("scales.blocks: expected a non-empty list of block counts")
     else:
+        scale_list = []
         for entry in blocks:
             try:
                 scale_list.append(tuple(int(b) for b in entry))
@@ -271,7 +305,7 @@ def load_config(path):
         if grid is not None:
             for s in scale_list:
                 try:
-                    build_partition(grid, s)
+                    partitions.append(build_partition(grid, s))
                 except ValueError as exc:
                     errors.append(f"scales.blocks: {exc}")
 
@@ -282,31 +316,33 @@ def load_config(path):
         errors.append(
             f"acquisition.modes: expected a non-empty list of modes, got {modes!r}")
         modes = []
-    for m in modes:
+    for i, m in enumerate(modes):
         if m not in (fwd.MODE_FULL, fwd.MODE_TOP):
             errors.append(f"acquisition.modes: unknown mode {m!r}")
+        elif m in modes[:i]:
+            errors.append(f"acquisition.modes: {m} is listed twice")
 
+    acquisitions = {}
     try:
         sigma = float(acq_sec["sigma"])
     except (TypeError, ValueError):
         errors.append(
             f"acquisition.sigma: expected a number, got {acq_sec['sigma']!r}")
     else:
-        if not sigma > 0:
-            errors.append(f"acquisition.sigma: must be positive, got {sigma:g}")
+        if not 0 < sigma < math.inf:
+            errors.append("acquisition.sigma: must be positive and finite, "
+                          f"got {sigma:g}")
         elif grid is not None:
-            # spacings the grid cannot resolve would otherwise fail in run
-            for m in (fwd.MODE_FULL, fwd.MODE_TOP):
-                if m not in modes:
+            for m in modes:
+                if m not in (fwd.MODE_FULL, fwd.MODE_TOP) or m in acquisitions:
                     continue
                 try:
-                    fwd.make_acquisition(grid, m, acq_sec["source_spacing"],
-                                         acq_sec["receiver_spacing"], sigma)
+                    acquisitions[m] = fwd.make_acquisition(
+                        grid, m, acq_sec["source_spacing"],
+                        acq_sec["receiver_spacing"], sigma)
                 except (TypeError, ValueError) as exc:
                     errors.append(f"acquisition ({m} mode): {exc}")
 
-    out_sec = _section(raw, "output", errors)
-    run_sec = _section(raw, "run", errors)
     fit_sec = _section(raw, "fit", errors)
     first_scales = fit_sec.get("first_scales")
     if first_scales is not None and (type(first_scales) is not int
@@ -314,38 +350,28 @@ def load_config(path):
         errors.append("fit.first_scales: expected a positive integer, got "
                       f"{first_scales!r}")
 
-    if errors or grid is None or c1 is None or c2 is None:
+    out_dir = _section(raw, "output", errors).get("directory", "out")
+    if not isinstance(out_dir, str):
+        errors.append(f"output.directory: expected a path, got {out_dir!r}")
+
+    fields = []
+    if grid is not None:
+        base_dir = os.path.dirname(os.path.abspath(path))
+        for name in ("c1", "c2"):
+            try:
+                fields.append(_model_field(model_sec[name], grid, base_dir))
+            except _MODEL_LOAD_ERRORS as exc:
+                errors.append(f"model.{name}: {exc}")
+
+    if errors:
         return None, errors, warnings_
 
-    cfg = ExperimentConfig(
-        extents=grid.extents,
-        cells=grid.cells_per_axis,
-        bounds=(b1, b2),
-        c1=c1,
-        c2=c2,
-        frequencies_hz=freq_list,
-        scales=scale_list,
-        modes=list(modes),
-        source_spacing=acq_sec["source_spacing"],
-        receiver_spacing=acq_sec["receiver_spacing"],
-        sigma=sigma,
-        first_scales=first_scales,
-        out_dir=out_sec.get("directory", "out"),
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
-
-    # settings that older configs still carry
-    for key in sorted(run_sec):
-        warnings_.append(f"run.{key} is not a setting of this version; ignored")
-    if "absorbing" in acq_sec:
-        warnings_.append(
-            "acquisition.absorbing is not a setting of this version; ignored")
-
-    # window pre-check per frequency
+    frequencies = []
     for f in freq_list:
         omega2 = (2.0 * np.pi * f) ** 2
         windows = spectrum.windows_covering(grid.extents, b1, b2, omega2)
         safety = spectrum.frequency_safety(omega2, windows)
+        frequencies.append(Frequency(f, omega2, windows, safety))
         if not safety.inside:
             warnings_.append(
                 f"{f} Hz (omega^2={omega2:.6g}) lies outside every admissible "
@@ -358,6 +384,18 @@ def load_config(path):
                 f"{f} Hz sits within {EDGE_MARGIN_WARN:.0%} of an admissible "
                 f"window edge (window {safety.window})"
             )
+
+    cfg = ExperimentConfig(
+        bounds=(b1, b2),
+        model_pairs=[
+            tuple(mdl.from_gridded_field(fld, p, (b1, b2)) for fld in fields)
+            for p in partitions
+        ],
+        frequencies=frequencies,
+        acquisitions=acquisitions,
+        first_scales=first_scales,
+        out_dir=out_dir,
+    )
     return cfg, errors, warnings_
 
 
@@ -371,13 +409,13 @@ def validate_config(path) -> int:
     if cfg is None:
         print("config: INVALID")
         return EXIT_CONFIG
-    ns = [int(np.prod(s)) for s in cfg.scales]
+    grid = cfg.grid()
     print("config: ok")
-    print(f"  grid: {cfg.cells} cells on extents {cfg.extents}")
+    print(f"  grid: {grid.cells_per_axis} cells on extents {grid.extents}")
     print(f"  bounds: B1={cfg.bounds[0]:g}, B2={cfg.bounds[1]:g}")
-    print(f"  frequencies: {cfg.frequencies_hz} Hz")
-    print(f"  scales (N): {ns}")
-    print(f"  modes: {cfg.modes}")
+    print(f"  frequencies: {[f.hz for f in cfg.frequencies]} Hz")
+    print(f"  scales (N): {[m1.n_subdomains for m1, _ in cfg.model_pairs]}")
+    print(f"  modes: {list(cfg.acquisitions)}")
     print(f"  output: {cfg.out_dir}")
     return EXIT_OK
 
@@ -392,7 +430,7 @@ def _record_comments(cfg: ExperimentConfig) -> list:
     return [
         f"norm_kind: {fwd.NORM_KIND}",
         "bound_exponents: 3D-nominal (1/5 lower, 4/7 upper)",
-        f"r0_exponent_dim: {len(cfg.extents)}",
+        f"r0_exponent_dim: {cfg.grid().dim}",
     ]
 
 
@@ -401,84 +439,59 @@ def run_campaign(cfg: ExperimentConfig) -> int:
 
     Records are flushed to ``records.csv`` through an atomic rename after
     every cell, so a crashing cell cannot corrupt earlier rows. A failing
-    cell is logged and skipped; the exit code reports partial (2) or total
-    (3) failure. A model that cannot be loaded is a config error (1): one
-    ``error:`` line on stderr and nothing written.
+    cell is logged, skipped and listed on stderr at the end; the exit code
+    reports partial (2) or total (3) failure.
     """
-    grid = cfg.grid()
-    try:
-        field1 = cfg.c1.load(grid, cfg.base_dir)
-        field2 = cfg.c2.load(grid, cfg.base_dir)
-    except _MODEL_LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     records_path = os.path.join(cfg.out_dir, "records.csv")
     constants_path = os.path.join(cfg.out_dir, "constants.csv")
     comments = _record_comments(cfg)
 
-    acquisitions = {
-        mode: fwd.make_acquisition(grid, mode, cfg.source_spacing,
-                                   cfg.receiver_spacing, cfg.sigma)
-        for mode in cfg.modes
-    }
-
     records: list[stability.StabilityRecord] = []
-    per_group: dict = {}
-    n_cells = 0
-    n_failed = 0
+    groups: dict = {}         # (freq_hz, mode) -> indices into records
+    failures = []
 
-    for f_hz in cfg.frequencies_hz:
-        omega2 = (2.0 * np.pi * f_hz) ** 2
-        for blocks in cfg.scales:
-            partition = build_partition(grid, blocks)
-            m1 = mdl.from_gridded_field(field1, partition, cfg.bounds)
-            m2 = mdl.from_gridded_field(field2, partition, cfg.bounds)
-            for mode in cfg.modes:
-                n_cells += 1
-                acq = acquisitions[mode]
+    for freq in cfg.frequencies:
+        for m1, m2 in cfg.model_pairs:
+            for mode, acq in cfg.acquisitions.items():
+                cell = f"f={freq.hz:g}Hz N={m1.n_subdomains} mode={mode}"
                 t0 = time.perf_counter()
                 store0 = cache_info()
                 try:
                     rec = stability.estimate_constant(
-                        m1, m2, omega2, acq, freq_hz=f_hz,
+                        m1, m2, freq.omega2, acq, freq_hz=freq.hz,
                         override_window_check=cfg.override_window_check,
                     )
                 except (HelmstabError, ValueError) as exc:
-                    n_failed += 1
-                    cfg.failures.append((f_hz, blocks, mode, str(exc)))
-                    log.error("cell f=%gHz N=%d mode=%s failed: %s",
-                              f_hz, partition.n_subdomains, mode, exc)
+                    failures.append(f"{cell}: {exc}")
+                    log.error("cell %s failed: %s", cell, exc)
                     continue
                 store = cache_info()
                 log.info(
-                    "cell f=%gHz N=%d mode=%s: %.3fs, c_est %.6g, "
+                    "cell %s: %.3fs, c_est %.6g, "
                     "factorization store %d hits, %d misses",
-                    f_hz, partition.n_subdomains, mode,
-                    time.perf_counter() - t0, rec.c_est,
+                    cell, time.perf_counter() - t0, rec.c_est,
                     store["hits"] - store0["hits"],
                     store["misses"] - store0["misses"],
                 )
+                groups.setdefault((freq.hz, mode), []).append(len(records))
                 records.append(rec)
-                per_group.setdefault((f_hz, mode), []).append(rec)
                 _atomic_write_records(records_path, records, comments)
 
-    # fit constants per (frequency, mode) and fill bounds
+    # fit constants per (frequency, mode) and fill that group's bounds
     constants_rows = []
-    for (f_hz, mode), group in sorted(per_group.items()):
+    for (f_hz, mode), idx in sorted(groups.items()):
         try:
-            consts = stability.fit_constants(group, b2=cfg.bounds[1],
+            consts = stability.fit_constants([records[i] for i in idx],
+                                             b2=cfg.bounds[1],
                                              first_scale_count=cfg.first_scales)
         except ValueError as exc:
             log.error("constant fit for f=%gHz mode=%s failed: %s",
                       f_hz, mode, exc)
             continue
-        constants_rows.append((f_hz, mode, group[0].omega2, consts))
-        filled = [stability.fill_bounds(r, consts) for r in group]
-        lookup = {id(r): fr for r, fr in zip(group, filled)}
-        records = [lookup.get(id(r), r) for r in records]
-        per_group[(f_hz, mode)] = filled
+        constants_rows.append((f_hz, mode, records[idx[0]].omega2, consts))
+        for i in idx:
+            records[i] = stability.fill_bounds(records[i], consts)
 
     if records:
         _atomic_write_records(records_path, records, comments)
@@ -493,9 +506,14 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                 )
         os.replace(tmp, constants_path)
 
-    if n_failed == 0:
+    if not failures:
         return EXIT_OK
-    return EXIT_TOTAL if n_failed == n_cells else EXIT_PARTIAL
+    print(f"{len(failures)} cell(s) failed:", file=sys.stderr)
+    for line in failures:
+        print(f"  {line}", file=sys.stderr)
+    n_cells = (len(cfg.frequencies) * len(cfg.model_pairs)
+               * len(cfg.acquisitions))
+    return EXIT_TOTAL if len(failures) == n_cells else EXIT_PARTIAL
 
 
 # -- plot-data emission ----------------------------------------------------------------
@@ -641,83 +659,53 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.command == "windows":
-        grid = cfg.grid()
-        for f_hz in cfg.frequencies_hz:
-            omega2 = (2.0 * np.pi * f_hz) ** 2
-            windows = spectrum.windows_covering(grid.extents, *cfg.bounds,
-                                                omega2=omega2)
-            safety = spectrum.frequency_safety(omega2, windows)
-            state = "inside" if safety.inside else "OUTSIDE"
-            print(f"{f_hz:g} Hz -> omega^2 = {omega2:.6g} [{state}]")
-            for lo, hi in windows.windows:
-                mark = " <-- contains omega^2" if safety.window == (lo, hi) else ""
+        for freq in cfg.frequencies:
+            state = "inside" if freq.safety.inside else "OUTSIDE"
+            print(f"{freq.hz:g} Hz -> omega^2 = {freq.omega2:.6g} [{state}]")
+            for lo, hi in freq.windows.windows:
+                mark = " <-- contains omega^2" if freq.safety.window == (lo, hi) else ""
                 print(f"    ({lo:.6g}, {hi:.6g}){mark}")
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
                 spectrum.write_windows_csv(
-                    os.path.join(args.out, f"windows_f{f_hz:g}.csv"), windows)
+                    os.path.join(args.out, f"windows_f{freq.hz:g}.csv"),
+                    freq.windows)
         return EXIT_OK
 
     if args.command == "forward":
-        if getattr(args, "out", None):
-            cfg.out_dir = args.out
-        if args.override_window_check:
-            cfg.override_window_check = True
-        grid = cfg.grid()
-        spec = cfg.c1 if args.model == "c1" else cfg.c2
-        try:
-            field_ = spec.load(grid, cfg.base_dir)
-        except _MODEL_LOAD_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        blocks = cfg.scales[-1]
-        partition = build_partition(grid, blocks)
-        m = mdl.from_gridded_field(field_, partition, cfg.bounds)
         idx = args.frequency_index
-        if not (0 <= idx < len(cfg.frequencies_hz)):
+        if not (0 <= idx < len(cfg.frequencies)):
             print(f"error: frequency index {idx} out of range", file=sys.stderr)
             return EXIT_CONFIG
-        f_hz = cfg.frequencies_hz[idx]
-        omega2 = (2.0 * np.pi * f_hz) ** 2
-        mode = args.mode or cfg.modes[0]
-        try:
-            # --mode may name a mode the config does not list
-            acq = fwd.make_acquisition(grid, mode, cfg.source_spacing,
-                                       cfg.receiver_spacing, cfg.sigma)
-        except ValueError as exc:
-            print(f"error: acquisition ({mode} mode): {exc}", file=sys.stderr)
+        freq = cfg.frequencies[idx]
+        mode = args.mode or next(iter(cfg.acquisitions))
+        if mode not in cfg.acquisitions:
+            print(f"error: --mode {mode}: acquisition.modes lists only "
+                  f"{list(cfg.acquisitions)}", file=sys.stderr)
             return EXIT_CONFIG
+        acq = cfg.acquisitions[mode]
+        c1, c2 = cfg.model_pairs[-1]
         try:
             data = fwd.forward_map(
-                m, omega2, acq,
-                override_window_check=cfg.override_window_check,
+                c1 if args.model == "c1" else c2, freq.omega2, acq,
+                override_window_check=args.override_window_check,
             )
         except HelmstabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOTAL
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out_bin = os.path.join(cfg.out_dir,
-                               f"forward_{args.model}_f{f_hz:g}_{mode}.hsdt")
-        fwd.write_dtn(out_bin, data)
-        out_csv = os.path.join(cfg.out_dir,
-                               f"forward_{args.model}_f{f_hz:g}_{mode}_trace.csv")
-        fwd.export_trace_csv(data, acq.n_sources // 2, out_csv)
-        print(out_bin)
-        print(out_csv)
+        os.makedirs(args.out, exist_ok=True)
+        stem = os.path.join(args.out, f"forward_{args.model}_f{freq.hz:g}_{mode}")
+        fwd.write_dtn(f"{stem}.hsdt", data)
+        fwd.export_trace_csv(data, acq.n_sources // 2, f"{stem}_trace.csv")
+        print(f"{stem}.hsdt")
+        print(f"{stem}_trace.csv")
         return EXIT_OK
 
     # run
     if args.out:
         cfg.out_dir = args.out
-    if args.override_window_check:
-        cfg.override_window_check = True
-    status = run_campaign(cfg)
-    if cfg.failures:
-        print(f"{len(cfg.failures)} cell(s) failed:", file=sys.stderr)
-        for f_hz, blocks, mode, msg in cfg.failures:
-            print(f"  f={f_hz:g}Hz blocks={blocks} mode={mode}: {msg}",
-                  file=sys.stderr)
-    return status
+    cfg.override_window_check = args.override_window_check
+    return run_campaign(cfg)
 
 
 if __name__ == "__main__":

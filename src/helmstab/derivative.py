@@ -47,7 +47,7 @@ receiver Gaussian -- used as the built-in cross-check.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -385,7 +385,6 @@ class BoundShapeReport:
     b2: float
     jacobian_sigma_min: float | None = None
     local_lipschitz: float | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def min_norm(self) -> float:

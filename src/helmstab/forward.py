@@ -158,6 +158,9 @@ def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     center = np.asarray(center, dtype=float)
+    if center.shape != (grid.dim,):
+        raise ValueError(
+            f"center must have {grid.dim} coordinates, got {center.tolist()}")
     hmax = max(grid.spacing)
     edge_gap = min(
         min(abs(center[a]), abs(grid.extents[a] - center[a]))
@@ -185,10 +188,12 @@ def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
 
 def _resolve_spacing(spacing, dim):
     if np.isscalar(spacing):
-        return tuple(float(spacing) for _ in range(dim))
+        spacing = (spacing,) * dim
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != dim:
         raise ValueError(f"need one spacing per axis ({dim}), got {spacing}")
+    if not np.all(np.isfinite(spacing)):
+        raise ValueError(f"spacings must be finite, got {spacing}")
     return spacing
 
 
@@ -223,16 +228,16 @@ def _face_lattice(grid: BoxGrid, face: int, spacing) -> np.ndarray:
 
 
 def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
-                     sigma: float, top_face: int | None = None) -> Acquisition:
+                     sigma: float) -> Acquisition:
     """Regular source/receiver lattices per face.
 
     Full mode places an interior lattice on every face; top mode only on the
-    designated top face (default: low side of the last axis). Spacings are in
-    meters, scalar or per (global) axis.
+    top face (the low side of the last axis). Spacings are in meters, scalar
+    or per (global) axis.
     """
     if mode not in (MODE_FULL, MODE_TOP):
         raise ValueError(f"unknown acquisition mode {mode!r}")
-    top = grid.top_face() if top_face is None else int(top_face)
+    top = grid.top_face()
     src_sp = _resolve_spacing(source_spacing, grid.dim)
     rec_sp = _resolve_spacing(receiver_spacing, grid.dim)
     faces = (grid.boundary_faces if mode == MODE_FULL else (top,))
@@ -336,7 +341,7 @@ def weighted_frobenius(d1: DtnData, d2: DtnData) -> float:
 
 # -- serialization ------------------------------------------------------------------
 
-def write_dtn(path, data: DtnData, magic: bytes = _DTN_MAGIC):
+def write_dtn(path, data: DtnData):
     """Binary DtN data dump (little-endian).
 
     Layout: magic(4s) version(u16) dim(u8) mode(u8: 0 full, 1 top)
@@ -348,7 +353,7 @@ def write_dtn(path, data: DtnData, magic: bytes = _DTN_MAGIC):
     acq = data.acquisition
     grid = acq.grid
     mode_code = 0 if acq.mode == MODE_FULL else 1
-    head = magic + struct.pack(
+    head = _DTN_MAGIC + struct.pack(
         "<HBBBddII", _DTN_VERSION, grid.dim, mode_code, 0,
         data.omega2, acq.source_sigma, acq.n_sources, acq.n_receivers,
     )
@@ -365,7 +370,7 @@ def write_dtn(path, data: DtnData, magic: bytes = _DTN_MAGIC):
         fh.write(data.values.astype("<f8").tobytes())
 
 
-def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
+def read_dtn(path) -> DtnData:
     """Read a binary DtN dump, rebuilding the grid and acquisition.
 
     A truncated file, an unknown mode code and a nonzero flags byte (which
@@ -376,8 +381,9 @@ def read_dtn(path, magic: bytes = _DTN_MAGIC) -> DtnData:
             return _read_exact(fh, size, path, what)
 
         got = fh.read(4)
-        if got != magic:
-            raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        if got != _DTN_MAGIC:
+            raise ValueError(
+                f"{path}: bad magic {got!r}, expected {_DTN_MAGIC!r}")
         version, dim, mode_code, flags, omega2, sigma, n_src, n_rec = \
             struct.unpack("<HBBBddII", read(struct.calcsize("<HBBBddII")))
         if version != _DTN_VERSION:

@@ -46,8 +46,8 @@ class BoxGrid:
             raise ValueError(
                 f"expected 2 or 3 matching extents/cells, got {extents} / {cells}"
             )
-        if any(e <= 0.0 for e in extents):
-            raise ValueError(f"extents must be positive, got {extents}")
+        if not all(0.0 < e < np.inf for e in extents):
+            raise ValueError(f"extents must be positive and finite, got {extents}")
         if any(c < 2 for c in cells):
             raise ValueError(f"need at least 2 cells per axis, got {cells}")
 

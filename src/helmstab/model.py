@@ -141,10 +141,8 @@ def linf_distance(m1: SquaredSlownessModel, m2: SquaredSlownessModel) -> float:
     return float(np.max(np.abs(m1.values - m2.values)))
 
 
-def to_cell_field(m: SquaredSlownessModel, grid: BoxGrid | None = None) -> np.ndarray:
+def to_cell_field(m: SquaredSlownessModel) -> np.ndarray:
     """Expand the model to one value per grid cell (x-fastest order)."""
-    if grid is not None and grid.key != m.partition.grid.key:
-        raise ValueError("partition was not built on this grid")
     return m.values[m.partition.cell_to_subdomain]
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "cell_average",
     "interior_operators",
     "register_eigenvalues",
-    "cached_eigenvalues",
     "cache_info",
     "clear_caches",
 ]
@@ -98,10 +97,6 @@ def register_eigenvalues(grid: BoxGrid, coeff, eigenvalues):
     if known is not None:
         vals = np.unique(np.concatenate([known, vals]))
     _eigen_cache[key] = vals
-
-
-def cached_eigenvalues(grid: BoxGrid, coeff):
-    return _eigen_cache.get((grid.key, _coeff_hash(np.asarray(coeff, dtype=float))))
 
 
 def cache_info() -> dict:

@@ -45,6 +45,8 @@ EIG_MAXITER = 500
 # double eigenvalues in 2-4% of solves, an 8^3 cube one of its triple
 # eigenvalues in 90%); with two more requested, none was missed in 200.
 EIG_GUARD = 2
+# most box eigenvalues windows_covering computes to bracket omega^2
+WINDOW_MAX_COUNT = 4096
 
 
 def box_dirichlet_eigenvalues(extents, count: int) -> np.ndarray:
@@ -71,9 +73,8 @@ def box_dirichlet_eigenvalues(extents, count: int) -> np.ndarray:
         kmax *= 2
 
 
-def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff, count: int,
-                                   tol: float = EIG_TOL,
-                                   maxiter: int = EIG_MAXITER) -> np.ndarray:
+def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
+                                   count: int) -> np.ndarray:
     """Smallest ``count`` eigenvalues of ``(-Lap_h) u = lambda~ M_{c^-2} u``.
 
     Shift-invert Lanczos about zero, on the solver's own stencil and
@@ -94,13 +95,13 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff, count: int,
     m = sp.diags(c_int).tocsc()
     try:
         vals = eigsh(lap, k=min(count + EIG_GUARD, n - 1), M=m, sigma=0.0,
-                     which="LM", tol=tol, maxiter=maxiter,
+                     which="LM", tol=EIG_TOL, maxiter=EIG_MAXITER,
                      return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(
             "shift-invert eigensolver did not converge",
             {"requested": count, "converged": len(exc.eigenvalues),
-             "maxiter": maxiter, "tol": tol},
+             "maxiter": EIG_MAXITER, "tol": EIG_TOL},
         ) from exc
     vals = np.sort(np.real(vals))[:count]
     register_eigenvalues(grid, coeff, vals)
@@ -200,13 +201,13 @@ def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
                         nearest_distance=float(best_d))
 
 
-def windows_covering(extents, b1: float, b2: float, omega2: float,
-                     max_count: int = 4096) -> FrequencyWindows:
+def windows_covering(extents, b1: float, b2: float,
+                     omega2: float) -> FrequencyWindows:
     """Admissible windows computed with enough eigenvalues to bracket omega2."""
     count = 8
     while True:
         lam = box_dirichlet_eigenvalues(extents, count)
-        if lam[-1] / float(b2) > float(omega2) or count >= max_count:
+        if lam[-1] / float(b2) > float(omega2) or count >= WINDOW_MAX_COUNT:
             break
         count *= 2
     return admissible_windows(extents, b1, b2, count)

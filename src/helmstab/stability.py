@@ -99,13 +99,12 @@ class BoundConstants:
 def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
                       omega2: float, acq: Acquisition, *,
                       freq_hz: float | None = None,
-                      constants: BoundConstants | None = None,
                       override_window_check: bool = False) -> StabilityRecord:
     """Estimate the stability constant for one model pair.
 
     Simulates the data for both media, computes the weighted operator norm of
-    the difference, and reports model-distance / data-distance. Bounds are
-    filled in when fitted constants are supplied, otherwise left unset.
+    the difference, and reports model-distance / data-distance. The bounds
+    stay unset until :func:`fill_bounds` adds them from fitted constants.
     """
     if m1.partition.key != m2.partition.key:
         raise ValueError("models live on different partitions")
@@ -126,7 +125,7 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
         )
 
     grid = m1.grid
-    record = StabilityRecord(
+    return StabilityRecord(
         n_subdomains=m1.n_subdomains,
         omega2=omega2,
         freq_hz=float(freq_hz) if freq_hz is not None
@@ -140,9 +139,6 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
         r0=m1.partition.r0,
         dim=grid.dim,
     )
-    if constants is not None:
-        record = fill_bounds(record, constants)
-    return record
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)

@@ -229,18 +229,26 @@ def truncated_model_config(tmp_path):
     return write_config(tmp_path, cfg)
 
 
-@pytest.mark.parametrize("command", ["run", "forward"])
+@pytest.mark.parametrize("command", ["run", "forward", "validate", "windows"])
 def test_truncated_model_file_is_a_config_error(tmp_path, capsys, command):
-    argv = [command, "--config", str(truncated_model_config(tmp_path))]
+    # every subcommand loads the models: a truncated and then a missing c1
+    # file is one error line naming the file, and nothing is written
+    path = truncated_model_config(tmp_path)
+    argv = [command, "--config", str(path)]
     if command == "forward":
         argv += ["--out", str(tmp_path / "out")]
-    status = cli.main(argv)
-    err = capsys.readouterr().err
-    assert status == cli.EXIT_CONFIG
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "c1.hsmd" in errors[0]
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    for state in ("truncated", "missing"):
+        if state == "missing":
+            (tmp_path / "c1.hsmd").unlink()
+        status = cli.main(argv)
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert status == cli.EXIT_CONFIG
+        errors = [line for line in text.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "c1.hsmd" in errors[0]
+        assert "Traceback" not in text
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_warns_that_absorbing_is_ignored(tmp_path):
@@ -314,12 +322,34 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "fit.first_scales: expected a positive integer, got 'two'"),
     ("scales", "blocks", [[0, 2], [4, 4]],
      "scales.blocks: block counts must be >= 1, got (0, 2)"),
-], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks"])
+    ("acquisition", "modes", ["full", "full"],
+     "acquisition.modes: full is listed twice"),
+    (None, "frequencies_hz", [0.45, 0.45],
+     "frequencies_hz: 0.45 Hz is listed twice"),
+    (None, "frequencies_hz", [float("nan")],
+     "frequencies_hz: frequencies must be positive and finite, got nan"),
+    (None, "frequencies_hz", [float("inf")],
+     "frequencies_hz: frequencies must be positive and finite, got inf"),
+    ("model", "bounds", [0.25, float("inf")],
+     "model.bounds: need 0 < B1 <= B2 < inf, got [0.25, inf]"),
+    ("acquisition", "sigma", float("inf"),
+     "acquisition.sigma: must be positive and finite, got inf"),
+    ("output", "directory", 5, "output.directory: expected a path, got 5"),
+    ("grid", "extents", [1.0, float("nan")],
+     "grid: extents must be positive and finite, got (1.0, nan)"),
+    ("model", "c2", {"generator": "constant", "v": float("nan")},
+     "model.c2: generator 'constant': fields must be finite, got [nan]"),
+    ("model", "c2", {"text_file": "c2.txt", "quantity": "speed"},
+     "model.c2: unknown quantity 'speed'"),
+], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks",
+        "duplicate_mode", "duplicate_frequency", "nan_frequency",
+        "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
+        "nan_wavespeed", "quantity"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")
     cfg["grid"]["cells"] = [16, 16]
-    cfg.setdefault(section, {})[field] = value
+    (cfg if section is None else cfg.setdefault(section, {}))[field] = value
     path = write_config(tmp_path, cfg)
     assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
@@ -329,26 +359,48 @@ def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
     assert not (tmp_path / "out").exists()
 
 
-def test_docstring_schema_example_loads_cleanly(tmp_path):
-    # the example config in the module docstring is valid, raises no
-    # warning and projects both models without clamping at every scale
-    from helmstab.geometry import build_partition
-    from helmstab.model import from_gridded_field
-
+def docstring_schema():
     doc = cli.__doc__
     block = doc[doc.index("Config schema::") + len("Config schema::"):
                 doc.index("Exit codes:")]
+    return textwrap.dedent(block)
+
+
+def test_docstring_schema_example_loads_cleanly(tmp_path):
+    # the example config in the module docstring is valid, raises no
+    # warning and projects both models without clamping at every scale
     path = tmp_path / "schema.yaml"
-    path.write_text(textwrap.dedent(block))
+    path.write_text(docstring_schema())
     cfg, errors, warnings_ = cli.load_config(path)
     assert cfg is not None and errors == [] and warnings_ == []
-    grid = cfg.grid()
-    fields = [spec.load(grid, cfg.base_dir) for spec in (cfg.c1, cfg.c2)]
-    for blocks in cfg.scales:
-        partition = build_partition(grid, blocks)
-        for field in fields:
-            assert from_gridded_field(field, partition,
-                                      cfg.bounds).n_clamped == 0
+    assert len(cfg.model_pairs) == 3
+    for pair in cfg.model_pairs:
+        assert [m.n_clamped for m in pair] == [0, 0]
+
+
+def test_docstring_schema_lists_every_setting():
+    # the keys of the documented schema are the keys load_config knows
+    raw = yaml.safe_load(docstring_schema())
+    documented = {name: set(value) if isinstance(value, dict) else None
+                  for name, value in raw.items()}
+    assert documented == {name: None if keys is None else set(keys)
+                          for name, keys in cli.SCHEMA.items()}
+
+
+def test_unknown_keys_warn_and_are_ignored(tmp_path):
+    # a typo in a section, an unknown section and an unknown top-level
+    # scalar each load with one warning and change nothing
+    cfg = base_config(tmp_path / "out")
+    del cfg["run"]
+    cfg["fit"] = {"first_scale": 1}
+    cfg["plots"] = {"dpi": 300}
+    cfg["seed"] = 3
+    loaded, errors, warnings_ = cli.load_config(write_config(tmp_path, cfg))
+    assert loaded is not None and not errors
+    assert sorted(warnings_) == [
+        f"{key} is not a setting of this version; ignored"
+        for key in ("fit.first_scale", "plots.dpi", "seed")]
+    assert loaded.first_scales is None
 
 
 def test_plot_data_single_record(tmp_path):
@@ -423,6 +475,18 @@ def test_forward_command(tmp_path, capsys):
     names = os.listdir(tmp_path / "fwd")
     assert any(n.endswith(".hsdt") for n in names)
     assert any(n.endswith("_trace.csv") for n in names)
+
+    # --mode must name a mode the config lists
+    cfg = base_config(tmp_path / "out")
+    cfg["acquisition"]["modes"] = ["full"]
+    path = write_config(tmp_path, cfg, "full_only.yaml")
+    capsys.readouterr()
+    status = cli.main(["forward", "--config", str(path), "--out",
+                       str(tmp_path / "fwd_top"), "--mode", "top"])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_CONFIG
+    assert "error: --mode top: acquisition.modes lists only ['full']" in err
+    assert not (tmp_path / "fwd_top").exists()
 
 
 def test_run_flag_overrides(tmp_path):

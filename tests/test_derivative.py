@@ -18,6 +18,7 @@ from helmstab.forward import Acquisition, gaussian_source, make_acquisition
 from helmstab.geometry import build_grid, build_partition
 from helmstab.model import SquaredSlownessModel, to_cell_field
 from helmstab.solver import (
+    HelmholtzSystem,
     assemble,
     node_coefficients,
     normal_derivative,
@@ -91,6 +92,32 @@ def test_alessandrini_sides_agree_and_converge():
     assert results[32] < 1e-2
     assert results[64] < 1e-2
     assert results[32] / results[64] >= 3.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(st.integers(4, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 5), min_size=3, max_size=3)),
+       st.floats(0.5, 8.0), st.integers(0, 2**32 - 1))
+def test_alessandrini_identity_is_exact_in_the_flux_pairing(cells, omega2,
+                                                           seed):
+    # with the variational flux rows the discrete identity is exact:
+    # h . (flux_2 u2 - flux_1 u1) = omega^2 sum_i vol_i (c1_i - c2_i) u1_i v2_i
+    # over every node, with u_k the model-k solve for g, v2 the model-2
+    # solve for h and c_k the nodal coefficients; the unit box, c^-2 in
+    # [0.25, 1] and omega^2 <= 8 stay below the first Dirichlet eigenvalue
+    grid = build_grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(seed)
+    s1, s2 = (HelmholtzSystem(grid, rng.uniform(0.25, 1.0, grid.n_cells),
+                              omega2) for _ in range(2))
+    g = rng.normal(size=grid.n_boundary)
+    h = rng.normal(size=grid.n_boundary)
+    u1 = solve_dirichlet(s1, g)
+    u2 = solve_dirichlet(s2, g)
+    v2 = solve_dirichlet(s2, h)
+    boundary = np.dot(h, s2.flux_rows.dot(u2) - s1.flux_rows.dot(u1))
+    volume = omega2 * np.sum(s1.node_volumes * (s1.node_coeff - s2.node_coeff)
+                             * u1 * v2)
+    assert abs(boundary - volume) <= 1e-8 * max(abs(boundary), abs(volume))
 
 
 def test_pairing_requires_same_grid():

@@ -67,6 +67,9 @@ def test_gaussian_quadrature_matches_integral(square32):
 def test_gaussian_center_must_be_on_boundary(square32):
     with pytest.raises(ValueError):
         gaussian_source(square32, (0.5, 0.5), 0.1)
+    # a center with too few coordinates is rejected, not indexed past its end
+    with pytest.raises(ValueError, match="3 coordinates"):
+        gaussian_source(build_grid((1.0, 1.0, 1.0), (4, 4, 4)), (0.5, 0.0), 0.3)
 
 
 def test_gaussian_under_resolved_warns(square32):
@@ -99,6 +102,8 @@ def test_acquisition_rejects_empty_and_fine_lattices(square32):
         make_acquisition(square32, MODE_FULL, 5.0, 0.25, 0.08)  # no interior points
     with pytest.raises(ValueError):
         make_acquisition(square32, MODE_FULL, 0.001, 0.25, 0.08)  # below h
+    with pytest.raises(ValueError, match="finite"):
+        make_acquisition(square32, MODE_FULL, 0.25, float("nan"), 0.08)
 
 
 def test_field_scale_acquisition_counts():

@@ -37,6 +37,9 @@ def test_invalid_grid_arguments():
         build_grid((1.0, 1.0), (4, -2))
     with pytest.raises(ValueError):
         build_grid((1.0,), (4,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_grid((1.0, bad), (4, 4))
 
 
 def test_every_node_classified_once():
