@@ -59,7 +59,7 @@ from . import forward as fwd
 from . import model as mdl
 from . import spectrum, stability
 from .errors import HelmstabError
-from .geometry import BoxGrid, build_grid, build_partition
+from .geometry import BoxGrid, _counts, build_grid, build_partition
 from .solver import assemble  # unused here; benchmarks/spans.py traces this binding
 from .solver import cache_info
 
@@ -294,9 +294,11 @@ def load_config(path):
         scale_list = []
         for entry in blocks:
             try:
-                scale_list.append(tuple(int(b) for b in entry))
-            except (TypeError, ValueError):
+                scale_list.append(_counts(entry, "block counts"))
+            except TypeError:
                 errors.append(f"scales.blocks: bad entry {entry!r}")
+            except ValueError as exc:
+                errors.append(f"scales.blocks: {exc}")
         ns = [int(np.prod(s)) for s in scale_list]
         if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
             errors.append(

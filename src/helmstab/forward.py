@@ -48,9 +48,10 @@ _DTN_MAGIC = b"HSDT"
 _DTN_VERSION = 1
 
 # Sources per block solve. One factorization solve on 8 stacked right-hand
-# sides costs about a third of 8 single solves at 128^2; wider blocks gain
-# little more, and every column is a full-grid field held in memory (solving
-# all 60 sources of a 128^2 campaign at once raised its peak memory by 11%).
+# sides costs about two thirds of 8 single solves at 128^2; blocks of 16 gain
+# nothing more and blocks of 64 are slower, and every column is a full-grid
+# field held in memory (solving all 60 sources of a 128^2 campaign at once
+# raised its peak memory by 11%).
 _BLOCK = 8
 
 

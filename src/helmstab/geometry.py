@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+def _counts(values, what: str) -> tuple:
+    """``values`` as a tuple of ints. A fractional, non-finite or non-numeric
+    entry is a ValueError, never truncated."""
+    values = tuple(values)
+    try:
+        floats = [float(v) for v in values]
+    except (TypeError, ValueError):
+        floats = [np.nan]
+    if not all(f.is_integer() for f in floats):
+        raise ValueError(f"{what} must be whole numbers, got {values}")
+    return tuple(int(f) for f in floats)
+
+
 def _as_flat(a: np.ndarray) -> np.ndarray:
     """Flatten a lattice-shaped array in the package's x-fastest order."""
     return np.ravel(a, order="F")
@@ -41,7 +54,7 @@ class BoxGrid:
 
     def __init__(self, extents, cells_per_axis):
         extents = tuple(float(e) for e in extents)
-        cells = tuple(int(c) for c in cells_per_axis)
+        cells = _counts(cells_per_axis, "cells")
         if len(extents) not in (2, 3) or len(extents) != len(cells):
             raise ValueError(
                 f"expected 2 or 3 matching extents/cells, got {extents} / {cells}"
@@ -222,7 +235,7 @@ class CubicalPartition:
 
     def __init__(self, grid: BoxGrid, widths_per_axis, parent_map=None):
         self.grid = grid
-        widths = tuple(tuple(int(w) for w in ws) for ws in widths_per_axis)
+        widths = tuple(_counts(ws, "block widths") for ws in widths_per_axis)
         if len(widths) != grid.dim:
             raise ValueError("one width list per axis required")
         for a, ws in enumerate(widths):
@@ -294,7 +307,7 @@ def _split_cells(cells: int, blocks: int):
 
 def build_partition(grid: BoxGrid, blocks_per_axis) -> CubicalPartition:
     """Decompose the domain into an axis-aligned lattice of blocks."""
-    blocks = tuple(int(b) for b in blocks_per_axis)
+    blocks = _counts(blocks_per_axis, "block counts")
     if len(blocks) != grid.dim:
         raise ValueError(f"need {grid.dim} block counts, got {blocks}")
     if any(b < 1 for b in blocks):

@@ -148,10 +148,11 @@ def admissible_windows(extents, b1: float, b2: float, count: int) -> FrequencyWi
     if not (0.0 < b1 <= b2):
         raise ValueError(f"need 0 < b1 <= b2, got ({b1}, {b2})")
     lam = box_dirichlet_eigenvalues(extents, int(count))
-    windows = [(0.0, lam[0] / b2)]
+    # plain floats, so that messages print (0.0, 29.6) and not np.float64(...)
+    windows = [(0.0, float(lam[0] / b2))]
     dropped = []
     for n in range(1, lam.size):
-        lo, hi = lam[n - 1] / b1, lam[n] / b2
+        lo, hi = float(lam[n - 1] / b1), float(lam[n] / b2)
         if lo < hi:
             windows.append((lo, hi))
         else:

@@ -144,7 +144,7 @@ def test_degenerate_campaign_fails_every_cell(tmp_path):
     assert not os.path.exists(tmp_path / "out" / "constants.csv")
 
 
-def test_partial_failure_keeps_going(tmp_path):
+def test_partial_failure_keeps_going(tmp_path, capsys):
     # second frequency violates the window check -> those cells fail
     cfg = base_config(tmp_path / "out")
     cfg["frequencies_hz"] = [0.45, 10.0]
@@ -153,6 +153,10 @@ def test_partial_failure_keeps_going(tmp_path):
     assert status == cli.EXIT_PARTIAL
     rows = read_records_csv(tmp_path / "out" / "records.csv")
     assert len(rows) == 4  # the 0.45 Hz cells survived
+    # the load warning and the failed-cell lines print plain window edges
+    err = capsys.readouterr().err
+    assert err.count("nearest window (0.0, 19.739208802") == 5
+    assert "np.float64(" not in err
 
 
 def test_cache_toggle_does_not_change_results(tmp_path):
@@ -191,7 +195,7 @@ def test_one_factorization_per_distinct_system(tmp_path, monkeypatch):
     calls = []
     splu = solver.splu
     monkeypatch.setattr(solver, "splu",
-                        lambda mat: calls.append(mat.shape) or splu(mat))
+                        lambda mat, **kw: calls.append(mat.shape) or splu(mat, **kw))
     solver.clear_caches()
     assert cli.run_campaign(loaded) == cli.EXIT_OK
     assert len(calls) == 2
@@ -341,10 +345,17 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "model.c2: generator 'constant': fields must be finite, got [nan]"),
     ("model", "c2", {"text_file": "c2.txt", "quantity": "speed"},
      "model.c2: unknown quantity 'speed'"),
+    ("grid", "cells", [32.7, 32],
+     "grid: cells must be whole numbers, got (32.7, 32)"),
+    ("scales", "blocks", [[2, 2], [4.5, 4]],
+     "scales.blocks: block counts must be whole numbers, got (4.5, 4)"),
+    ("grid", "cells", [float("inf"), 32],
+     "grid: cells must be whole numbers, got (inf, 32)"),
 ], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks",
         "duplicate_mode", "duplicate_frequency", "nan_frequency",
         "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
-        "nan_wavespeed", "quantity"])
+        "nan_wavespeed", "quantity", "fractional_cells", "fractional_blocks",
+        "inf_cells"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from helmstab.errors import NumericalFailureError
 from helmstab.geometry import build_grid
@@ -193,6 +194,35 @@ def test_factorization_cache_reuse():
     clear_caches()
     assert cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
                             "entries": 0}
+
+
+@pytest.mark.parametrize("cells", [(12, 12, 12), (48, 48)])
+def test_factorization_uses_symmetric_ordering(cells):
+    # the symmetric-pattern ordering roughly halves the fill of COLAMD's
+    # (about 0.54 at 12^3 and 0.59 at 48^2) and changes the solution only by
+    # rounding
+    g = build_grid((1.0,) * len(cells), cells)
+    rng = np.random.default_rng(11)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells), 8.0)
+    lu = sys_.factorization
+    colamd = splu(sys_.interior_matrix, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
+    rhs = rng.normal(size=(g.n_interior, 8))
+    x, ref = lu.solve(rhs), colamd.solve(rhs)
+    assert np.all(np.linalg.norm(x - ref, axis=0)
+                  <= 1e-12 * np.linalg.norm(ref, axis=0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.lists(st.integers(3, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 6), min_size=3, max_size=3)),
+       st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+def test_interior_matrix_is_exactly_symmetric(cells, omega2, seed):
+    # the premise of the symmetric-pattern LU ordering
+    g = build_grid((1.0,) * len(cells), cells)
+    coeff = np.random.default_rng(seed).uniform(0.25, 1.0, g.n_cells)
+    a = HelmholtzSystem(g, coeff, omega2).interior_matrix
+    assert abs(a - a.T).max() == 0
 
 
 def test_invalid_assembly_inputs():
