@@ -10,10 +10,10 @@ Consequently the derivative pairing carries a minus sign,
 
     <DF[c](dc) g, h>  =  -omega^2 * integral dc u~ v,
 
-while the derivative of the *sampled* data (normal derivative at receivers)
-is the plain directional derivative of the forward map. Two conventions for
-the derivative matrix are exposed and never mixed within one matrix. Both
-are computed as adjoint nodal products (adjoint-state method)
+while the derivative of the receiver data (normal derivative at the
+receivers) is the plain directional derivative of the forward map. Two
+conventions for the derivative matrix are exposed and never mixed within one
+matrix. Both are computed as adjoint nodal products (adjoint-state method)
 
     entry (s, r)  =  sum over interior nodes i of  dnode_i * u_s,i * z_r,i,
 
@@ -37,7 +37,9 @@ n_receivers solves, not N * n_sources. The source fields are kept on the
 interior nodes (n_interior x n_sources floats) and the adjoint fields stream
 in blocks of 8 receivers, each contracted with a sparse direction-by-node
 weight matrix; solving all receivers at once, or contracting against a
-dense weight matrix, costs more memory for no fewer solves.
+dense weight matrix, costs more memory for no fewer solves. A directional
+derivative is returned as the data-shaped ``(n_sources, n_receivers)``
+array, the same shape as one slice of the Jacobian.
 
 The pairing form has an exactly equivalent second implementation -- the
 variational boundary flux of the first-order solution paired with the
@@ -57,6 +59,7 @@ from .forward import (
     Acquisition,
     _blocks,
     _gaussians,
+    _source_blocks,
     forward_map,
     gaussian_source,  # unused here; benchmarks/spans.py traces this binding
     weighted_operator_norm,
@@ -74,7 +77,6 @@ from .solver import (
 
 __all__ = [
     "PairingResult",
-    "DirectionalDerivative",
     "alessandrini_pairing",
     "frechet_directional",
     "frechet_jacobian",
@@ -135,32 +137,14 @@ def alessandrini_pairing(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
     return PairingResult(volume_side=volume, boundary_side=boundary)
 
 
-@dataclass(frozen=True)
-class DirectionalDerivative:
-    """Derivative of the DtN data along one coefficient direction."""
-
-    base_model: SquaredSlownessModel
-    direction: np.ndarray
-    omega2: float
-    acquisition: Acquisition
-    values: np.ndarray           # (n_sources, n_receivers)
-    convention: str              # "data" or "pairing"
-
-    def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float).copy()
-        direction.setflags(write=False)
-        object.__setattr__(self, "direction", direction)
-        values = np.asarray(self.values, dtype=float).copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def _check_direction(base: SquaredSlownessModel, direction) -> np.ndarray:
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (base.n_subdomains,):
         raise ValueError(
             f"direction needs {base.n_subdomains} entries, got {direction.shape}"
         )
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction entries must be finite")
     return direction
 
 
@@ -181,15 +165,6 @@ def _node_weights(grid, cell_fields) -> sp.csr_matrix:
     interior = grid.interior_nodes
     return sp.vstack([sp.csr_matrix(node_coefficients(grid, f)[interior])
                       for f in cell_fields], format="csr")
-
-
-def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
-    """(slice, source-field block) per block of sources; only one block of
-    full-grid fields is alive at a time."""
-    positions = acq.source_positions
-    for block in _blocks(acq.n_sources):
-        g = _gaussians(sys_.grid, positions[block], acq.source_sigma)
-        yield block, solve_dirichlet(sys_, g)
 
 
 def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
@@ -235,38 +210,29 @@ def _adjoint_products(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
 
 
 def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
-                     acq: Acquisition, *, convention: str = "data",
-                     directions=None) -> np.ndarray:
-    """Derivative of the forward map along canonical subdomain directions.
+                     acq: Acquisition, *, convention: str = "data") -> np.ndarray:
+    """Derivative of the forward map along every canonical subdomain direction.
 
-    ``directions`` lists subdomain indices (default: all N, in order); slice
-    i of the returned ``(len(directions), n_sources, n_receivers)`` array is
-    the derivative along the indicator of subdomain ``directions[i]``, in
-    the given convention (module docstring). Costs n_sources + n_receivers
-    solves however many directions are asked for.
+    Slice j of the returned ``(N, n_sources, n_receivers)`` array is the
+    derivative along the indicator of subdomain j, in the given convention
+    (module docstring). Costs n_sources + n_receivers solves.
     """
     omega2 = float(omega2)
     _check_convention(convention)
     _check_grid(base, acq)
-    n = base.n_subdomains
-    directions = np.arange(n) if directions is None else \
-        np.asarray(directions, dtype=np.int64)
-    if directions.ndim != 1 or directions.size == 0 or \
-            np.any((directions < 0) | (directions >= n)):
-        raise ValueError(
-            f"directions must be a non-empty list of subdomain indices < {n}")
     grid = base.grid
     sys_ = assemble(grid, to_cell_field(base), omega2)
     cells = base.partition.cell_to_subdomain
     weights = _node_weights(grid, ((cells == j).astype(float)
-                                   for j in directions))
+                                   for j in range(base.n_subdomains)))
     return _adjoint_products(sys_, acq, omega2, weights, convention)
 
 
 def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
                         acq: Acquisition, *,
-                        convention: str = "data") -> DirectionalDerivative:
-    """Directional derivative of the forward map at ``base``.
+                        convention: str = "data") -> np.ndarray:
+    """Directional derivative of the forward map at ``base``, as an
+    ``(n_sources, n_receivers)`` array.
 
     See the module docstring for the two conventions. Both are exactly linear
     in ``direction``: the result is ``sum_j direction[j] J_j`` with ``J`` from
@@ -283,10 +249,7 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     grid = base.grid
     sys_ = assemble(grid, to_cell_field(base), omega2)
     weights = _node_weights(grid, [direction[base.partition.cell_to_subdomain]])
-    values = _adjoint_products(sys_, acq, omega2, weights, convention)[0]
-    return DirectionalDerivative(base_model=base, direction=direction,
-                                 omega2=omega2, acquisition=acq, values=values,
-                                 convention=convention)
+    return _adjoint_products(sys_, acq, omega2, weights, convention)[0]
 
 
 def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
@@ -298,8 +261,9 @@ def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
 
 def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
                                 omega2: float,
-                                acq: Acquisition) -> DirectionalDerivative:
-    """Pairing-convention derivative via the first-order boundary flux.
+                                acq: Acquisition) -> np.ndarray:
+    """Pairing-convention derivative via the first-order boundary flux, as an
+    ``(n_sources, n_receivers)`` array.
 
     Solves ``(-Lap - omega^2 c^-2) w_s = omega^2 dc u~_s`` per source and
     pairs the variational flux of w_s against each receiver Gaussian. Agrees
@@ -317,9 +281,7 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
     for block, u in _source_blocks(sys_, acq):
         w = _first_order_solve(sys_, dnode, u, omega2)
         values[block] = sys_.flux_rows.dot(w).T @ receivers
-    return DirectionalDerivative(base_model=base, direction=direction,
-                                 omega2=omega2, acquisition=acq, values=values,
-                                 convention="pairing")
+    return values
 
 
 def default_step(base: SquaredSlownessModel) -> float:
@@ -329,12 +291,13 @@ def default_step(base: SquaredSlownessModel) -> float:
 
 def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
                      acq: Acquisition, eps: float,
-                     derivative: DirectionalDerivative | None = None) -> float:
+                     derivative: np.ndarray | None = None) -> float:
     """|| F(c + eps*dc) - F(c) - eps*DF(dc) || in the weighted operator norm.
 
-    Second-order in eps when DF is the data-convention derivative. The
-    perturbed model must stay within bounds (no clamping, which would destroy
-    differentiability).
+    ``derivative`` is DF(dc) as returned by :func:`frechet_directional`
+    (computed when omitted). Second-order in eps when DF is the
+    data-convention derivative. The perturbed model must stay within bounds
+    (no clamping, which would destroy differentiability).
     """
     direction = np.asarray(direction, dtype=float)
     if derivative is None:
@@ -342,7 +305,7 @@ def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
     d0 = forward_map(base, omega2, acq, override_window_check=True)
     d1 = forward_map(base.perturbed(eps * direction), omega2, acq,
                      override_window_check=True)
-    resid = d1.values - d0.values - eps * derivative.values
+    resid = d1.values - d0.values - eps * derivative
     return weighted_operator_norm(resid, acq)
 
 
@@ -360,31 +323,29 @@ def central_difference_matrix(base: SquaredSlownessModel, direction,
 
 @dataclass(frozen=True)
 class BoundShapeReport:
-    """Operator norms of DF over canonical directions, with the analytic
-    bound shapes evaluated at fitted constants (report only, no pass/fail:
-    the paper-level constants are unknown).
+    """Operator norms of DF along all N canonical directions (``norms[j]``
+    for subdomain j), with the analytic bound shapes evaluated at fitted
+    constants (report only, no pass/fail: the paper-level constants are
+    unknown).
 
-    When every direction is enumerated, ``jacobian_sigma_min`` is the
-    smallest singular value of the Jacobian as a map from coefficients in
-    the L2 subdomain-volume norm to data in the weighted Frobenius norm, and
-    ``local_lipschitz`` its inverse: the local stability constant of the
-    linearized problem in that Frobenius data norm. The campaign's ``c_est``
-    measures data in the weighted operator norm, which is no larger than the
-    Frobenius norm, so ``local_lipschitz`` is a lower bound on the
-    linearized ``c_est``, not the same quantity. Both are None when
-    directions are sampled.
+    ``jacobian_sigma_min`` is the smallest singular value of the Jacobian as
+    a map from coefficients in the L2 subdomain-volume norm to data in the
+    weighted Frobenius norm, and ``local_lipschitz`` its inverse: the local
+    stability constant of the linearized problem in that Frobenius data
+    norm. The campaign's ``c_est`` measures data in the weighted operator
+    norm, which is no larger than the Frobenius norm, so ``local_lipschitz``
+    is a lower bound on the linearized ``c_est``, not the same quantity.
     """
 
     omega2: float
     n_subdomains: int
-    directions: tuple
     norms: np.ndarray
     distance_to_spectrum: float | None
     upper_shape_constant: float    # C in C*omega^2*(1 + omega^2/d)^2
     lower_shape_constant: float    # K in omega^2*exp(-K*(1+omega^2*B2)*N^(4/7))
     b2: float
-    jacobian_sigma_min: float | None = None
-    local_lipschitz: float | None = None
+    jacobian_sigma_min: float
+    local_lipschitz: float
 
     @property
     def min_norm(self) -> float:
@@ -414,33 +375,22 @@ def _jacobian_sigma_min(jac: np.ndarray, acq: Acquisition,
 
 def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
                                acq: Acquisition, *,
-                               distance_to_spectrum: float | None = None,
-                               max_directions: int = 64,
-                               rng=None) -> BoundShapeReport:
-    """Weighted operator norm of DF(e_j) per canonical direction.
+                               distance_to_spectrum: float | None = None
+                               ) -> BoundShapeReport:
+    """Weighted operator norm of DF(e_j) for every canonical direction j.
 
-    Enumerates all N canonical directions when N <= max_directions, otherwise
-    samples that many without replacement; the norms are taken from the
-    slices of :func:`frechet_jacobian`. The two analytic bound shapes are
-    juxtaposed with constants fitted to the observed min/max. With every
-    direction enumerated the report also carries the Jacobian's smallest
+    The norms are taken from the slices of :func:`frechet_jacobian`. The two
+    analytic bound shapes are juxtaposed with constants fitted to the
+    observed min/max, and the report carries the Jacobian's smallest
     singular value and the local Lipschitz estimate (see
     :class:`BoundShapeReport`).
     """
     omega2 = float(omega2)
     n = base.n_subdomains
-    if n <= max_directions:
-        chosen = list(range(n))
-    else:
-        rng = np.random.default_rng(rng)
-        chosen = sorted(rng.choice(n, size=max_directions, replace=False))
-    jac = frechet_jacobian(base, omega2, acq, directions=chosen)
+    jac = frechet_jacobian(base, omega2, acq)
     norms = np.array([weighted_operator_norm(j, acq) for j in jac])
-    sigma_min = lipschitz = None
-    if len(chosen) == n:
-        sigma_min = _jacobian_sigma_min(jac, acq,
-                                        base.partition.subdomain_volumes)
-        lipschitz = 1.0 / sigma_min if sigma_min > 0 else np.inf
+    sigma_min = _jacobian_sigma_min(jac, acq, base.partition.subdomain_volumes)
+    lipschitz = 1.0 / sigma_min if sigma_min > 0 else np.inf
 
     b2 = base.bounds[1]
     if distance_to_spectrum is not None and distance_to_spectrum > 0:
@@ -454,7 +404,7 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
     else:
         lower_k = np.inf
     return BoundShapeReport(
-        omega2=omega2, n_subdomains=n, directions=tuple(chosen), norms=norms,
+        omega2=omega2, n_subdomains=n, norms=norms,
         distance_to_spectrum=distance_to_spectrum,
         upper_shape_constant=upper_c, lower_shape_constant=float(lower_k),
         b2=b2, jacobian_sigma_min=sigma_min, local_lipschitz=lipschitz,
@@ -462,16 +412,12 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
 
 
 def write_bounds_report_csv(path, report: BoundShapeReport):
-    """Per-direction norms, then the summary rows; ``jacobian_sigma_min`` and
-    ``local_lipschitz`` are left empty when the directions were sampled."""
-
-    def number(value):
-        return "" if value is None else f"{value:.17g}"
-
+    """Per-direction norms (rows 0..N-1), then the summary rows."""
+    number = "{:.17g}".format
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["direction", "df_opnorm"])
-        for j, nrm in zip(report.directions, report.norms):
+        for j, nrm in enumerate(report.norms):
             writer.writerow([j, number(nrm)])
         writer.writerow([])
         writer.writerow(["omega2", number(report.omega2)])

@@ -87,6 +87,9 @@ class Acquisition:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.size == 0:
                 raise ValueError(f"{name}: empty lattice")
+            if np.any((arr < 0) | (arr >= self.grid.n_boundary)):
+                raise ValueError(f"{name}: indices must lie in "
+                                 f"[0, {self.grid.n_boundary})")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.mode not in (MODE_FULL, MODE_TOP):
@@ -261,14 +264,24 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 
 # -- the forward map ---------------------------------------------------------------
 
+def _source_blocks(sys_, acq: Acquisition):
+    """(slice, source-field block) per block of sources, solved against the
+    system ``sys_``; only one block of full-grid fields is alive at a time."""
+    positions = acq.source_positions
+    for block in _blocks(acq.n_sources):
+        g = _gaussians(sys_.grid, positions[block], acq.source_sigma)
+        yield block, solve_dirichlet(sys_, g)
+
+
 def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
                 *, override_window_check: bool = False) -> DtnData:
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
     Gaussian source s, sampled at the receiver nodes. Sources are solved in
-    blocks of 8 columns, so only one block of full-grid fields is alive at a
-    time. Deterministic for fixed inputs.
+    blocks of 8 columns (:func:`_source_blocks`, shared with the derivative),
+    so only one block of full-grid fields is alive at a time. Deterministic
+    for fixed inputs.
     """
     grid = acq.grid
     if grid.key != model.grid.key:
@@ -287,10 +300,7 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
 
     sys_ = assemble(grid, to_cell_field(model), omega2)
     values = np.empty((acq.n_sources, acq.n_receivers))
-    positions = acq.source_positions
-    for block in _blocks(acq.n_sources):
-        u = solve_dirichlet(sys_, _gaussians(grid, positions[block],
-                                             acq.source_sigma))
+    for block, u in _source_blocks(sys_, acq):
         values[block] = normal_derivative(grid, u)[acq.receiver_idx].T
 
     meta = {
@@ -374,8 +384,10 @@ def write_dtn(path, data: DtnData):
 def read_dtn(path) -> DtnData:
     """Read a binary DtN dump, rebuilding the grid and acquisition.
 
-    A truncated file, an unknown mode code and a nonzero flags byte (which
-    includes the complex files of earlier versions) raise ValueError.
+    A truncated file, an unknown mode code, a nonzero flags byte (which
+    includes the complex files of earlier versions), an ``omega2`` or
+    ``sigma`` that is not finite and positive, and a non-finite source or
+    receiver position raise ValueError.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -395,6 +407,10 @@ def read_dtn(path) -> DtnData:
             raise ValueError(
                 f"{path}: flags byte is {flags}, expected 0 (complex "
                 "absorbing-boundary data are no longer supported)")
+        for name, value in (("omega2", omega2), ("sigma", sigma)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{path}: {name} must be finite and positive, got {value}")
         cells = struct.unpack(f"<{dim}I", read(4 * dim))
         extents = struct.unpack(f"<{dim}d", read(8 * dim))
         model_hash = read(12).decode(errors="replace").strip()
@@ -403,6 +419,8 @@ def read_dtn(path) -> DtnData:
                                 "<f8").reshape(n_src, dim)
         rec_pos = np.frombuffer(read(8 * n_rec * dim, "receiver positions"),
                                 "<f8").reshape(n_rec, dim)
+        if not (np.all(np.isfinite(src_pos)) and np.all(np.isfinite(rec_pos))):
+            raise ValueError(f"{path}: non-finite source or receiver position")
         # weights are derived from the grid on reload
         read(8 * (n_src + n_rec), "weights")
         values = np.frombuffer(read(8 * n_src * n_rec, "values"),

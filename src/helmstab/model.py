@@ -71,6 +71,8 @@ class SquaredSlownessModel:
         b1, b2 = (float(self.bounds[0]), float(self.bounds[1]))
         if not (0.0 < b1 <= b2):
             raise ValueError(f"bounds must satisfy 0 < B1 <= B2, got ({b1}, {b2})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coefficient values must be finite")
         if np.any(values < b1) or np.any(values > b2):
             raise ValueError("coefficient values violate the bounds [B1, B2]")
         values = values.copy()
@@ -111,8 +113,9 @@ def from_gridded_field(field, partition: CubicalPartition, bounds) -> SquaredSlo
             f"field must have one value per cell ({partition.grid.n_cells}), "
             f"got shape {field.shape}"
         )
-    if np.any(field <= 0):
-        raise ValueError("squared slowness must be positive (wavespeed is physical)")
+    if not np.all(np.isfinite(field)) or np.any(field <= 0):
+        raise ValueError(
+            "squared slowness must be finite and positive (wavespeed is physical)")
     cellvol = partition.grid.cell_volume()
     sums = np.bincount(partition.cell_to_subdomain, weights=field,
                        minlength=partition.n_subdomains) * cellvol

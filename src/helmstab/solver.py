@@ -317,16 +317,20 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     ``(n_interior,)`` and the result has shape ``(n_nodes,)``, or ``g`` is a
     block ``(n_boundary, k)`` with ``f`` ``(n_interior, k)`` and the result is
     ``(n_nodes, k)``, column j solving for ``g[:, j]`` and ``f[:, j]``. A block
-    is solved with one call into the factorization. Every column must reach a
-    residual of ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
-    :class:`NumericalFailureError` reports the worst column. The boundary
-    trace of the result equals ``g`` exactly.
+    is solved with one call into the factorization. ``g`` and ``f`` must be
+    finite (ValueError otherwise). Every column must reach a residual of
+    ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
+    :class:`NumericalFailureError` reports the worst column; a non-finite
+    residual always fails. The boundary trace of the result equals ``g``
+    exactly.
     """
     grid = sys.grid
     g = np.asarray(g, dtype=float)
     if g.ndim not in (1, 2) or g.shape[0] != grid.n_boundary:
         raise ValueError(
             f"g must have {grid.n_boundary} boundary values per column")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("g contains non-finite boundary values")
     if f is None:
         rhs = -sys.coupling.dot(g)
     else:
@@ -334,14 +338,18 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
         if f.shape != (grid.n_interior,) + g.shape[1:]:
             raise ValueError(
                 f"f must have {grid.n_interior} interior values per column of g")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("f contains non-finite interior values")
         rhs = f - sys.coupling.dot(g)
 
     u_i = sys.factorization.solve(rhs)
     rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
     residual = np.atleast_1d(
         np.linalg.norm(sys.interior_matrix.dot(u_i) - rhs, axis=0))
-    # a zero right-hand side has the zero solution; no relative target applies
-    failing = np.flatnonzero((rhs_norm > 0) & (residual > SOLVER_RTOL * rhs_norm))
+    # a zero right-hand side has the zero solution; no relative target applies.
+    # Written as "not within target" so that a NaN residual fails too.
+    failing = np.flatnonzero((rhs_norm > 0)
+                             & ~(residual <= SOLVER_RTOL * rhs_norm))
     if failing.size:
         j = int(failing[np.argmax(residual[failing] / rhs_norm[failing])])
         details = {"residual": float(residual[j]),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_acquisition_rejects_empty_and_fine_lattices(square32):
         make_acquisition(square32, MODE_FULL, 0.001, 0.25, 0.08)  # below h
     with pytest.raises(ValueError, match="finite"):
         make_acquisition(square32, MODE_FULL, 0.25, float("nan"), 0.08)
+
+
+def test_acquisition_rejects_out_of_range_indices(square32):
+    # -1 would wrap to the last boundary node; n_boundary would fail on use
+    n = square32.n_boundary
+    for name in ("source_idx", "receiver_idx"):
+        for bad in (-1, n, 10**6):
+            idx = {"source_idx": [0, 1], "receiver_idx": [2, 3], name: [0, bad]}
+            with pytest.raises(ValueError, match=rf"{name}: .*\[0, {n}\)"):
+                Acquisition(grid=square32, mode=MODE_FULL, source_sigma=0.08,
+                            top_face=square32.top_face(), **idx)
+    Acquisition(grid=square32, mode=MODE_FULL, source_idx=[0, n - 1],
+                receiver_idx=[0], source_sigma=0.08,
+                top_face=square32.top_face())
 
 
 def test_field_scale_acquisition_counts():
@@ -328,19 +344,36 @@ def test_truncated_dtn_file_raises_value_error(tmp_path, model_pair, keep):
         read_dtn(path)
 
 
-@pytest.mark.parametrize("offset, byte", [(7, 7), (8, 1), (8, 2)])
+# 2D header offsets: omega2 f64 at 9, sigma f64 at 17, first source position
+# at 81 (after the cell counts, extents and hashes), first receiver position
+# at 81 + 16 * n_sources
+_SOURCE_AT = 81
+_RECEIVER_AT = _SOURCE_AT + 16 * 4
+
+
+@pytest.mark.parametrize("offset, byte", [
+    (7, 7), (8, 1), (8, 2),
+    (9, np.nan), (9, np.inf), (9, 0.0), (9, -8.0),
+    (17, np.nan), (17, -np.inf), (17, 0.0),
+    (_SOURCE_AT, np.inf), (_SOURCE_AT + 8, np.nan), (_RECEIVER_AT, -np.inf),
+])
 def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
                                                 byte):
-    # the mode byte (offset 7) must be 0 or 1 and the reserved flags byte
-    # (offset 8) must be 0; flags bit 0 marked the complex files of earlier
-    # versions
+    # an int replaces one byte: the mode byte (offset 7) must be 0 or 1 and
+    # the reserved flags byte (offset 8) must be 0; flags bit 0 marked the
+    # complex files of earlier versions. A float replaces the f64 at the
+    # offset: omega2 and sigma must be finite and positive, positions finite
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    assert acq.n_sources == 4
     path = tmp_path / "data.hsdt"
     write_dtn(path, forward_map(m1, 8.0, acq))
     raw = bytearray(path.read_bytes())
-    assert raw[offset] == 0
-    raw[offset] = byte
+    if isinstance(byte, int):
+        assert raw[offset] == 0
+        raw[offset] = byte
+    else:
+        struct.pack_into("<d", raw, offset, byte)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="data.hsdt"):
         read_dtn(path)

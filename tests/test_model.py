@@ -61,6 +61,11 @@ def test_nonpositive_field_rejected():
     field[3] = 0.0
     with pytest.raises(ValueError):
         from_gridded_field(field, p, BOUNDS)
+    # NaN passes "<= 0" and inf would be clamped to B2 without a finite check
+    for bad in (np.nan, np.inf):
+        field[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            from_gridded_field(field, p, BOUNDS)
 
 
 def test_clamping_counts_reported():
@@ -77,6 +82,10 @@ def test_bounds_validated_on_construction():
         SquaredSlownessModel(p, np.full(4, 5.0), (0.1, 1.0))
     with pytest.raises(ValueError):
         SquaredSlownessModel(p, np.full(4, 0.5), (0.0, 1.0))  # B1 must be > 0
+    # NaN compares False against both bounds, so it needs its own check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SquaredSlownessModel(p, [0.5, bad, 0.5, 0.5], (0.25, 1.0))
 
 
 def test_l2_distance_examples():

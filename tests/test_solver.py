@@ -314,3 +314,33 @@ def test_normal_derivative_adjoint_is_the_transposed_stencil(cells):
     expected = normal_derivative(g, w)
     assert np.allclose(e.T @ w[g.interior_nodes], expected,
                        rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
+
+
+def test_non_finite_data_and_residuals_fail():
+    g, sys_ = unit_square(16, omega2=2.0)
+    for bad in (np.nan, np.inf):
+        gb = np.zeros(g.n_boundary)
+        gb[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_dirichlet(sys_, gb)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_dirichlet(sys_, np.column_stack([np.ones(g.n_boundary), gb]))
+        f = np.zeros(g.n_interior)
+        f[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_dirichlet(sys_, np.zeros(g.n_boundary), f)
+
+    # a NaN residual misses the target; a zero right-hand side stays exempt
+    lu = sys_.factorization
+
+    class NanColumnLU:
+        def solve(self, rhs):
+            x = lu.solve(rhs)
+            x[:, 1] = np.nan
+            return x
+
+    sys_._lu = NanColumnLU()
+    G = np.column_stack([np.zeros(g.n_boundary), np.ones(g.n_boundary)])
+    with pytest.raises(NumericalFailureError) as err:
+        solve_dirichlet(sys_, G)
+    assert err.value.diagnostics["column"] == 1
