@@ -164,6 +164,14 @@ def _ignored_keys(raw: dict) -> list:
             for name in names]
 
 
+def _holds_bool(value) -> bool:
+    """Whether a setting is, or a (nested) list holds, a YAML boolean, which
+    ``float`` would read as 0 or 1."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _model_field(spec, grid: BoxGrid, base_dir) -> np.ndarray:
     """Cell field of squared slowness for one ``model.c1``/``c2`` entry.
 
@@ -199,6 +207,8 @@ def _model_field(spec, grid: BoxGrid, base_dir) -> np.ndarray:
         missing = [name for name in GENERATORS[gen] if name not in spec]
         if missing:
             raise ValueError(f"generator '{gen}' needs field '{missing[0]}'")
+        if _holds_bool([spec[name] for name in GENERATORS[gen]]):
+            raise ValueError(f"generator '{gen}': a boolean is not a number")
         args = [float(spec[name]) for name in GENERATORS[gen]]
         if not all(map(math.isfinite, args)):
             raise ValueError(f"generator '{gen}': fields must be finite, "
@@ -252,6 +262,13 @@ def load_config(path):
     acq_sec = _section(raw, "acquisition", errors)
     for fld in ("source_spacing", "receiver_spacing", "sigma"):
         _require(acq_sec, fld, errors, "acquisition")
+    numeric = {"grid.extents": extents, "grid.cells": cells,
+               "model.bounds": bounds, "frequencies_hz": freqs,
+               "scales.blocks": blocks,
+               **{f"acquisition.{fld}": acq_sec.get(fld)
+                  for fld in ("source_spacing", "receiver_spacing", "sigma")}}
+    errors += [f"{name}: a boolean is not a number, got {value!r}"
+               for name, value in numeric.items() if _holds_bool(value)]
 
     if errors:
         return None, errors, warnings_

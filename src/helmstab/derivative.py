@@ -359,14 +359,14 @@ class BoundShapeReport:
 def _jacobian_sigma_min(jac: np.ndarray, acq: Acquisition,
                         volumes: np.ndarray) -> float:
     """Smallest singular value of the ``(n_sources * n_receivers, N)``
-    Jacobian, rows weighted by ``sqrt(w_s w_r)`` and columns by
+    Jacobian, rows weighted by ``acq.data_weights`` and columns by
     ``1 / sqrt(|Omega_j|)``. Overwrites ``jac``: it is scaled in place and
     handed to LAPACK without a copy (the flattened transpose of a C-ordered
     array is Fortran-ordered)."""
     n = jac.shape[0]
     if acq.n_sources * acq.n_receivers < n:
         return 0.0   # more unknowns than data: the Jacobian has a kernel
-    jac *= np.sqrt(np.outer(acq.source_weights, acq.receiver_weights))
+    jac *= acq.data_weights
     jac /= np.sqrt(volumes)[:, None, None]
     sigma = scipy.linalg.svdvals(jac.reshape(n, -1).T, overwrite_a=True,
                                  check_finite=False)

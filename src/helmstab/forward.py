@@ -125,6 +125,13 @@ class Acquisition:
         """Per-receiver boundary measure (m^(dim-1))."""
         return self.grid.boundary_weights[self.receiver_idx]
 
+    @property
+    def data_weights(self) -> np.ndarray:
+        """``sqrt(w_s w_r)`` per (source, receiver) entry: the data norms and
+        the Jacobian's smallest singular value act on the data matrix scaled
+        entrywise by these weights."""
+        return np.sqrt(np.outer(self.source_weights, self.receiver_weights))
+
     def compat_key(self):
         return (self.grid.key, self.mode, self.source_idx.tobytes(),
                 self.receiver_idx.tobytes())
@@ -318,21 +325,12 @@ def _check_compatible(d1: DtnData, d2: DtnData):
         raise ValueError("data sets use different frequencies")
 
 
-def _weighted_difference(d1: DtnData, d2: DtnData) -> np.ndarray:
-    acq = d1.acquisition
-    diff = d1.values - d2.values
-    sw = np.sqrt(acq.source_weights)
-    rw = np.sqrt(acq.receiver_weights)
-    return sw[:, None] * diff * rw[None, :]
-
-
 def weighted_operator_norm(values: np.ndarray, acq: Acquisition) -> float:
     """Largest singular value of a data-shaped matrix under quadrature weights."""
     values = np.asarray(values)
     if values.shape != (acq.n_sources, acq.n_receivers):
         raise ValueError("matrix shape does not match the acquisition")
-    b = (np.sqrt(acq.source_weights)[:, None] * values
-         * np.sqrt(acq.receiver_weights)[None, :])
+    b = values * acq.data_weights
     if not np.any(b):
         return 0.0
     return float(np.linalg.svd(b, compute_uv=False)[0])
@@ -347,7 +345,8 @@ def dtn_operator_norm(d1: DtnData, d2: DtnData) -> float:
 def weighted_frobenius(d1: DtnData, d2: DtnData) -> float:
     """Quadrature-weighted Frobenius norm (secondary, for reports)."""
     _check_compatible(d1, d2)
-    return float(np.linalg.norm(_weighted_difference(d1, d2)))
+    return float(np.linalg.norm((d1.values - d2.values)
+                                * d1.acquisition.data_weights))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -386,8 +385,9 @@ def read_dtn(path) -> DtnData:
 
     A truncated file, an unknown mode code, a nonzero flags byte (which
     includes the complex files of earlier versions), an ``omega2`` or
-    ``sigma`` that is not finite and positive, and a non-finite source or
-    receiver position raise ValueError.
+    ``sigma`` that is not finite and positive, a grid that ``BoxGrid``
+    rejects and a source or receiver position that is not finite or lies off
+    the box raise ValueError.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -426,20 +426,21 @@ def read_dtn(path) -> DtnData:
         values = np.frombuffer(read(8 * n_src * n_rec, "values"),
                                "<f8").reshape(n_src, n_rec)
 
-    grid = BoxGrid(extents, cells)
-
-    def positions_to_idx(pos):
-        flats = [grid.nearest_boundary_node(p)[0] for p in pos]
-        return grid.boundary_position[np.asarray(flats, dtype=np.int64)]
-
-    acq = Acquisition(
-        grid=grid,
-        mode=MODE_FULL if mode_code == 0 else MODE_TOP,
-        source_idx=positions_to_idx(src_pos),
-        receiver_idx=positions_to_idx(rec_pos),
-        source_sigma=sigma,
-        top_face=grid.top_face(),
-    )
+    try:
+        grid = BoxGrid(extents, cells)
+        source_idx, receiver_idx = (
+            grid.boundary_position[[grid.nearest_boundary_node(p)[0] for p in pos]]
+            for pos in (src_pos, rec_pos))
+        acq = Acquisition(
+            grid=grid,
+            mode=MODE_FULL if mode_code == 0 else MODE_TOP,
+            source_idx=source_idx,
+            receiver_idx=receiver_idx,
+            source_sigma=sigma,
+            top_face=grid.top_face(),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     meta = {"model_hash": model_hash, "grid_hash": grid_hash,
             "norm": NORM_KIND}
     return DtnData(acquisition=acq, omega2=omega2, values=values, metadata=meta)

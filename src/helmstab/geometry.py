@@ -206,21 +206,23 @@ class BoxGrid:
     def nearest_boundary_node(self, point):
         """Snap a physical point to the nearest grid node and report it.
 
-        Returns ``(flat_index, distance)``. Raises if the snapped node is not
-        a boundary node (the point is too deep inside the domain).
+        Returns ``(flat_index, distance)``. Raises ValueError if the point
+        lies more than h_a/2 from its snapped node on some axis a (it is off
+        the box, or not finite), or if the snapped node is not a boundary
+        node (the point is too deep inside the domain).
         """
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point must have {self.dim} coordinates")
-        mi = []
-        for a in range(self.dim):
-            i = int(round(point[a] / self.spacing[a]))
-            mi.append(min(max(i, 0), self.nodes_per_axis[a] - 1))
-        flat = 0
-        for a in reversed(range(self.dim)):
-            flat = flat * self.nodes_per_axis[a] + mi[a]
-        coords = self.node_coordinates(flat)
-        dist = float(np.linalg.norm(coords - point))
+        # a rounded index outside the node range is more than h_a/2 away
+        # from every node on that axis; NaN fails the comparison too
+        mi = np.rint(point / np.asarray(self.spacing))
+        if not np.all((mi >= 0) & (mi < self.nodes_per_axis)):
+            raise ValueError(
+                f"point {tuple(point)} lies more than h/2 off the box "
+                f"{self.extents}")
+        flat = int(np.dot(mi.astype(np.int64), self.node_strides()))
+        dist = float(np.linalg.norm(self.node_coordinates(flat) - point))
         if self.boundary_position[flat] < 0:
             raise ValueError(f"point {tuple(point)} does not lie on the boundary")
         return flat, dist

@@ -69,8 +69,9 @@ class SquaredSlownessModel:
                 f"expected {self.partition.n_subdomains} values, got {values.shape}"
             )
         b1, b2 = (float(self.bounds[0]), float(self.bounds[1]))
-        if not (0.0 < b1 <= b2):
-            raise ValueError(f"bounds must satisfy 0 < B1 <= B2, got ({b1}, {b2})")
+        if not (0.0 < b1 <= b2 < np.inf):
+            raise ValueError(
+                f"bounds must satisfy 0 < B1 <= B2 < inf, got ({b1}, {b2})")
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficient values must be finite")
         if np.any(values < b1) or np.any(values > b2):

@@ -1,17 +1,34 @@
 """Discrete Helmholtz Dirichlet solver on structured grids.
 
-The operator ``(-Lap - omega^2 c^-2)`` is discretized with second-order
-central differences (5-point stencil in 2D, 7-point in 3D). Boundary values
-are eliminated by the block split
+One discrete form defines every system: the trapezoidal bilinear form
 
-    A_ii u_i + A_ib u_b = f,    u_b = g,
+    a(u, v) = sum over edges e of w_e (u_p - u_q)(v_p - v_q)
+              - omega^2 sum over nodes i of vol_i c_i u_i v_i,
 
-and the interior matrix is factorized once (sparse direct) and reused across
-right-hand sides. The interior matrix is exactly symmetric, so SuperLU orders
-its columns by minimum degree on the pattern of ``A^T + A``
-(``MMD_AT_PLUS_A``) rather than by its default COLAMD, which ignores that
-symmetry; the symmetric ordering roughly halves the LU fill (6.8 M to 3.3 M
-nonzeros at 24^3) and with it the factorization and solve time.
+with c the nodal coefficient, vol the trapezoidal node volumes and an edge
+along axis a weighted by its transverse face measure over h_a. Its matrix
+``K - omega^2 diag(vol * c)`` is symmetric. Every interior node has the
+volume ``prod(h)``, and every edge that touches an interior node carries
+``prod(h) / h_a^2``, so the interior rows divided by ``prod(h)`` are the
+second-order central differences of ``-Lap - omega^2 c^-2`` (5-point
+stencil in 2D, 7-point in 3D). :class:`HelmholtzSystem` builds the form
+once, stored per unit interior volume, and reads all three of its blocks
+from it:
+
+* ``interior_matrix`` and ``coupling``: the interior rows, split by column
+  into ``A_ii`` and ``A_ib`` of the Dirichlet problem
+  ``A_ii u_i + A_ib u_b = f,  u_b = g``;
+* ``flux_rows``: the boundary rows of the form itself, the conormal flux.
+
+The omega = 0 system also gives the pencil of the discrete Dirichlet
+eigenproblem (:mod:`spectrum`), so solver and spectrum share one stencil.
+
+The interior matrix is factorized once (sparse direct) and reused across
+right-hand sides. It is exactly symmetric, so SuperLU orders its columns by
+minimum degree on the pattern of ``A^T + A`` (``MMD_AT_PLUS_A``) rather than
+by its default COLAMD, which ignores that symmetry; the symmetric ordering
+roughly halves the LU fill (6.8 M to 3.3 M nonzeros at 24^3) and with it the
+factorization and solve time.
 
 :func:`solve_dirichlet` takes one right-hand side (``g`` of shape
 ``(n_boundary,)``, ``f`` of shape ``(n_interior,)``) or a block of ``k`` of
@@ -27,22 +44,16 @@ Two boundary normal-derivative extractors are provided:
   quadratics; this is what enters the measured DtN data. Its transpose on
   the interior nodes, :func:`normal_derivative_adjoint`, is the right-hand
   side of the adjoint solves of the data-convention derivative.
-* :func:`flux_normal_derivative` -- the variational conormal flux obtained
-  from the symmetric bilinear form of the discretization, divided by the
-  boundary quadrature weight. Consistent in the integrated (weak) sense and
-  *exactly* self-adjoint in the weighted boundary pairing, which the
-  pointwise stencil is not. Dual pairings ("<Lambda g, h>") must use this
-  extractor.
+* :func:`flux_normal_derivative` -- the flux rows applied to the field,
+  divided by the boundary quadrature weight. Consistent in the integrated
+  (weak) sense and *exactly* self-adjoint in the weighted boundary pairing,
+  which the pointwise stencil is not. Dual pairings ("<Lambda g, h>") must
+  use this extractor.
 
 Factorized systems from :func:`assemble` live in one store keyed by grid,
 coefficient content hash and omega^2 that keeps the 4 most recently used;
 :func:`cache_info` counts its hits, misses and evictions and
 :func:`clear_caches` empties it.
-
-The finite-difference choice is not load-bearing for anything downstream:
-an alternative discretization (e.g. discontinuous Galerkin) plugs in by
-producing the same ``HelmholtzSystem`` surface (interior_matrix, coupling,
-flux_rows, factorization) through its own assemble function.
 """
 
 from __future__ import annotations
@@ -67,7 +78,6 @@ __all__ = [
     "flux_normal_derivative",
     "node_coefficients",
     "cell_average",
-    "interior_operators",
     "register_eigenvalues",
     "cache_info",
     "clear_caches",
@@ -132,38 +142,43 @@ def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
     return np.ravel(acc / cnt, order="F")
 
 
-def _node_volumes(grid: BoxGrid) -> np.ndarray:
-    """Trapezoidal node volumes: product of h_a, halved at axis extremes."""
-    vol = np.ones(grid.nodes_per_axis)
-    for a, (n, h) in enumerate(zip(grid.nodes_per_axis, grid.spacing)):
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
-        shape = [1] * grid.dim
-        shape[a] = n
-        vol = vol * w.reshape(shape)
-    return np.ravel(vol, order="F")
+def _trapezoid(n: int) -> np.ndarray:
+    """Trapezoid-rule factors of an axis with ``n`` nodes: 1/2 at both ends,
+    1 inside."""
+    f = np.ones(n)
+    f[0] = f[-1] = 0.5
+    return f
 
 
-def _graph_laplacian(grid: BoxGrid, edge_weight) -> sp.csr_matrix:
-    """Symmetric sum over grid edges of w_e * (e_p - e_q)(e_p - e_q)^T.
+def _lattice(op, per_axis) -> np.ndarray:
+    """``op``-combination of one 1-D array per axis over the lattice they
+    span, flattened x-fastest."""
+    out = per_axis[0]
+    for v in per_axis[1:]:
+        out = op.outer(v, out).ravel()
+    return out
 
-    ``edge_weight(axis, low_multi_index)`` returns the per-edge weight array
-    for all edges along ``axis`` (an array shaped like the edge lattice).
+
+def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
+    """Stiffness of the trapezoidal bilinear form of -Lap, per unit interior
+    node volume ``prod(h)``.
+
+    The sum over grid edges of ``w_e (e_p - e_q)(e_p - e_q)^T``, where an edge
+    along axis ``a`` carries ``1/h_a^2`` times the trapezoid factor of every
+    transverse axis. An edge that touches an interior node lies inside on
+    every transverse axis, so an interior row is exactly the central-
+    difference row of -Lap.
     """
     n = grid.n_nodes
-    rows, cols, vals = [], [], []
     strides = grid.node_strides()
-    for a in range(grid.dim):
-        edge_shape = tuple(
-            grid.nodes_per_axis[t] - (1 if t == a else 0) for t in range(grid.dim)
-        )
-        idx = np.indices(edge_shape)
-        p = np.zeros(edge_shape, dtype=np.int64)
-        for t in range(grid.dim):
-            p += idx[t] * strides[t]
-        p = np.ravel(p, order="F")
+    rows, cols, vals = [], [], []
+    for a, h in enumerate(grid.spacing):
+        counts = [m - (t == a) for t, m in enumerate(grid.nodes_per_axis)]
+        p = _lattice(np.add, [np.arange(c) * s for c, s in zip(counts, strides)])
         q = p + strides[a]
-        w = np.ravel(edge_weight(a, idx), order="F")
+        w = _lattice(np.multiply, [np.full(c, 1.0 / (h * h)) if t == a
+                                   else _trapezoid(c)
+                                   for t, c in enumerate(counts)])
         rows.extend([p, q, p, q])
         cols.extend([p, q, q, p])
         vals.extend([w, w, -w, -w])
@@ -171,45 +186,6 @@ def _graph_laplacian(grid: BoxGrid, edge_weight) -> sp.csr_matrix:
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _fd_stiffness(grid: BoxGrid) -> sp.csr_matrix:
-    """Graph Laplacian with 1/h_a^2 edge weights.
-
-    Its interior rows are exactly the second-order central-difference
-    discretization of -Lap.
-    """
-    h = grid.spacing
-
-    def edge_weight(a, idx):
-        return np.full(idx[0].shape, 1.0 / (h[a] * h[a]))
-
-    return _graph_laplacian(grid, edge_weight)
-
-
-def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
-    """Edge-weighted stiffness of the trapezoidal bilinear form.
-
-    Edge along axis ``a`` carries weight (prod_{t != a} h_t w_t) / h_a where
-    w_t halves at transverse extremes. Interior rows equal the FD rows scaled
-    by the uniform interior node volume.
-    """
-    h = grid.spacing
-
-    def edge_weight(a, idx):
-        w = np.full(idx[0].shape, 1.0 / h[a])
-        for t in range(grid.dim):
-            if t == a:
-                continue
-            tw = np.where(
-                (idx[t] == 0) | (idx[t] == grid.nodes_per_axis[t] - 1),
-                0.5 * h[t],
-                h[t],
-            )
-            w = w * tw
-        return w
-
-    return _graph_laplacian(grid, edge_weight)
 
 
 class HelmholtzSystem:
@@ -229,23 +205,21 @@ class HelmholtzSystem:
         self.coeff = coeff
         self.omega2 = omega2
         self.node_coeff = node_coefficients(grid, coeff)
-        self.node_volumes = _node_volumes(grid)
+        # every interior node has the volume prod(h); the trapezoid factors
+        # scale it down at the boundary
+        interior_volume = grid.cell_volume()
+        relative_volumes = _lattice(
+            np.multiply, [_trapezoid(m) for m in grid.nodes_per_axis])
+        self.node_volumes = interior_volume * relative_volumes
 
-        interior = grid.interior_nodes
-        boundary = grid.boundary_nodes
-
-        fd = _fd_stiffness(grid)
-        fd_int = fd[interior]
-        mass_int = self.node_coeff[interior]
-        self.interior_matrix = (
-            fd_int[:, interior] - omega2 * sp.diags(mass_int)
-        ).tocsc()
-        self.coupling = fd_int[:, boundary].tocsr()
-
-        # boundary rows of the symmetric form K - omega^2 M (conormal flux)
-        form = _form_stiffness(grid)
-        mass_full = sp.diags(self.node_volumes * self.node_coeff)
-        self.flux_rows = (form - omega2 * mass_full)[boundary].tocsr()
+        # the form K - omega^2 diag(vol * c), divided by prod(h)
+        form = (_form_stiffness(grid)
+                - omega2 * sp.diags(relative_volumes * self.node_coeff)).tocsr()
+        interior_rows = form[grid.interior_nodes]
+        self.interior_matrix = interior_rows[:, grid.interior_nodes].tocsc()
+        self.coupling = interior_rows[:, grid.boundary_nodes].tocsr()
+        # boundary rows of the form itself: the conormal flux
+        self.flux_rows = (interior_volume * form[grid.boundary_nodes]).tocsr()
 
         self._lu = None
 
@@ -448,18 +422,3 @@ def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
         acc = acc + lattice[sl]
     return np.ravel(acc / 2 ** grid.dim, order="F")
 
-
-def interior_operators(grid: BoxGrid, coeff):
-    """(Dirichlet FD Laplacian, nodal coefficient) over interior nodes.
-
-    Building blocks of the generalized eigenproblem
-    ``(-Lap_h) u = lambda~ * M_{c^-2} u`` solved by the spectrum module; uses
-    the same stencil and the same cell-to-node coefficient averaging as the
-    Helmholtz assembly.
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    fd = _fd_stiffness(grid)
-    interior = grid.interior_nodes
-    lap = fd[interior][:, interior].tocsc()
-    c_int = node_coefficients(grid, coeff)[interior]
-    return lap, c_int

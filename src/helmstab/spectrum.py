@@ -25,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError
 from .geometry import BoxGrid
-from .solver import interior_operators, register_eigenvalues
+from .solver import HelmholtzSystem, register_eigenvalues
 
 __all__ = [
     "FrequencyWindows",
@@ -88,11 +88,14 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    lap, c_int = interior_operators(grid, coeff)
+    # the omega = 0 system, built directly so that it never enters the
+    # factorization store
+    pencil = HelmholtzSystem(grid, coeff, 0.0)
+    lap = pencil.interior_matrix
     n = lap.shape[0]
     if count > n - 1:
         raise ValueError(f"count={count} too large for {n} interior nodes")
-    m = sp.diags(c_int).tocsc()
+    m = sp.diags(pencil.node_coeff[grid.interior_nodes]).tocsc()
     try:
         vals = eigsh(lap, k=min(count + EIG_GUARD, n - 1), M=m, sigma=0.0,
                      which="LM", tol=EIG_TOL, maxiter=EIG_MAXITER,
@@ -137,6 +140,14 @@ class FrequencyWindows:
         return rows
 
 
+def _bounds(b1, b2) -> tuple:
+    """(b1, b2) as floats; ValueError unless 0 < b1 <= b2 < inf."""
+    b1, b2 = float(b1), float(b2)
+    if not (0.0 < b1 <= b2 < np.inf):
+        raise ValueError(f"need 0 < b1 <= b2 < inf, got ({b1}, {b2})")
+    return b1, b2
+
+
 def admissible_windows(extents, b1: float, b2: float, count: int) -> FrequencyWindows:
     """Admissible frequency windows from the box's analytic eigenvalues.
 
@@ -144,9 +155,7 @@ def admissible_windows(extents, b1: float, b2: float, count: int) -> FrequencyWi
     (lambda_n/b1, lambda_{n+1}/b2). Empty candidates are dropped and
     reported in ``dropped``.
     """
-    b1, b2 = float(b1), float(b2)
-    if not (0.0 < b1 <= b2):
-        raise ValueError(f"need 0 < b1 <= b2, got ({b1}, {b2})")
+    b1, b2 = _bounds(b1, b2)
     lam = box_dirichlet_eigenvalues(extents, int(count))
     # plain floats, so that messages print (0.0, 29.6) and not np.float64(...)
     windows = [(0.0, float(lam[0] / b2))]
@@ -205,10 +214,11 @@ def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
 def windows_covering(extents, b1: float, b2: float,
                      omega2: float) -> FrequencyWindows:
     """Admissible windows computed with enough eigenvalues to bracket omega2."""
+    b1, b2 = _bounds(b1, b2)
     count = 8
     while True:
         lam = box_dirichlet_eigenvalues(extents, count)
-        if lam[-1] / float(b2) > float(omega2) or count >= WINDOW_MAX_COUNT:
+        if lam[-1] / b2 > float(omega2) or count >= WINDOW_MAX_COUNT:
             break
         count *= 2
     return admissible_windows(extents, b1, b2, count)

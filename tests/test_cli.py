@@ -351,11 +351,33 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "scales.blocks: block counts must be whole numbers, got (4.5, 4)"),
     ("grid", "cells", [float("inf"), 32],
      "grid: cells must be whole numbers, got (inf, 32)"),
+    # YAML booleans: float(True) is 1.0, so each would load as a number
+    ("grid", "extents", [True, 1.0],
+     "grid.extents: a boolean is not a number, got [True, 1.0]"),
+    ("grid", "cells", [16, True],
+     "grid.cells: a boolean is not a number, got [16, True]"),
+    ("model", "bounds", [0.25, True],
+     "model.bounds: a boolean is not a number, got [0.25, True]"),
+    ("model", "c2", {"generator": "linear_depth", "v_top": True,
+                     "v_bottom": 2.0},
+     "model.c2: generator 'linear_depth': a boolean is not a number"),
+    (None, "frequencies_hz", [True],
+     "frequencies_hz: a boolean is not a number, got [True]"),
+    ("scales", "blocks", [[2, 2], [4, False]],
+     "scales.blocks: a boolean is not a number, got [[2, 2], [4, False]]"),
+    ("acquisition", "source_spacing", [0.25, True],
+     "acquisition.source_spacing: a boolean is not a number, got [0.25, True]"),
+    ("acquisition", "receiver_spacing", True,
+     "acquisition.receiver_spacing: a boolean is not a number, got True"),
+    ("acquisition", "sigma", True,
+     "acquisition.sigma: a boolean is not a number, got True"),
 ], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks",
         "duplicate_mode", "duplicate_frequency", "nan_frequency",
         "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
         "nan_wavespeed", "quantity", "fractional_cells", "fractional_blocks",
-        "inf_cells"])
+        "inf_cells", "bool_extent", "bool_cells", "bool_bound",
+        "bool_generator_field", "bool_frequency", "bool_blocks",
+        "bool_source_spacing", "bool_receiver_spacing", "bool_sigma"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")

@@ -69,6 +69,9 @@ def test_gaussian_quadrature_matches_integral(square32):
 def test_gaussian_center_must_be_on_boundary(square32):
     with pytest.raises(ValueError):
         gaussian_source(square32, (0.5, 0.5), 0.1)
+    # a center off the box is not clipped onto the corner (0, 0)
+    with pytest.raises(ValueError, match="off the box"):
+        gaussian_source(square32, (-5.0, 0.0), 0.1)
     # a center with too few coordinates is rejected, not indexed past its end
     with pytest.raises(ValueError, match="3 coordinates"):
         gaussian_source(build_grid((1.0, 1.0, 1.0), (4, 4, 4)), (0.5, 0.0), 0.3)
@@ -356,13 +359,16 @@ _RECEIVER_AT = _SOURCE_AT + 16 * 4
     (9, np.nan), (9, np.inf), (9, 0.0), (9, -8.0),
     (17, np.nan), (17, -np.inf), (17, 0.0),
     (_SOURCE_AT, np.inf), (_SOURCE_AT + 8, np.nan), (_RECEIVER_AT, -np.inf),
+    (_SOURCE_AT, 50.0), (_RECEIVER_AT + 8, -0.5), (41, np.nan), (49, -1.0),
 ])
 def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
                                                 byte):
     # an int replaces one byte: the mode byte (offset 7) must be 0 or 1 and
     # the reserved flags byte (offset 8) must be 0; flags bit 0 marked the
     # complex files of earlier versions. A float replaces the f64 at the
-    # offset: omega2 and sigma must be finite and positive, positions finite
+    # offset: omega2, sigma and the extents (at 41 and 49) must be finite and
+    # positive, positions finite and on the box (a source at x = 50 used to
+    # load as a node of the 1 x 1 box)
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
     assert acq.n_sources == 4
@@ -376,4 +382,17 @@ def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
         struct.pack_into("<d", raw, offset, byte)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="data.hsdt"):
+        read_dtn(path)
+
+
+
+def test_dtn_bad_cell_count_names_the_file(tmp_path, model_pair):
+    m1, _ = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    path = tmp_path / "data.hsdt"
+    write_dtn(path, forward_map(m1, 8.0, acq))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 37, 1)   # second cell count (u32 at 37)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="data.hsdt: need at least 2 cells"):
         read_dtn(path)

@@ -153,3 +153,19 @@ def test_parent_map_recovers_nesting():
     # every cell's child subdomain must map to the parent that owns the cell
     child_of_cell = q.cell_to_subdomain
     assert np.array_equal(q.parent_map[child_of_cell], p.cell_to_subdomain)
+
+
+def test_nearest_boundary_node_rejects_points_off_the_box():
+    g = build_grid((1.0, 0.5), (10, 5))   # h = 0.1 on both axes
+    flat, dist = g.nearest_boundary_node((0.53, 0.0))
+    assert np.allclose(g.node_coordinates(flat), (0.5, 0.0))
+    assert np.isclose(dist, 0.03)
+    # within h/2 outside the box still snaps to the boundary node
+    flat, _ = g.nearest_boundary_node((1.04, 0.3))
+    assert np.allclose(g.node_coordinates(flat), (1.0, 0.3))
+    for point in ((50.0, 0.3), (-0.06, 0.2), (0.5, 0.56), (np.nan, 0.0),
+                  (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="off the box"):
+            g.nearest_boundary_node(point)
+    with pytest.raises(ValueError, match="does not lie on the boundary"):
+        g.nearest_boundary_node((0.5, 0.25))

@@ -82,6 +82,10 @@ def test_bounds_validated_on_construction():
         SquaredSlownessModel(p, np.full(4, 5.0), (0.1, 1.0))
     with pytest.raises(ValueError):
         SquaredSlownessModel(p, np.full(4, 0.5), (0.0, 1.0))  # B1 must be > 0
+    # B2 must be finite: an infinite bound leaves no admissible window
+    for bounds in ((0.25, np.inf), (0.25, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="B2 < inf"):
+            SquaredSlownessModel(p, np.full(4, 0.5), bounds)
     # NaN compares False against both bounds, so it needs its own check
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

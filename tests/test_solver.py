@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -223,6 +224,43 @@ def test_interior_matrix_is_exactly_symmetric(cells, omega2, seed):
     coeff = np.random.default_rng(seed).uniform(0.25, 1.0, g.n_cells)
     a = HelmholtzSystem(g, coeff, omega2).interior_matrix
     assert abs(a - a.T).max() == 0
+
+
+def kronecker_fd_laplacian(g):
+    """-Lap on every node as a Kronecker sum of 1-D second differences
+    [-1, 2, -1] / h_a^2, x-fastest; its interior rows are the FD stencil."""
+    total = sp.csr_matrix((g.n_nodes, g.n_nodes))
+    for a, (n, h) in enumerate(zip(g.nodes_per_axis, g.spacing)):
+        term = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / h**2
+        for t, m in enumerate(g.nodes_per_axis):
+            if t < a:
+                term = sp.kron(term, sp.identity(m))
+            elif t > a:
+                term = sp.kron(sp.identity(m), term)
+        total = total + term
+    return total.tocsr()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+           st.tuples(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2),
+                     st.lists(st.integers(2, 14), min_size=2, max_size=2)),
+           st.tuples(st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+                     st.lists(st.integers(2, 7), min_size=3, max_size=3))),
+       st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+def test_system_rows_are_the_fd_stencil(box, omega2, seed):
+    # the interior rows of the one trapezoidal form, divided by prod(h), are
+    # the central-difference rows of -Lap - omega^2 c^-2
+    extents, cells = box
+    g = build_grid(extents, cells)
+    coeff = np.random.default_rng(seed).uniform(0.25, 1.0, g.n_cells)
+    sys_ = HelmholtzSystem(g, coeff, omega2)
+    lap = kronecker_fd_laplacian(g)[g.interior_nodes]
+    mass = sp.diags(node_coefficients(g, coeff)[g.interior_nodes])
+    for got, expected in (
+            (sys_.interior_matrix, lap[:, g.interior_nodes] - omega2 * mass),
+            (sys_.coupling, lap[:, g.boundary_nodes])):
+        assert abs(got - expected).max() <= 1e-12 * abs(expected).max()
 
 
 def test_invalid_assembly_inputs():

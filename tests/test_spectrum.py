@@ -96,6 +96,16 @@ def test_wide_bounds_leave_only_first_window():
     assert fw.windows[0] == (0.0, pytest.approx(2 * PI2 / 10.0))
 
 
+@pytest.mark.parametrize("b1, b2", [(0.25, np.inf), (0.25, np.nan),
+                                    (np.nan, 1.0), (0.0, 1.0), (1.0, 0.5)])
+def test_bounds_must_be_finite_and_ordered(b1, b2):
+    # b2 = inf used to give the single window (0.0, 0.0)
+    with pytest.raises(ValueError, match="b2 < inf"):
+        admissible_windows((1.0, 1.0), b1, b2, 4)
+    with pytest.raises(ValueError, match="b2 < inf"):
+        windows_covering((1.0, 1.0), b1, b2, omega2=8.0)
+
+
 def test_seismic_regime_arithmetic():
     # f = 5 Hz, B2 = (1/1400)^2 -> omega^2 * B2 is a small number
     omega2 = (2 * np.pi * 5.0) ** 2
@@ -151,6 +161,17 @@ def test_eigensolve_registers_resonance_guard():
     solver.assemble(g, coeff, float(vals[0]) * 1.01)
 
 
+def test_eigensolve_leaves_the_factorization_store_alone():
+    # the pencil is the omega = 0 system built directly, not through
+    # assemble(), so it can never evict a campaign's factorization
+    solver.clear_caches()
+    g = build_grid((1.0, 0.8), (12, 10))
+    discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, 0.5), 3)
+    assert solver.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
+                                   "entries": 0}
+    solver.clear_caches()
+
+
 def test_count_validation():
     g = build_grid((1.0, 1.0), (8, 8))
     with pytest.raises(ValueError):
@@ -168,4 +189,24 @@ def test_repeated_eigenvalues_are_all_found():
     exact = 4.0 * 64.0 * np.array([3 * s1] + [s2 + 2 * s1] * 3)
     for _ in range(5):
         vals = discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 4)
+        assert np.allclose(vals, exact, rtol=1e-10)
+
+
+@pytest.mark.parametrize("extents, cells, kappa, count", [
+    # 2 x 1 box with h = 1/8 on both axes: the 5th and 6th eigenvalues are the
+    # double one of modes (4, 1) and (2, 2)
+    ((2.0, 1.0), (16, 8), 1.0, 6),
+    ((1.3, 0.7), (13, 5), 0.6, 6),
+    ((1.0, 0.8, 0.6), (6, 5, 4), 0.4, 5),
+])
+def test_anisotropic_box_eigenvalues_are_analytic(extents, cells, kappa, count):
+    # constant c^-2 = kappa: the discrete eigenvalues are
+    # sum_a (4 / h_a^2) sin^2(pi k_a / (2 n_a)) / kappa, k_a = 1 .. n_a - 1
+    g = build_grid(extents, cells)
+    per_axis = [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+                for h, n in zip(g.spacing, cells)]
+    exact = np.sort(sum(np.ix_(*per_axis)).ravel())[:count] / kappa
+    for _ in range(3):
+        vals = discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, kappa),
+                                              count)
         assert np.allclose(vals, exact, rtol=1e-10)
