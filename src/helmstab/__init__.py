@@ -17,10 +17,9 @@ from .model import (
 )
 from .spectrum import (
     FrequencyWindows,
-    admissible_windows,
-    box_dirichlet_eigenvalues,
     discrete_dirichlet_eigenvalues,
     frequency_safety,
+    windows_covering,
 )
 from .solver import (
     HelmholtzSystem,

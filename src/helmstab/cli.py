@@ -388,7 +388,7 @@ def load_config(path):
     frequencies = []
     for f in freq_list:
         omega2 = (2.0 * np.pi * f) ** 2
-        windows = spectrum.windows_covering(grid.extents, b1, b2, omega2)
+        windows = spectrum.windows_covering(grid, b1, b2, omega2)
         safety = spectrum.frequency_safety(omega2, windows)
         frequencies.append(Frequency(f, omega2, windows, safety))
         if not safety.inside:
@@ -453,15 +453,29 @@ def _record_comments(cfg: ExperimentConfig) -> list:
     ]
 
 
+def _make_out_dir(path) -> bool:
+    """Create the output directory ``path``; on failure print the error and
+    return False."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def run_campaign(cfg: ExperimentConfig) -> int:
     """Run every (frequency, scale, mode) cell and write the artifacts.
 
     Records are flushed to ``records.csv`` through an atomic rename after
     every cell, so a crashing cell cannot corrupt earlier rows. A failing
     cell is logged, skipped and listed on stderr at the end; the exit code
-    reports partial (2) or total (3) failure.
+    reports partial (2) or total (3) failure, or a config error (1) when the
+    output directory cannot be created.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    if not _make_out_dir(cfg.out_dir):
+        return EXIT_CONFIG
     records_path = os.path.join(cfg.out_dir, "records.csv")
     constants_path = os.path.join(cfg.out_dir, "constants.csv")
     comments = _record_comments(cfg)
@@ -678,6 +692,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.command == "windows":
+        if args.out and not _make_out_dir(args.out):
+            return EXIT_CONFIG
         for freq in cfg.frequencies:
             state = "inside" if freq.safety.inside else "OUTSIDE"
             print(f"{freq.hz:g} Hz -> omega^2 = {freq.omega2:.6g} [{state}]")
@@ -685,7 +701,6 @@ def main(argv=None) -> int:
                 mark = " <-- contains omega^2" if freq.safety.window == (lo, hi) else ""
                 print(f"    ({lo:.6g}, {hi:.6g}){mark}")
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 spectrum.write_windows_csv(
                     os.path.join(args.out, f"windows_f{freq.hz:g}.csv"),
                     freq.windows)
@@ -703,6 +718,8 @@ def main(argv=None) -> int:
                   f"{list(cfg.acquisitions)}", file=sys.stderr)
             return EXIT_CONFIG
         acq = cfg.acquisitions[mode]
+        if not _make_out_dir(args.out):
+            return EXIT_CONFIG
         c1, c2 = cfg.model_pairs[-1]
         try:
             data = fwd.forward_map(
@@ -712,7 +729,6 @@ def main(argv=None) -> int:
         except HelmstabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOTAL
-        os.makedirs(args.out, exist_ok=True)
         stem = os.path.join(args.out, f"forward_{args.model}_f{freq.hz:g}_{mode}")
         fwd.write_dtn(f"{stem}.hsdt", data)
         fwd.export_trace_csv(data, acq.n_sources // 2, f"{stem}_trace.csv")

@@ -5,19 +5,6 @@ class HelmstabError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NearResonanceError(HelmstabError):
-    """The requested frequency sits on (or too close to) a discrete resonance."""
-
-    def __init__(self, omega2, eigenvalue, rel_distance):
-        self.omega2 = omega2
-        self.eigenvalue = eigenvalue
-        self.rel_distance = rel_distance
-        super().__init__(
-            f"omega^2={omega2:.9g} is within relative {rel_distance:.3g} of the "
-            f"discrete eigenvalue {eigenvalue:.9g}; the solve would be meaningless"
-        )
-
-
 class NumericalFailureError(HelmstabError):
     """A numerical kernel (factorization, eigensolver, residual check) failed.
 

@@ -296,8 +296,7 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
     omega2 = float(omega2)
     if not override_window_check:
         safety = frequency_safety(
-            omega2, windows_covering(grid.extents, *model.bounds, omega2=omega2)
-        )
+            omega2, windows_covering(grid, *model.bounds, omega2=omega2))
         if not safety.inside:
             raise WindowViolationError(
                 f"omega^2={omega2:.9g} outside every admissible window; nearest "

@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import NearResonanceError, NumericalFailureError
+from .errors import NumericalFailureError
 from .geometry import BoxGrid
 
 __all__ = [
@@ -78,13 +78,11 @@ __all__ = [
     "flux_normal_derivative",
     "node_coefficients",
     "cell_average",
-    "register_eigenvalues",
     "cache_info",
     "clear_caches",
 ]
 
 SOLVER_RTOL = 1e-10
-RESONANCE_RTOL = 1e-8
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
 # Factorized systems keyed by (grid.key, coeff hash, omega2), least recently
@@ -95,22 +93,10 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 _STORE_SIZE = 4
 _store: OrderedDict = OrderedDict()
 _store_counts = {"hits": 0, "misses": 0, "evictions": 0}
-# discrete spectra keyed by (grid.key, coeff hash); consulted by assemble()
-_eigen_cache: dict = {}
 
 
 def _coeff_hash(coeff: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(coeff, dtype=float).tobytes()).hexdigest()
-
-
-def register_eigenvalues(grid: BoxGrid, coeff, eigenvalues):
-    """Record discrete eigenvalues so assemble() can refuse near-resonant solves."""
-    key = (grid.key, _coeff_hash(np.asarray(coeff, dtype=float)))
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    known = _eigen_cache.get(key)
-    if known is not None:
-        vals = np.unique(np.concatenate([known, vals]))
-    _eigen_cache[key] = vals
 
 
 def cache_info() -> dict:
@@ -120,10 +106,9 @@ def cache_info() -> dict:
 
 
 def clear_caches():
-    """Empty the factorization store and the registered spectra."""
+    """Empty the factorization store and reset its counts."""
     _store.clear()
     _store_counts.update(hits=0, misses=0, evictions=0)
-    _eigen_cache.clear()
 
 
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
@@ -195,11 +180,12 @@ class HelmholtzSystem:
         coeff = np.ascontiguousarray(coeff, dtype=float)
         if coeff.shape != (grid.n_cells,):
             raise ValueError(f"coeff must have one value per cell ({grid.n_cells})")
-        if np.any(coeff <= 0):
-            raise ValueError("coefficient must be positive")
+        if not np.all((coeff > 0) & (coeff < np.inf)):
+            raise ValueError("coefficient must be positive and finite")
         omega2 = float(omega2)
-        if omega2 < 0:
-            raise ValueError(f"omega^2 must be nonnegative, got {omega2}")
+        if not 0.0 <= omega2 < np.inf:
+            raise ValueError(
+                f"omega^2 must be nonnegative and finite, got {omega2}")
 
         self.grid = grid
         self.coeff = coeff
@@ -241,22 +227,23 @@ def assemble(grid: BoxGrid, coeff, omega2: float) -> HelmholtzSystem:
     """Assemble (or reuse from the store) the discrete system for one
     coefficient.
 
-    Refuses to build a system whose omega^2 lies within relative 1e-8 of a
-    *registered* discrete eigenvalue for this (grid, coeff); the spectrum
-    module registers them. Warns when the grid resolves fewer than 8 points
-    per wavelength.
+    Warns when the grid resolves fewer than 8 points per wavelength.
     """
     coeff = np.ascontiguousarray(coeff, dtype=float)
     omega2 = float(omega2)
-    digest = _coeff_hash(coeff)
-
-    if omega2 > 0:
-        known = _eigen_cache.get((grid.key, digest))
-        if known is not None and known.size:
-            rel = np.abs(omega2 - known) / known
-            j = int(np.argmin(rel))
-            if rel[j] <= RESONANCE_RTOL:
-                raise NearResonanceError(omega2, float(known[j]), float(rel[j]))
+    key = (grid.key, _coeff_hash(coeff), omega2)
+    sys_ = _store.get(key)
+    if sys_ is not None:
+        _store_counts["hits"] += 1
+        _store.move_to_end(key)
+    else:
+        # the constructor validates the inputs before anything is stored
+        sys_ = HelmholtzSystem(grid, coeff, omega2)
+        _store_counts["misses"] += 1
+        _store[key] = sys_
+        if len(_store) > _STORE_SIZE:
+            _store.popitem(last=False)
+            _store_counts["evictions"] += 1
 
     if omega2 > 0:
         wavelength = 2.0 * np.pi / (np.sqrt(omega2) * np.sqrt(np.max(coeff)))
@@ -267,18 +254,6 @@ def assemble(grid: BoxGrid, coeff, omega2: float) -> HelmholtzSystem:
                 f"(< {POINTS_PER_WAVELENGTH_MIN:g}); results may be under-resolved",
                 stacklevel=2,
             )
-
-    key = (grid.key, digest, omega2)
-    sys_ = _store.get(key)
-    if sys_ is not None:
-        _store_counts["hits"] += 1
-        _store.move_to_end(key)
-        return sys_
-    _store_counts["misses"] += 1
-    sys_ = _store[key] = HelmholtzSystem(grid, coeff, omega2)
-    if len(_store) > _STORE_SIZE:
-        _store.popitem(last=False)
-        _store_counts["evictions"] += 1
     return sys_
 
 

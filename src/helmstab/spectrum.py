@@ -1,23 +1,31 @@
-"""Dirichlet Laplacian spectra and admissible frequency windows.
+"""Discrete Dirichlet spectra and admissible frequency windows.
 
-For the box, the continuum Dirichlet eigenvalues are analytic,
-``lambda = pi^2 * sum_a (k_a / L_a)^2`` with integer ``k_a >= 1``. The
-discrete counterparts solve the generalized problem
-``(-Lap_h) u = lambda~ * M_{c^-2} u`` on the same stencil as the Helmholtz
-solver. Well-posedness is guaranteed on the frequency windows
+The solver resonates at the eigenvalues of its own pencil
+``(-Lap_h) u = lambda~ * M_{c^-2} u``: the omega = 0 interior matrix against
+the diagonal of the nodal coefficient. For a constant coefficient 1 on the
+box grid they are analytic,
 
-    0 < omega^2 < lambda_1 / B2,
-    lambda_n / B1 < omega^2 < lambda_{n+1} / B2   (n >= 1),
+    lambda_h = sum_a (4 / h_a^2) sin^2(k_a pi / (2 n_a)),  k_a = 1 .. n_a - 1,
 
-which the coefficient-bound sandwich ``lambda_n/B2 <= lambda~_n <= lambda_n/B1``
-keeps clear of every admissible coefficient's resonances.
+with n_a cells of width h_a along axis a. Every nodal value of an admissible
+coefficient is a mean of cell values in [B1, B2], so by Courant-Fischer the
+sandwich ``lambda_h,n / B2 <= lambda~_n <= lambda_h,n / B1`` holds exactly
+for every such coefficient. Hence no admissible coefficient has a discrete
+resonance in the windows
+
+    0 < omega^2 < lambda_h,1 / B2,
+    lambda_h,n / B1 < omega^2 < lambda_h,n+1 / B2   (n >= 1),
+
+and there the discrete Dirichlet problem is uniquely solvable. The discrete
+spectrum is finite, so there is no window above ``lambda_h,max / B1``; an
+omega^2 up there resolves fewer than about pi points per wavelength and is
+reported as outside every window.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,15 +33,14 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError
 from .geometry import BoxGrid
-from .solver import HelmholtzSystem, register_eigenvalues
+from .solver import HelmholtzSystem
 
 __all__ = [
     "FrequencyWindows",
     "WindowSafety",
-    "box_dirichlet_eigenvalues",
     "discrete_dirichlet_eigenvalues",
-    "admissible_windows",
     "frequency_safety",
+    "windows_covering",
     "write_windows_csv",
 ]
 
@@ -45,32 +52,6 @@ EIG_MAXITER = 500
 # double eigenvalues in 2-4% of solves, an 8^3 cube one of its triple
 # eigenvalues in 90%); with two more requested, none was missed in 200.
 EIG_GUARD = 2
-# most box eigenvalues windows_covering computes to bracket omega^2
-WINDOW_MAX_COUNT = 4096
-
-
-def box_dirichlet_eigenvalues(extents, count: int) -> np.ndarray:
-    """Smallest ``count`` Dirichlet eigenvalues of -Lap on the box, with
-    multiplicity, ascending."""
-    extents = tuple(float(e) for e in extents)
-    if any(e <= 0 for e in extents):
-        raise ValueError(f"extents must be positive, got {extents}")
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-
-    lmax = max(extents)
-    kmax = 4
-    while True:
-        vals = []
-        for k in product(*(range(1, kmax + 1) for _ in extents)):
-            vals.append(np.pi**2 * sum((ki / li) ** 2 for ki, li in zip(k, extents)))
-        vals.sort()
-        # every omitted tuple has some k_a > kmax, hence an eigenvalue above this
-        floor_omitted = np.pi**2 * ((kmax + 1) / lmax) ** 2
-        if len(vals) >= count and vals[count - 1] < floor_omitted:
-            return np.asarray(vals[:count])
-        kmax *= 2
 
 
 def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
@@ -78,13 +59,9 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     """Smallest ``count`` eigenvalues of ``(-Lap_h) u = lambda~ M_{c^-2} u``.
 
     Shift-invert Lanczos about zero, on the solver's own stencil and
-    cell-to-node coefficient averaging. Results are registered with the
-    solver's resonance cache so later assemblies refuse near-resonant
-    frequencies.
+    cell-to-node coefficient averaging. The coefficient must be finite and
+    positive (ValueError otherwise).
     """
-    coeff = np.asarray(coeff, dtype=float)
-    if np.any(coeff <= 0):
-        raise ValueError("coefficient must be positive everywhere")
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -106,38 +83,38 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
             {"requested": count, "converged": len(exc.eigenvalues),
              "maxiter": EIG_MAXITER, "tol": EIG_TOL},
         ) from exc
-    vals = np.sort(np.real(vals))[:count]
-    register_eigenvalues(grid, coeff, vals)
-    return vals
+    return np.sort(np.real(vals))[:count]
 
 
 @dataclass(frozen=True)
 class FrequencyWindows:
-    """Admissible omega^2 intervals for coefficient bounds (b1, b2).
-
-    ``windows`` holds the nonempty open intervals, ascending; ``dropped``
-    records the indices n whose candidate interval was empty.
-    """
+    """Admissible omega^2 intervals for coefficient bounds (b1, b2), built
+    from the ascending discrete box eigenvalues ``source_eigenvalues``."""
 
     b1: float
     b2: float
-    windows: tuple
     source_eigenvalues: np.ndarray
-    dropped: tuple = field(default_factory=tuple)
 
     def candidate_rows(self):
         """Per-candidate table rows (n, lambda_n, lo, hi, nonempty).
 
         Row 0 is the low-frequency window (0, lambda_1/B2); row n >= 1 is
-        (lambda_n/B1, lambda_{n+1}/B2).
+        (lambda_n/B1, lambda_{n+1}/B2). Values are plain floats, so that
+        messages print (0.0, 29.6) and not np.float64(...).
         """
         lam = self.source_eigenvalues
-        rows = [(0, 0.0, 0.0, lam[0] / self.b2, True)]
+        rows = [(0, 0.0, 0.0, float(lam[0] / self.b2), True)]
         for n in range(1, lam.size):
-            lo = lam[n - 1] / self.b1
-            hi = lam[n] / self.b2
+            lo = float(lam[n - 1] / self.b1)
+            hi = float(lam[n] / self.b2)
             rows.append((n, float(lam[n - 1]), lo, hi, lo < hi))
         return rows
+
+    @property
+    def windows(self) -> tuple:
+        """The nonempty candidates as open intervals (lo, hi), ascending."""
+        return tuple((lo, hi) for _, _, lo, hi, ok in self.candidate_rows()
+                     if ok)
 
 
 def _bounds(b1, b2) -> tuple:
@@ -148,26 +125,33 @@ def _bounds(b1, b2) -> tuple:
     return b1, b2
 
 
-def admissible_windows(extents, b1: float, b2: float, count: int) -> FrequencyWindows:
-    """Admissible frequency windows from the box's analytic eigenvalues.
+def _frequency(omega2) -> float:
+    """omega2 as a float; ValueError unless 0 < omega2 < inf."""
+    omega2 = float(omega2)
+    if not 0.0 < omega2 < np.inf:
+        raise ValueError(f"omega^2 must be positive and finite, got {omega2}")
+    return omega2
 
-    Candidate n = 0 is (0, lambda_1/b2); candidate n >= 1 is
-    (lambda_n/b1, lambda_{n+1}/b2). Empty candidates are dropped and
-    reported in ``dropped``.
+
+def windows_covering(grid: BoxGrid, b1: float, b2: float,
+                     omega2: float) -> FrequencyWindows:
+    """Admissible windows of the grid's discrete problem, up to the first
+    one that reaches past omega2.
+
+    Enumerates the analytic eigenvalues ``lambda_h`` of the grid's Dirichlet
+    stencil (module docstring) and keeps every one with
+    ``lambda_h / b2 <= omega2`` and the next one, if there is one. Candidate
+    n = 0 is (0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
+    lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
     b1, b2 = _bounds(b1, b2)
-    lam = box_dirichlet_eigenvalues(extents, int(count))
-    # plain floats, so that messages print (0.0, 29.6) and not np.float64(...)
-    windows = [(0.0, float(lam[0] / b2))]
-    dropped = []
-    for n in range(1, lam.size):
-        lo, hi = float(lam[n - 1] / b1), float(lam[n] / b2)
-        if lo < hi:
-            windows.append((lo, hi))
-        else:
-            dropped.append(n)
-    return FrequencyWindows(b1=b1, b2=b2, windows=tuple(windows),
-                            source_eigenvalues=lam, dropped=tuple(dropped))
+    omega2 = _frequency(omega2)
+    per_axis = [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+                for h, n in zip(grid.spacing, grid.cells_per_axis)]
+    lam = sum(np.ix_(*per_axis)).ravel()
+    count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
+    lam = np.sort(np.partition(lam, count - 1)[:count])
+    return FrequencyWindows(b1=b1, b2=b2, source_eigenvalues=lam)
 
 
 @dataclass(frozen=True)
@@ -191,9 +175,7 @@ class WindowSafety:
 
 def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
     """Report the containing window (if any) and distances to window edges."""
-    omega2 = float(omega2)
-    if omega2 <= 0:
-        raise ValueError(f"omega^2 must be positive, got {omega2}")
+    omega2 = _frequency(omega2)
     for win in windows.windows:
         lo, hi = win
         if lo < omega2 < hi:
@@ -209,19 +191,6 @@ def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
     return WindowSafety(omega2=omega2, inside=False, window=None,
                         edge_distance=best_d, nearest_window=best,
                         nearest_distance=float(best_d))
-
-
-def windows_covering(extents, b1: float, b2: float,
-                     omega2: float) -> FrequencyWindows:
-    """Admissible windows computed with enough eigenvalues to bracket omega2."""
-    b1, b2 = _bounds(b1, b2)
-    count = 8
-    while True:
-        lam = box_dirichlet_eigenvalues(extents, count)
-        if lam[-1] / b2 > float(omega2) or count >= WINDOW_MAX_COUNT:
-            break
-        count *= 2
-    return admissible_windows(extents, b1, b2, count)
 
 
 def write_windows_csv(path, windows: FrequencyWindows):

@@ -170,8 +170,8 @@ def evaluate_bounds(n: int, omega2: float, constants: BoundConstants):
     omega2 = float(omega2)
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    if omega2 <= 0:
-        raise ValueError(f"omega^2 must be positive, got {omega2}")
+    if not 0.0 < omega2 < np.inf:
+        raise ValueError(f"omega^2 must be positive and finite, got {omega2}")
     log_lower = constants.k1 * n ** LOWER_EXPONENT - np.log(4.0 * omega2)
     log_upper = (constants.k * (1.0 + omega2 * constants.b2)
                  * n ** UPPER_EXPONENT - np.log(omega2))

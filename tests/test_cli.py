@@ -155,7 +155,9 @@ def test_partial_failure_keeps_going(tmp_path, capsys):
     assert len(rows) == 4  # the 0.45 Hz cells survived
     # the load warning and the failed-cell lines print plain window edges
     err = capsys.readouterr().err
-    assert err.count("nearest window (0.0, 19.739208802") == 5
+    # the first window of the 32^2 grid ends at its first discrete
+    # eigenvalue, 2 (4 / h^2) sin^2(pi h / 2)
+    assert err.count("nearest window (0.0, 19.72335955") == 5
     assert "np.float64(" not in err
 
 
@@ -498,6 +500,56 @@ def test_windows_command(tmp_path, capsys):
     assert status == cli.EXIT_OK
     assert "inside" in out
     assert (tmp_path / "win" / "windows_f0.45.csv").exists()
+
+
+def test_windows_csv_lists_the_discrete_eigenvalues(tmp_path):
+    # the windows come from the grid's own stencil: lambda_h = sum_a
+    # (4 / h_a^2) sin^2(k_a pi / (2 n_a)), k_a = 1 .. n_a - 1
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"] = {"extents": [1.0, 0.75], "cells": [16, 12]}
+    cfg["frequencies_hz"] = [2.0]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["windows", "--config", str(path),
+                     "--out", str(tmp_path / "win")]) == cli.EXIT_OK
+    lines = (tmp_path / "win" / "windows_f2.csv").read_text().splitlines()
+    lam = [float(line.split(",")[1]) for line in lines[2:]]
+    h = 1.0 / 16
+    per_axis = [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+                for n in (16, 12)]
+    exact = np.sort(np.add.outer(*per_axis).ravel())[:len(lam)]
+    assert len(lam) >= 5
+    assert np.allclose(lam, exact, rtol=1e-14)
+
+
+def test_frequency_between_discrete_and_continuum_resonance(tmp_path, capsys):
+    # at 16^2 the coefficient c^-2 = B2 resonates at omega^2 = 19.676, below
+    # the continuum edge 2 pi^2 = 19.739; 0.7066 Hz (omega^2 = 19.711) lies
+    # between them and used to validate as inside the first window
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["cells"] = [16, 16]
+    cfg["frequencies_hz"] = [0.7066]
+    cfg["scales"]["blocks"] = [[2, 2]]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+    assert "outside every admissible window" in capsys.readouterr().out
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_TOTAL
+    assert "nearest window (0.0, 19.67587286" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "forward", "windows"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, command):
+    # an existing file, and a path below one, used to raise FileExistsError
+    # and NotADirectoryError from os.makedirs
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    for out in (blocker, blocker / "x"):
+        status = cli.main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == cli.EXIT_CONFIG
+        assert f"error: output directory {out}: " in err
+        assert "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_forward_command(tmp_path, capsys):

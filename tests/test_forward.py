@@ -20,7 +20,8 @@ from helmstab.forward import (
     write_dtn,
 )
 from helmstab.geometry import build_grid, build_partition
-from helmstab.model import SquaredSlownessModel
+from helmstab.model import SquaredSlownessModel, to_cell_field
+from helmstab.spectrum import discrete_dirichlet_eigenvalues
 
 BOUNDS = (0.25, 1.0)
 
@@ -185,6 +186,22 @@ def test_window_violation_refused_and_overridable(model_pair):
         forward_map(m1, bad_omega2, acq)
     data = forward_map(m1, bad_omega2, acq, override_window_check=True)
     assert np.all(np.isfinite(data.values))
+
+
+def test_window_ends_at_the_discrete_resonance():
+    # the admissible c^-2 = B2 resonates at the first discrete eigenvalue
+    # lambda_h (19.676 at 16^2), below the continuum edge 2 pi^2 (19.739).
+    # Just below lambda_h the model is near resonance but inside the first
+    # window; just above it, it is outside every window
+    g = build_grid((1.0, 1.0), (16, 16))
+    m = SquaredSlownessModel(build_partition(g, (2, 2)), np.full(4, 1.0),
+                             BOUNDS)
+    acq = make_acquisition(g, MODE_FULL, 0.25, 0.125, 0.08)
+    lam = discrete_dirichlet_eigenvalues(g, to_cell_field(m), 1)[0]
+    assert np.isclose(lam, 2 * 4 * 256 * np.sin(np.pi / 32) ** 2, rtol=1e-10)
+    forward_map(m, lam * (1 - 1e-4), acq)
+    with pytest.raises(WindowViolationError, match=r"\(0.0, 19.6758728"):
+        forward_map(m, lam * (1 + 1e-4), acq)
 
 
 def test_top_data_is_subblock_of_full(model_pair):

@@ -275,6 +275,21 @@ def test_invalid_assembly_inputs():
         HelmholtzSystem(g, np.ones(g.n_cells), -2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_or_frequency_is_rejected(bad):
+    # NaN failed neither "coeff <= 0" nor "omega2 < 0", so assemble() built
+    # a NaN system
+    g = build_grid((1.0, 1.0), (8, 8))
+    coeff = np.ones(g.n_cells)
+    coeff[3] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        HelmholtzSystem(g, coeff, 1.0)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        HelmholtzSystem(g, np.ones(g.n_cells), bad)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        assemble(g, np.ones(g.n_cells), bad)
+
+
 def test_residual_guard_reports_failure():
     g = build_grid((1.0, 1.0), (8, 8))
     sys_ = HelmholtzSystem(g, np.ones(g.n_cells), 2.0)

@@ -1,14 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmstab import solver
-from helmstab.errors import NearResonanceError
 from helmstab.geometry import build_grid
 from helmstab.spectrum import (
-    admissible_windows,
-    box_dirichlet_eigenvalues,
     discrete_dirichlet_eigenvalues,
     frequency_safety,
     windows_covering,
@@ -18,31 +17,66 @@ from helmstab.spectrum import (
 PI2 = np.pi**2
 
 
+def brute_force_eigenvalues(grid):
+    """Every discrete box eigenvalue, one mode (k_1, ..., k_dim) at a time,
+    ascending."""
+    return np.sort([
+        sum(4.0 / h**2 * np.sin(np.pi * k / (2 * n)) ** 2
+            for k, h, n in zip(ks, grid.spacing, grid.cells_per_axis))
+        for ks in product(*(range(1, n) for n in grid.cells_per_axis))])
+
+
+def enumerated(grid, omega2):
+    """The eigenvalues windows_covering enumerates for omega2 with B1 = B2 = 1:
+    every one up to omega2 and the next."""
+    return windows_covering(grid, 1.0, 1.0, omega2).source_eigenvalues
+
+
 def test_unit_cube_first_eigenvalue():
-    vals = box_dirichlet_eigenvalues((1.0, 1.0, 1.0), 1)
-    assert np.isclose(vals[0], 3 * PI2)
+    g = build_grid((1.0, 1.0, 1.0), (8, 8, 8))
+    vals = enumerated(g, 1.0)
+    assert vals.size == 1
+    assert np.isclose(vals[0], 3 * 4 * 64 * np.sin(np.pi / 16) ** 2, rtol=1e-14)
+    # the discrete eigenvalue lies below the continuum one, 3 pi^2
+    assert 0 < 3 * PI2 - vals[0] < 0.02 * 3 * PI2
 
 
 def test_unit_square_first_three_with_multiplicity():
-    vals = box_dirichlet_eigenvalues((1.0, 1.0), 3)
-    assert np.allclose(vals, [2 * PI2, 5 * PI2, 5 * PI2])
+    g = build_grid((1.0, 1.0), (16, 16))
+    s1, s2 = np.sin(np.pi / 32) ** 2, np.sin(np.pi / 16) ** 2
+    exact = 4 * 256 * np.array([2 * s1, s1 + s2, s1 + s2])
+    vals = enumerated(g, exact[2] * 1.001)
+    assert vals.size == 4
+    assert np.allclose(vals[:3], exact, rtol=1e-14)
 
 
 def test_stretched_box_closed_form():
-    vals = box_dirichlet_eigenvalues((2.0, 1.0, 1.0), 1)
-    assert np.isclose(vals[0], 9 * PI2 / 4)
+    g = build_grid((2.0, 1.0, 1.0), (16, 8, 8))
+    vals = enumerated(g, 1.0)
+    exact = 4 * 64 * (np.sin(np.pi / 32) ** 2 + 2 * np.sin(np.pi / 16) ** 2)
+    assert np.isclose(vals[0], exact, rtol=1e-14)
+    assert 0 < 9 * PI2 / 4 - vals[0] < 0.02 * 9 * PI2 / 4
 
 
 def test_eigenvalue_list_is_complete_for_large_count():
-    # brute force check: the first 40 values on a irrational-ish box
-    extents = (1.0, 1.37)
-    vals = box_dirichlet_eigenvalues(extents, 40)
-    brute = sorted(
-        PI2 * ((kx / extents[0]) ** 2 + (ky / extents[1]) ** 2)
-        for kx in range(1, 40)
-        for ky in range(1, 40)
-    )[:40]
-    assert np.allclose(vals, brute)
+    # brute force check: the first 40 values on an irrational-ish box
+    g = build_grid((1.0, 1.37), (20, 27))
+    brute = brute_force_eigenvalues(g)
+    vals = enumerated(g, brute[39])
+    assert np.allclose(vals[:40], brute[:40], rtol=1e-14)
+    assert vals[-1] > brute[39]
+
+
+def test_no_window_above_the_top_eigenvalue():
+    # the discrete spectrum is finite: far above it every eigenvalue is
+    # enumerated, and omega^2 is outside every window
+    g = build_grid((1.0, 0.8), (6, 5))
+    brute = brute_force_eigenvalues(g)
+    fw = windows_covering(g, 0.25, 1.0, omega2=brute[-1] / 0.25 * 1.01)
+    assert np.allclose(fw.source_eigenvalues, brute, rtol=1e-14)
+    safety = frequency_safety(brute[-1] / 0.25 * 1.01, fw)
+    assert not safety.inside
+    assert all(hi <= brute[-1] for _, hi in fw.windows)
 
 
 def test_discrete_matches_closed_form_and_continuum():
@@ -77,12 +111,40 @@ def test_eigenvalue_sandwich_discrete(cells, seed):
     assert np.all(tl <= lam / b1 * (1 + 1e-10))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(st.integers(4, 12), min_size=2, max_size=2),
+                 st.lists(st.integers(3, 5), min_size=3, max_size=3)),
+       st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+       st.floats(0.3, 1.0),
+       st.sampled_from(["b1", "b2", "uniform"]),
+       st.integers(0, 2**32 - 1))
+def test_discrete_spectrum_avoids_every_window(cells, extents, b1, kind, seed):
+    # no admissible coefficient, the extreme constants included, has a
+    # discrete resonance inside a window; each window is shrunk by 1e-9
+    # relative to absorb the eigensolver's rounding
+    g = build_grid(extents[:len(cells)], cells)
+    b2 = 1.0
+    coeff = {"b1": np.full(g.n_cells, b1), "b2": np.full(g.n_cells, b2),
+             "uniform": np.random.default_rng(seed).uniform(b1, b2, g.n_cells),
+             }[kind]
+    eigs = discrete_dirichlet_eigenvalues(g, coeff, min(6, g.n_interior - 1))
+    fw = windows_covering(g, b1, b2, omega2=eigs[-1])
+    for lo, hi in fw.windows:
+        inside = (eigs > lo * (1 + 1e-9)) & (eigs < hi * (1 - 1e-9))
+        assert not np.any(inside), (lo, hi, eigs)
+
+
 def test_degenerate_bounds_windows_have_no_gaps():
-    fw = admissible_windows((1.0, 1.0, 1.0), 1.0, 1.0, 4)
-    assert fw.windows[0] == (0.0, pytest.approx(3 * PI2))
-    assert fw.windows[1] == (pytest.approx(3 * PI2), pytest.approx(6 * PI2))
-    # the triple eigenvalue 6 pi^2 produces empty candidates, dropped
-    assert len(fw.dropped) >= 1
+    g = build_grid((1.0, 1.0, 1.0), (8, 8, 8))
+    s1, s2 = np.sin(np.pi / 16) ** 2, np.sin(np.pi / 8) ** 2
+    lam1, lam2 = 4 * 64 * 3 * s1, 4 * 64 * (s2 + 2 * s1)
+    fw = windows_covering(g, 1.0, 1.0, omega2=lam2 * 1.01)
+    assert fw.windows[0] == (0.0, pytest.approx(lam1, rel=1e-14))
+    assert fw.windows[1] == (pytest.approx(lam1, rel=1e-14),
+                             pytest.approx(lam2, rel=1e-14))
+    # the triple eigenvalue lam2 produces two empty candidates
+    rows = fw.candidate_rows()
+    assert [n for n, _, _, _, ok in rows if not ok] == [2, 3]
     los = [w[0] for w in fw.windows]
     his = [w[1] for w in fw.windows]
     assert np.all(np.diff(los) > 0)
@@ -91,9 +153,11 @@ def test_degenerate_bounds_windows_have_no_gaps():
 
 
 def test_wide_bounds_leave_only_first_window():
-    fw = admissible_windows((1.0, 1.0), 0.01, 10.0, 8)
+    g = build_grid((1.0, 1.0), (16, 16))
+    fw = windows_covering(g, 0.01, 10.0, omega2=8.0)
+    lam1 = 4 * 256 * 2 * np.sin(np.pi / 32) ** 2
     assert len(fw.windows) == 1
-    assert fw.windows[0] == (0.0, pytest.approx(2 * PI2 / 10.0))
+    assert fw.windows[0] == (0.0, pytest.approx(lam1 / 10.0, rel=1e-14))
 
 
 @pytest.mark.parametrize("b1, b2", [(0.25, np.inf), (0.25, np.nan),
@@ -101,9 +165,7 @@ def test_wide_bounds_leave_only_first_window():
 def test_bounds_must_be_finite_and_ordered(b1, b2):
     # b2 = inf used to give the single window (0.0, 0.0)
     with pytest.raises(ValueError, match="b2 < inf"):
-        admissible_windows((1.0, 1.0), b1, b2, 4)
-    with pytest.raises(ValueError, match="b2 < inf"):
-        windows_covering((1.0, 1.0), b1, b2, omega2=8.0)
+        windows_covering(build_grid((1.0, 1.0), (8, 8)), b1, b2, omega2=8.0)
 
 
 def test_seismic_regime_arithmetic():
@@ -114,8 +176,9 @@ def test_seismic_regime_arithmetic():
 
 
 def test_frequency_safety_cases():
-    fw = admissible_windows((1.0, 1.0, 1.0), 1.0, 1.0, 4)
-    lam1 = 3 * PI2
+    g = build_grid((1.0, 1.0, 1.0), (8, 8, 8))
+    fw = windows_covering(g, 1.0, 1.0, omega2=10.0)
+    lam1 = fw.source_eigenvalues[0]
 
     inside = frequency_safety(lam1 / 2, fw)
     assert inside.inside
@@ -125,40 +188,40 @@ def test_frequency_safety_cases():
     assert not on_edge.inside
     assert on_edge.nearest_distance == 0.0
 
-    fw2 = admissible_windows((1.0, 1.0), 0.9, 1.0, 4)
-    gap = frequency_safety(2 * PI2 / 1.0 + 0.05, fw2)  # just past window 0
+    g2 = build_grid((1.0, 1.0), (16, 16))
+    fw2 = windows_covering(g2, 0.9, 1.0, omega2=25.0)
+    gap = frequency_safety(fw2.source_eigenvalues[0] + 0.05, fw2)  # just past window 0
     assert not gap.inside
     assert gap.nearest_window is not None
 
 
 def test_safety_rejects_nonpositive_frequency():
-    fw = admissible_windows((1.0, 1.0), 1.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        frequency_safety(0.0, fw)
+    g = build_grid((1.0, 1.0), (8, 8))
+    fw = windows_covering(g, 1.0, 1.0, omega2=8.0)
+    # NaN used to read as "outside, nearest window None at distance inf"
+    for omega2 in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            frequency_safety(omega2, fw)
+        with pytest.raises(ValueError, match="positive and finite"):
+            windows_covering(g, 1.0, 1.0, omega2)
 
 
 def test_windows_covering_reaches_target():
-    fw = windows_covering((1.0, 1.0), 1.0, 1.0, omega2=40 * PI2)
-    assert fw.source_eigenvalues[-1] > 40 * PI2
+    g = build_grid((1.0, 1.0), (32, 32))
+    lam = windows_covering(g, 1.0, 1.0, omega2=40 * PI2).source_eigenvalues
+    # every eigenvalue up to the target, and the first one past it
+    assert lam[-1] > 40 * PI2 >= lam[-2]
+    assert np.allclose(lam, brute_force_eigenvalues(g)[:lam.size], rtol=1e-14)
 
 
 def test_windows_csv(tmp_path):
-    fw = admissible_windows((1.0, 1.0), 1.0, 2.0, 4)
+    fw = windows_covering(build_grid((1.0, 1.0), (16, 16)), 1.0, 2.0,
+                          omega2=40.0)
     path = tmp_path / "windows.csv"
     write_windows_csv(path, fw)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,lambda_n,window_lo,window_hi,nonempty"
-    assert len(lines) == 1 + 4  # one row per candidate
-
-
-def test_eigensolve_registers_resonance_guard():
-    g = build_grid((1.0, 1.0), (16, 16))
-    coeff = np.ones(g.n_cells)
-    vals = discrete_dirichlet_eigenvalues(g, coeff, 2)
-    with pytest.raises(NearResonanceError):
-        solver.assemble(g, coeff, float(vals[0]))
-    # slightly detuned frequency is accepted
-    solver.assemble(g, coeff, float(vals[0]) * 1.01)
+    assert len(lines) == 1 + fw.source_eigenvalues.size  # one row per candidate
 
 
 def test_eigensolve_leaves_the_factorization_store_alone():
@@ -176,8 +239,17 @@ def test_count_validation():
     g = build_grid((1.0, 1.0), (8, 8))
     with pytest.raises(ValueError):
         discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 0)
-    with pytest.raises(ValueError):
-        box_dirichlet_eigenvalues((1.0, 1.0), 0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_eigensolve_rejects_bad_coefficients(bad):
+    # a NaN or inf coefficient used to leak "Factor is exactly singular" from
+    # inside eigsh
+    g = build_grid((1.0, 1.0), (8, 8))
+    coeff = np.ones(g.n_cells)
+    coeff[5] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        discrete_dirichlet_eigenvalues(g, coeff, 2)
 
 
 def test_repeated_eigenvalues_are_all_found():

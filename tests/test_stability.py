@@ -123,8 +123,10 @@ def test_bounds_validate_arguments():
     consts = BoundConstants(k=0.1, k1=0.1, b2=1.0, records_used=1)
     with pytest.raises(ValueError):
         evaluate_bounds(0, 1.0, consts)
-    with pytest.raises(ValueError):
-        evaluate_bounds(4, -1.0, consts)
+    # NaN used to give (nan, nan)
+    for omega2 in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate_bounds(4, omega2, consts)
 
 
 def test_fit_k1_inverts_single_record():
