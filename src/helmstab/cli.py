@@ -14,7 +14,9 @@ only read what it built. So every subcommand fails the same way, with a
 config error, on a model file that cannot be loaded, on a frequency or mode
 listed twice and on a non-finite or mistyped setting. A key the schema does
 not list loads with the warning "<section>.<key> is not a setting of this
-version; ignored". ``forward --mode`` must name a listed mode.
+version; ignored", and a model whose block means leave [B1, B2] with one
+warning per scale that counts the subdomains clamped into the bounds.
+``forward --mode`` must name a listed mode.
 
 Config schema::
 
@@ -39,7 +41,16 @@ Config schema::
     output:
       directory: out
 
-Exit codes: 0 success, 1 config error, 2 partial failure, 3 total failure.
+Exit codes:
+
+* 0: success.
+* 1: config error -- the config does not load, a command-line choice names
+  something the config lacks, or an output directory cannot be created or an
+  output file cannot be written (``error: <path>: <reason>`` on stderr; no
+  ``.tmp`` file is left behind).
+* 2: partial failure -- some campaign cells failed; the others are written.
+* 3: total failure -- every campaign cell failed, or ``forward`` was refused
+  (an out-of-window frequency without ``--override-window-check``).
 """
 
 from __future__ import annotations
@@ -404,12 +415,19 @@ def load_config(path):
                 f"window edge (window {safety.window})"
             )
 
+    model_pairs = [
+        tuple(mdl.from_gridded_field(fld, p, (b1, b2)) for fld in fields)
+        for p in partitions
+    ]
+    for name, models in zip(("c1", "c2"), zip(*model_pairs)):
+        warnings_ += [
+            f"model.{name}: N={m.n_subdomains}: {m.n_clamped} of "
+            f"{m.n_subdomains} subdomains clamped into [{b1:g}, {b2:g}]"
+            for m in models if m.n_clamped]
+
     cfg = ExperimentConfig(
         bounds=(b1, b2),
-        model_pairs=[
-            tuple(mdl.from_gridded_field(fld, p, (b1, b2)) for fld in fields)
-            for p in partitions
-        ],
+        model_pairs=model_pairs,
         frequencies=frequencies,
         acquisitions=acquisitions,
         first_scales=first_scales,
@@ -439,10 +457,30 @@ def validate_config(path) -> int:
     return EXIT_OK
 
 
-def _atomic_write_records(path, records, comments):
+def _write_output(path, write) -> bool:
+    """Write the output file ``path`` as ``write(tmp)`` then an atomic rename
+    onto ``path``; on failure print the error, remove the temporary file and
+    return False."""
     tmp = f"{path}.tmp"
-    stability.write_records_csv(tmp, records, comments=comments)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        return False
+    return True
+
+
+def _write_constants_csv(path, constants_rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("freq_hz,mode,omega2,k,k1,b2,records_used,first_scale_count\n")
+        for f_hz, mode, omega2, c in constants_rows:
+            fh.write(
+                f"{f_hz:.17g},{mode},{omega2:.17g},{c.k:.17g},{c.k1:.17g},"
+                f"{c.b2:.17g},{c.records_used},{c.first_scale_count}\n"
+            )
 
 
 def _record_comments(cfg: ExperimentConfig) -> list:
@@ -472,13 +510,18 @@ def run_campaign(cfg: ExperimentConfig) -> int:
     every cell, so a crashing cell cannot corrupt earlier rows. A failing
     cell is logged, skipped and listed on stderr at the end; the exit code
     reports partial (2) or total (3) failure, or a config error (1) when the
-    output directory cannot be created.
+    output directory cannot be created or an output file cannot be written
+    (the campaign stops at the first such write).
     """
     if not _make_out_dir(cfg.out_dir):
         return EXIT_CONFIG
     records_path = os.path.join(cfg.out_dir, "records.csv")
     constants_path = os.path.join(cfg.out_dir, "constants.csv")
     comments = _record_comments(cfg)
+
+    def flush_records() -> bool:
+        return _write_output(records_path, lambda tmp: (
+            stability.write_records_csv(tmp, records, comments=comments)))
 
     records: list[stability.StabilityRecord] = []
     groups: dict = {}         # (freq_hz, mode) -> indices into records
@@ -509,7 +552,8 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                 )
                 groups.setdefault((freq.hz, mode), []).append(len(records))
                 records.append(rec)
-                _atomic_write_records(records_path, records, comments)
+                if not flush_records():
+                    return EXIT_CONFIG
 
     # fit constants per (frequency, mode) and fill that group's bounds
     constants_rows = []
@@ -526,18 +570,12 @@ def run_campaign(cfg: ExperimentConfig) -> int:
         for i in idx:
             records[i] = stability.fill_bounds(records[i], consts)
 
-    if records:
-        _atomic_write_records(records_path, records, comments)
-    if constants_rows:
-        tmp = f"{constants_path}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            fh.write("freq_hz,mode,omega2,k,k1,b2,records_used,first_scale_count\n")
-            for f_hz, mode, omega2, c in constants_rows:
-                fh.write(
-                    f"{f_hz:.17g},{mode},{omega2:.17g},{c.k:.17g},{c.k1:.17g},"
-                    f"{c.b2:.17g},{c.records_used},{c.first_scale_count}\n"
-                )
-        os.replace(tmp, constants_path)
+    if records and not flush_records():
+        return EXIT_CONFIG
+    if constants_rows and not _write_output(
+            constants_path,
+            lambda tmp: _write_constants_csv(tmp, constants_rows)):
+        return EXIT_CONFIG
 
     if not failures:
         return EXIT_OK
@@ -700,10 +738,10 @@ def main(argv=None) -> int:
             for lo, hi in freq.windows.windows:
                 mark = " <-- contains omega^2" if freq.safety.window == (lo, hi) else ""
                 print(f"    ({lo:.6g}, {hi:.6g}){mark}")
-            if args.out:
-                spectrum.write_windows_csv(
+            if args.out and not _write_output(
                     os.path.join(args.out, f"windows_f{freq.hz:g}.csv"),
-                    freq.windows)
+                    lambda tmp: spectrum.write_windows_csv(tmp, freq.windows)):
+                return EXIT_CONFIG
         return EXIT_OK
 
     if args.command == "forward":
@@ -730,10 +768,15 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOTAL
         stem = os.path.join(args.out, f"forward_{args.model}_f{freq.hz:g}_{mode}")
-        fwd.write_dtn(f"{stem}.hsdt", data)
-        fwd.export_trace_csv(data, acq.n_sources // 2, f"{stem}_trace.csv")
-        print(f"{stem}.hsdt")
-        print(f"{stem}_trace.csv")
+        outputs = {
+            f"{stem}.hsdt": lambda tmp: fwd.write_dtn(tmp, data),
+            f"{stem}_trace.csv": lambda tmp: fwd.export_trace_csv(
+                data, acq.n_sources // 2, tmp),
+        }
+        for path, write in outputs.items():
+            if not _write_output(path, write):
+                return EXIT_CONFIG
+            print(path)
         return EXIT_OK
 
     # run

@@ -58,7 +58,6 @@ import scipy.sparse as sp
 from .forward import (
     Acquisition,
     _blocks,
-    _gaussians,
     _source_blocks,
     forward_map,
     gaussian_source,  # unused here; benchmarks/spans.py traces this binding
@@ -180,8 +179,7 @@ def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
             z = solve_dirichlet(sys_, np.zeros((grid.n_boundary, e.shape[1])), e)
             yield block, omega2 * z[interior]
         else:
-            h = _gaussians(grid, acq.receiver_positions[block], acq.source_sigma)
-            v = solve_dirichlet(sys_, h)[interior]
+            v = solve_dirichlet(sys_, acq.receivers[:, block])[interior]
             yield block, -omega2 * sys_.node_volumes[interior, None] * v
 
 
@@ -276,11 +274,10 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
     grid = base.grid
     dnode = node_coefficients(grid, direction[base.partition.cell_to_subdomain])
     sys_ = assemble(grid, to_cell_field(base), omega2)
-    receivers = _gaussians(grid, acq.receiver_positions, acq.source_sigma)
     values = np.empty((acq.n_sources, acq.n_receivers))
     for block, u in _source_blocks(sys_, acq):
         w = _first_order_solve(sys_, dnode, u, omega2)
-        values[block] = sys_.flux_rows.dot(w).T @ receivers
+        values[block] = sys_.flux_rows.dot(w).T @ acq.receivers
     return values
 
 

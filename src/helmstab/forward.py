@@ -4,10 +4,9 @@ Dirichlet solves, and the sampled discrete Dirichlet-to-Neumann data.
 The data matrix holds, per source, the outward normal derivative of the
 wavefield sampled at the receiver nodes. The data-space distance between two
 data sets is a weighted l2 operator norm: the largest singular value of the
-difference matrix with source/receiver boundary-quadrature weighting (the
-Sobolev-dual operator norm is out of reach on sampled data; the gap is
-absorbed into fitted constants, and the choice is recorded in metadata as
-``norm="weighted-l2-opnorm"``).
+difference matrix with source/receiver boundary-quadrature weighting,
+recorded in metadata as ``norm="weighted-l2-opnorm"``. The package reports
+this norm; it does not compute the paper's H^{1/2} -> H^{-1/2} operator norm.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -61,18 +61,17 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK, n))
 
 
-def _gaussians(grid: BoxGrid, positions, sigma) -> np.ndarray:
-    """Gaussian boundary data centred at ``positions``, one column each."""
-    return np.column_stack([gaussian_source(grid, pos, sigma) for pos in positions])
-
-
 @dataclass(frozen=True)
 class Acquisition:
     """Boundary source/receiver layout with quadrature weights.
 
-    Positions are snapped to boundary nodes (snap distance <= h/2 per axis);
-    the stored index arrays point into the grid's canonical boundary-node
-    ordering.
+    ``source_idx`` and ``receiver_idx`` index the grid's canonical
+    boundary-node ordering (``grid.boundary_nodes``); every sample sits on a
+    boundary node. In top mode every sample lies on ``grid.top_face()``.
+    ``sources`` and ``receivers`` are the Gaussian boundary data of width
+    ``source_sigma`` centred at each sample, one ``(n_boundary,)`` column per
+    source or receiver; each is built with :func:`gaussian_source` on first
+    use and kept, read-only, on the acquisition.
     """
 
     grid: BoxGrid
@@ -80,9 +79,16 @@ class Acquisition:
     source_idx: np.ndarray      # indices into grid.boundary_nodes ordering
     receiver_idx: np.ndarray
     source_sigma: float
-    top_face: int
 
     def __post_init__(self):
+        if self.mode not in (MODE_FULL, MODE_TOP):
+            raise ValueError(f"unknown acquisition mode {self.mode!r}")
+        sigma = float(self.source_sigma)
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(
+                f"source_sigma must be finite and positive, got {sigma}")
+        object.__setattr__(self, "source_sigma", sigma)
+        faces, top = self.grid.boundary_face, self.grid.top_face()
         for name in ("source_idx", "receiver_idx"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.size == 0:
@@ -90,15 +96,29 @@ class Acquisition:
             if np.any((arr < 0) | (arr >= self.grid.n_boundary)):
                 raise ValueError(f"{name}: indices must lie in "
                                  f"[0, {self.grid.n_boundary})")
+            if self.mode == MODE_TOP and np.any(faces[arr] != top):
+                raise ValueError(f"{name}: positions stray off the top face")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.mode not in (MODE_FULL, MODE_TOP):
-            raise ValueError(f"unknown acquisition mode {self.mode!r}")
-        if self.mode == MODE_TOP:
-            faces = self.grid.boundary_face
-            for name in ("source_idx", "receiver_idx"):
-                if np.any(faces[getattr(self, name)] != self.top_face):
-                    raise ValueError(f"{name}: positions stray off the top face")
+
+    def _gaussian_columns(self, positions) -> np.ndarray:
+        columns = np.column_stack([gaussian_source(self.grid, p, self.source_sigma)
+                                   for p in positions])
+        columns.setflags(write=False)
+        return columns
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """``(n_boundary, n_sources)`` Gaussian boundary data, column s
+        centred at source s."""
+        return self._gaussian_columns(self.source_positions)
+
+    @cached_property
+    def receivers(self) -> np.ndarray:
+        """``(n_boundary, n_receivers)`` Gaussian boundary data of width
+        ``source_sigma``, column r centred at receiver r (the receiver
+        functionals of the pairing convention)."""
+        return self._gaussian_columns(self.receiver_positions)
 
     @property
     def n_sources(self) -> int:
@@ -118,11 +138,15 @@ class Acquisition:
 
     @property
     def source_weights(self) -> np.ndarray:
+        """Each source node's own boundary patch measure, about h^(dim-1)
+        (m^(dim-1)), not the measure its lattice spacing stands for; so the
+        data norms scale like h and ``c_est`` like 1/h across grids."""
         return self.grid.boundary_weights[self.source_idx]
 
     @property
     def receiver_weights(self) -> np.ndarray:
-        """Per-receiver boundary measure (m^(dim-1))."""
+        """Each receiver node's own boundary patch measure, about h^(dim-1)
+        (m^(dim-1)); see :attr:`source_weights`."""
         return self.grid.boundary_weights[self.receiver_idx]
 
     @property
@@ -161,27 +185,19 @@ class DtnData:
 def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
     """Gaussian boundary data of unit peak centred at a boundary point.
 
-    The center is snapped to the nearest boundary node; the profile
+    The center is snapped to the nearest boundary node
+    (:meth:`BoxGrid.nearest_boundary_node`, which rejects a center off the
+    box or off the boundary); the profile
     ``exp(-|x - center|^2 / (2 sigma^2))`` is evaluated on the nodes owned by
     the face containing the snapped center and is zero elsewhere.
     """
     sigma = float(sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (grid.dim,):
-        raise ValueError(
-            f"center must have {grid.dim} coordinates, got {center.tolist()}")
-    hmax = max(grid.spacing)
-    edge_gap = min(
-        min(abs(center[a]), abs(grid.extents[a] - center[a]))
-        for a in range(grid.dim)
-    )
-    if edge_gap > 0.5 * hmax:
-        raise ValueError(f"center {tuple(center)} is not on the boundary")
     flat, _snap = grid.nearest_boundary_node(center)
     bpos = grid.boundary_position[flat]
     face = int(grid.boundary_face[bpos])
+    hmax = max(grid.spacing)
     if sigma < hmax:
         warnings.warn(
             f"sigma={sigma:g} below grid spacing {hmax:g}: source is "
@@ -246,27 +262,15 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
     top face (the low side of the last axis). Spacings are in meters, scalar
     or per (global) axis.
     """
-    if mode not in (MODE_FULL, MODE_TOP):
-        raise ValueError(f"unknown acquisition mode {mode!r}")
-    top = grid.top_face()
-    src_sp = _resolve_spacing(source_spacing, grid.dim)
-    rec_sp = _resolve_spacing(receiver_spacing, grid.dim)
-    faces = (grid.boundary_faces if mode == MODE_FULL else (top,))
+    faces = grid.boundary_faces if mode == MODE_FULL else (grid.top_face(),)
 
     def lattice(spacing):
-        flats = [_face_lattice(grid, f, spacing) for f in faces]
-        flats = np.unique(np.concatenate(flats)) if flats else np.empty(0, int)
-        idx = grid.boundary_position[flats]
-        if np.any(idx < 0):
-            raise ValueError("lattice produced a non-boundary node")
-        return idx
+        spacing = _resolve_spacing(spacing, grid.dim)
+        flats = np.concatenate([_face_lattice(grid, f, spacing) for f in faces])
+        return grid.boundary_position[np.unique(flats)]
 
-    src = lattice(src_sp)
-    rec = lattice(rec_sp)
-    if src.size == 0 or rec.size == 0:
-        raise ValueError("empty source or receiver lattice for these spacings")
-    return Acquisition(grid=grid, mode=mode, source_idx=src, receiver_idx=rec,
-                       source_sigma=float(sigma), top_face=top)
+    return Acquisition(grid=grid, mode=mode, source_idx=lattice(source_spacing),
+                       receiver_idx=lattice(receiver_spacing), source_sigma=sigma)
 
 
 # -- the forward map ---------------------------------------------------------------
@@ -274,10 +278,8 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 def _source_blocks(sys_, acq: Acquisition):
     """(slice, source-field block) per block of sources, solved against the
     system ``sys_``; only one block of full-grid fields is alive at a time."""
-    positions = acq.source_positions
     for block in _blocks(acq.n_sources):
-        g = _gaussians(sys_.grid, positions[block], acq.source_sigma)
-        yield block, solve_dirichlet(sys_, g)
+        yield block, solve_dirichlet(sys_, acq.sources[:, block])
 
 
 def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
@@ -406,10 +408,9 @@ def read_dtn(path) -> DtnData:
             raise ValueError(
                 f"{path}: flags byte is {flags}, expected 0 (complex "
                 "absorbing-boundary data are no longer supported)")
-        for name, value in (("omega2", omega2), ("sigma", sigma)):
-            if not 0.0 < value < np.inf:
-                raise ValueError(
-                    f"{path}: {name} must be finite and positive, got {value}")
+        if not 0.0 < omega2 < np.inf:
+            raise ValueError(
+                f"{path}: omega2 must be finite and positive, got {omega2}")
         cells = struct.unpack(f"<{dim}I", read(4 * dim))
         extents = struct.unpack(f"<{dim}d", read(8 * dim))
         model_hash = read(12).decode(errors="replace").strip()
@@ -436,7 +437,6 @@ def read_dtn(path) -> DtnData:
             source_idx=source_idx,
             receiver_idx=receiver_idx,
             source_sigma=sigma,
-            top_face=grid.top_face(),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -580,3 +580,89 @@ def test_run_flag_overrides(tmp_path):
     status = cli.main(["run", "--config", str(path), "--out", str(out)])
     assert status == cli.EXIT_OK
     assert (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "records.csv"),
+    ("run", "constants.csv"),
+    ("windows", "windows_f0.45.csv"),
+    ("forward", "forward_c1_f0.45_full.hsdt"),
+    ("forward", "forward_c1_f0.45_full_trace.csv"),
+])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command,
+                                                  name):
+    # a directory where an output file goes used to end the command with an
+    # IsADirectoryError traceback and leave the .tmp file behind
+    cfg = base_config(tmp_path / "out")
+    cfg["scales"]["blocks"] = [[2, 2]]
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    status = cli.main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_CONFIG
+    assert f"error: {out / name}: " in err
+    assert "Traceback" not in err
+    assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+    if name == "records.csv":
+        # the campaign stops at the first write that fails
+        assert "cell(s) failed" not in err
+        assert not (out / "constants.csv").exists()
+
+
+def test_clamped_subdomains_warn(tmp_path):
+    # c2 runs from 3 to 2 m/s: every block mean of c^-2 lies below B1 = 0.25
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["cells"] = [16, 16]
+    cfg["model"]["c2"] = {"generator": "linear_depth", "v_top": 3.0,
+                          "v_bottom": 2.0}
+    loaded, errors, warnings_ = cli.load_config(write_config(tmp_path, cfg))
+    assert loaded is not None and not errors
+    assert [w for w in warnings_ if w.startswith("model.")] == [
+        "model.c2: N=4: 4 of 4 subdomains clamped into [0.25, 1]",
+        "model.c2: N=16: 16 of 16 subdomains clamped into [0.25, 1]",
+    ]
+    assert [m2.n_clamped for _, m2 in loaded.model_pairs] == [4, 16]
+
+
+def test_plot_data_command(tmp_path, capsys):
+    recs = [make_record(n, 20.0, mode=mode)
+            for mode in ("full", "top") for n in (4, 16)]
+    csv_path = tmp_path / "records.csv"
+    write_records_csv(csv_path, recs)
+    plots = tmp_path / "plots"
+    assert cli.main(["plot-data", "--records", str(csv_path),
+                     "--out", str(plots)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3
+    assert sorted(printed) == sorted(str(plots / n) for n in os.listdir(plots))
+
+    status = cli.main(["plot-data", "--records", str(tmp_path / "missing.csv"),
+                       "--out", str(plots)])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and "missing.csv" in err
+
+
+def test_forward_frequency_index_out_of_range(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    status = cli.main(["forward", "--config", str(path), "--out",
+                       str(tmp_path / "fwd"), "--frequency-index", "5"])
+    assert status == cli.EXIT_CONFIG
+    assert "error: frequency index 5 out of range" in capsys.readouterr().err
+    assert not (tmp_path / "fwd").exists()
+
+
+def test_forward_outside_the_windows(tmp_path, capsys):
+    # 0.75 Hz (omega^2 = 22.2) lies above the first discrete eigenvalue of
+    # c^-2 = B2 = 1 (19.7 at 32^2) and below that of B1 = 0.25 (79)
+    cfg = base_config(tmp_path / "out")
+    cfg["frequencies_hz"] = [0.75]
+    path = write_config(tmp_path, cfg)
+    args = ["forward", "--config", str(path), "--out", str(tmp_path / "fwd")]
+    assert cli.main(args) == cli.EXIT_TOTAL
+    err = capsys.readouterr().err
+    assert "error: omega^2=22.2066099 outside every admissible window" in err
+    assert not os.listdir(tmp_path / "fwd")
+    assert cli.main(args + ["--override-window-check"]) == cli.EXIT_OK
+    assert len(os.listdir(tmp_path / "fwd")) == 2

@@ -39,7 +39,7 @@ def setup(n=24, blocks=(4, 4), seed=5):
     return g, p, base, acq, rng
 
 
-def boundary_gaussians(g):
+def gaussian_pair(g):
     gs = gaussian_source(g, (0.4, 0.0), 0.1)
     hs = gaussian_source(g, (0.6, 1.0), 0.1)
     return gs, hs
@@ -47,7 +47,7 @@ def boundary_gaussians(g):
 
 def test_identical_models_pair_to_zero():
     g, p, base, _, _ = setup()
-    gs, hs = boundary_gaussians(g)
+    gs, hs = gaussian_pair(g)
     pr = alessandrini_pairing(base, base, gs, hs, OMEGA2)
     assert pr.volume_side == 0.0
     assert abs(pr.boundary_side) < 1e-12
@@ -55,7 +55,7 @@ def test_identical_models_pair_to_zero():
 
 def test_single_subdomain_perturbation_restricts_the_sum():
     g, p, base, _, _ = setup()
-    gs, hs = boundary_gaussians(g)
+    gs, hs = gaussian_pair(g)
     delta = np.zeros(p.n_subdomains)
     delta[5] = 0.03
     m2 = base.perturbed(delta)
@@ -86,7 +86,7 @@ def test_alessandrini_sides_agree_and_converge():
         base = SquaredSlownessModel(p, v, BOUNDS)
         m2 = SquaredSlownessModel(
             p, v * (1.0 + 0.05 * rng.uniform(0.2, 1.0, p.n_subdomains)), BOUNDS)
-        gs, hs = boundary_gaussians(g)
+        gs, hs = gaussian_pair(g)
         pr = alessandrini_pairing(base, m2, gs, hs, 4.0)
         results[n] = pr.relative_mismatch
     assert results[32] < 1e-2
@@ -231,11 +231,29 @@ def test_bounds_report(tmp_path):
     assert f"local_lipschitz,{report.local_lipschitz:.17g}" in text
 
 
+def test_bounds_report_upper_shape_uses_the_distance_to_spectrum():
+    # C in C omega^2 (1 + omega^2 / d)^2 = max_norm; without a positive
+    # distance d the shape falls back to C omega^2 = max_norm
+    _, _, base, acq, _ = setup(n=16, blocks=(2, 2))
+    for d in (0.5, 40.0):
+        report = frechet_norm_bounds_report(base, OMEGA2, acq,
+                                            distance_to_spectrum=d)
+        assert report.distance_to_spectrum == d
+        assert np.isclose(report.upper_shape_constant,
+                          report.max_norm / (OMEGA2 * (1 + OMEGA2 / d) ** 2),
+                          rtol=1e-15, atol=0)
+    for d in (None, 0.0, -3.0):
+        report = frechet_norm_bounds_report(base, OMEGA2, acq,
+                                            distance_to_spectrum=d)
+        assert np.isclose(report.upper_shape_constant,
+                          report.max_norm / OMEGA2, rtol=1e-15, atol=0)
+
+
 def test_bounds_report_with_fewer_data_than_unknowns():
     # one source and two receivers cannot determine four subdomain values
     g, p, base, _, _ = setup(n=16, blocks=(2, 2))
     acq = Acquisition(grid=g, mode="full", source_idx=[3], receiver_idx=[9, 20],
-                      source_sigma=0.08, top_face=g.top_face())
+                      source_sigma=0.08)
     report = frechet_norm_bounds_report(base, OMEGA2, acq)
     assert report.jacobian_sigma_min == 0.0
     assert report.local_lipschitz == np.inf
@@ -349,7 +367,7 @@ def test_jacobian_matches_first_order_references(cells, omega2, n_src, n_rec,
         source_idx=rng.choice(grid.n_boundary, size=n_src),
         receiver_idx=np.append(rng.choice(grid.n_boundary, size=n_rec),
                                corner),
-        source_sigma=0.4, top_face=grid.top_face())
+        source_sigma=0.4)
 
     data = frechet_jacobian(base, omega2, acq)
     pairing = frechet_jacobian(base, omega2, acq, convention="pairing")

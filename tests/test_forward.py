@@ -120,10 +120,52 @@ def test_acquisition_rejects_out_of_range_indices(square32):
             idx = {"source_idx": [0, 1], "receiver_idx": [2, 3], name: [0, bad]}
             with pytest.raises(ValueError, match=rf"{name}: .*\[0, {n}\)"):
                 Acquisition(grid=square32, mode=MODE_FULL, source_sigma=0.08,
-                            top_face=square32.top_face(), **idx)
+                            **idx)
     Acquisition(grid=square32, mode=MODE_FULL, source_idx=[0, n - 1],
-                receiver_idx=[0], source_sigma=0.08,
-                top_face=square32.top_face())
+                receiver_idx=[0], source_sigma=0.08)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_acquisition_rejects_bad_sigma(square32, sigma):
+    # a bad width used to pass until the first forward map built a source
+    with pytest.raises(ValueError, match="source_sigma must be finite and "
+                                         "positive"):
+        Acquisition(grid=square32, mode=MODE_FULL, source_idx=[0],
+                    receiver_idx=[1], source_sigma=sigma)
+
+
+@pytest.mark.parametrize("extents, cells, sigma", [
+    ((1.0, 1.0), (32, 32), 0.08),
+    ((1.0, 1.0, 1.0), (8, 8, 8), 0.2),
+])
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_TOP])
+def test_boundary_columns_are_the_gaussian_sources(extents, cells, sigma,
+                                                    mode):
+    grid = build_grid(extents, cells)
+    acq = make_acquisition(grid, mode, 0.25, 0.125, sigma)
+    for columns, positions in ((acq.sources, acq.source_positions),
+                               (acq.receivers, acq.receiver_positions)):
+        assert columns.shape == (grid.n_boundary, len(positions))
+        assert not columns.flags.writeable
+        for column, pos in zip(columns.T, positions):
+            assert np.array_equal(column, gaussian_source(grid, pos, sigma))
+
+
+def test_sources_are_built_once_per_acquisition(model_pair, monkeypatch):
+    from helmstab import forward
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_source(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "gaussian_source", counted)
+    m1, m2 = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    forward_map(m1, 8.0, acq)
+    forward_map(m2, 8.0, acq)
+    assert len(calls) == acq.n_sources
 
 
 def test_field_scale_acquisition_counts():
