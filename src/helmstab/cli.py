@@ -545,10 +545,11 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                 store = cache_info()
                 log.info(
                     "cell %s: %.3fs, c_est %.6g, "
-                    "factorization store %d hits, %d misses",
+                    "factorization store %d hits, %d misses, "
+                    "DtN rows %d hits, %d misses",
                     cell, time.perf_counter() - t0, rec.c_est,
-                    store["hits"] - store0["hits"],
-                    store["misses"] - store0["misses"],
+                    *(store[k] - store0[k] for k in
+                      ("hits", "misses", "row_hits", "row_misses")),
                 )
                 groups.setdefault((freq.hz, mode), []).append(len(records))
                 records.append(rec)

@@ -277,7 +277,13 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 
 def _source_blocks(sys_, acq: Acquisition):
     """(slice, source-field block) per block of sources, solved against the
-    system ``sys_``; only one block of full-grid fields is alive at a time."""
+    system ``sys_``; only one block of full-grid fields is alive at a time.
+
+    The derivative paths need the whole fields and use this
+    (``derivative.frechet_jacobian``, ``frechet_directional`` and
+    ``frechet_pairing_first_order``); :func:`forward_map` needs only the
+    fields' DtN rows, which the system keeps.
+    """
     for block in _blocks(acq.n_sources):
         yield block, solve_dirichlet(sys_, acq.sources[:, block])
 
@@ -287,10 +293,15 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
-    Gaussian source s, sampled at the receiver nodes. Sources are solved in
-    blocks of 8 columns (:func:`_source_blocks`, shared with the derivative),
-    so only one block of full-grid fields is alive at a time. Deterministic
-    for fixed inputs.
+    Gaussian source s, sampled at the receiver nodes. The system from
+    :func:`assemble` keeps that derivative at every boundary node for each
+    source it has solved, keyed by (source boundary index, source sigma),
+    which depends neither on the model nor on the acquisition. Only the
+    sources missing there are solved, in blocks of 8 columns so that only
+    one block of full-grid fields is alive at a time, and their rows are
+    kept; a block whose solve raises keeps nothing. So a top-mode map reuses
+    the rows of a full-mode map of the same system, and the other way round.
+    Deterministic for fixed inputs.
     """
     grid = acq.grid
     if grid.key != model.grid.key:
@@ -307,9 +318,13 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
             )
 
     sys_ = assemble(grid, to_cell_field(model), omega2)
-    values = np.empty((acq.n_sources, acq.n_receivers))
-    for block, u in _source_blocks(sys_, acq):
-        values[block] = normal_derivative(grid, u)[acq.receiver_idx].T
+    keys = [(int(s), acq.source_sigma) for s in acq.source_idx]
+    missing = sys_.missing_rows(keys)
+    solve_keys, solve_cols = list(missing), list(missing.values())
+    for block in _blocks(len(solve_cols)):
+        u = solve_dirichlet(sys_, acq.sources[:, solve_cols[block]])
+        sys_.keep_rows(solve_keys[block], normal_derivative(grid, u))
+    values = np.stack([sys_.dtn_rows[key][acq.receiver_idx] for key in keys])
 
     meta = {
         "model_hash": model.content_hash(),

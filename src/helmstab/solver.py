@@ -51,9 +51,12 @@ Two boundary normal-derivative extractors are provided:
   use this extractor.
 
 Factorized systems from :func:`assemble` live in one store keyed by grid,
-coefficient content hash and omega^2 that keeps the 4 most recently used;
-:func:`cache_info` counts its hits, misses and evictions and
-:func:`clear_caches` empties it.
+coefficient content hash and omega^2 that keeps the 4 most recently used.
+An entry holds its LU and the DtN rows of the sources solved against it
+(``HelmholtzSystem.dtn_rows``, filled by ``forward.forward_map``), and both
+are evicted together. :func:`cache_info` counts the store's hits, misses and
+evictions and the rows read from an entry (row hits) or solved into one (row
+misses); :func:`clear_caches` empties the store.
 """
 
 from __future__ import annotations
@@ -89,10 +92,13 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 # used first. A campaign cell needs the two systems of its model pair. In the
 # benchmark campaigns a system is needed again after at most 3 other distinct
 # systems (a 3D two-layer field that one scale does not align), so 4 entries
-# keep every reuse; 3 would factorize one twice.
+# keep every reuse; 3 would factorize one twice. An entry holds its LU and its
+# DtN rows, n_boundary floats per solved source (about 240 kB for 60 sources
+# at 128^2), and evicting the entry drops both.
 _STORE_SIZE = 4
 _store: OrderedDict = OrderedDict()
-_store_counts = {"hits": 0, "misses": 0, "evictions": 0}
+_store_counts = {"hits": 0, "misses": 0, "evictions": 0,
+                 "row_hits": 0, "row_misses": 0}
 
 
 def _coeff_hash(coeff: np.ndarray) -> str:
@@ -100,15 +106,17 @@ def _coeff_hash(coeff: np.ndarray) -> str:
 
 
 def cache_info() -> dict:
-    """Hits, misses and evictions of the factorization store since the last
-    :func:`clear_caches`, and its live entry count."""
+    """Hits, misses and evictions of the factorization store, and the DtN
+    rows read from an entry (``row_hits``) or solved into one
+    (``row_misses``), since the last :func:`clear_caches`; and the store's
+    live entry count."""
     return dict(_store_counts, entries=len(_store))
 
 
 def clear_caches():
     """Empty the factorization store and reset its counts."""
     _store.clear()
-    _store_counts.update(hits=0, misses=0, evictions=0)
+    _store_counts.update(dict.fromkeys(_store_counts, 0))
 
 
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
@@ -208,6 +216,28 @@ class HelmholtzSystem:
         self.flux_rows = (interior_volume * form[grid.boundary_nodes]).tocsr()
 
         self._lu = None
+        # outward normal derivative at every boundary node of each solved
+        # source field, one (n_boundary,) array per (source boundary index,
+        # source sigma); see missing_rows and keep_rows
+        self.dtn_rows: dict = {}
+
+    def missing_rows(self, keys) -> dict:
+        """``{key: first position in keys}`` for every key without a DtN
+        row; the other positions count as row hits."""
+        missing = {}
+        for pos, key in enumerate(keys):
+            if key not in self.dtn_rows:
+                missing.setdefault(key, pos)
+        _store_counts["row_hits"] += len(keys) - len(missing)
+        return missing
+
+    def keep_rows(self, keys, block: np.ndarray):
+        """Keep column k of the ``(n_boundary, len(keys))`` block as the DtN
+        row of ``keys[k]``, copied so that the block is not kept alive; the
+        kept rows count as row misses."""
+        for k, key in enumerate(keys):
+            self.dtn_rows[key] = block[:, k].copy()
+        _store_counts["row_misses"] += len(keys)
 
     @property
     def factorization(self):

@@ -1,4 +1,5 @@
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -202,6 +203,39 @@ def test_one_factorization_per_distinct_system(tmp_path, monkeypatch):
     assert cli.run_campaign(loaded) == cli.EXIT_OK
     assert len(calls) == 2
     assert solver.cache_info()["misses"] == 2
+
+
+def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
+    # 2 scales x 2 modes x 2 models make 8 forward maps over 3 distinct
+    # systems: the aligned two-layer c1 is one system at both scales, the
+    # linear-depth c2 one per scale. Each system solves every full-mode
+    # source once; the other maps read the rows that system kept.
+    from helmstab import forward, solver
+
+    loaded, _, _ = cli.load_config(write_config(tmp_path, base_config(
+        tmp_path / "out")))
+    full, top = loaded.acquisitions["full"], loaded.acquisitions["top"]
+    columns = []
+    solve = forward.solve_dirichlet
+    monkeypatch.setattr(forward, "solve_dirichlet",
+                        lambda sys_, g, *args: columns.append(g.shape[1])
+                        or solve(sys_, g, *args))
+    solver.clear_caches()
+    with caplog.at_level("INFO", logger="helmstab"):
+        assert cli.run_campaign(loaded) == cli.EXIT_OK
+    info = solver.cache_info()
+    assert info["misses"] == 3
+    assert sum(columns) == info["row_misses"] == 3 * full.n_sources
+    requested = 4 * (full.n_sources + top.n_sources)
+    assert info["row_hits"] == requested - sum(columns)
+    # the per-cell log lines add up to the same row counts
+    logged = [re.search(r"DtN rows (\d+) hits, (\d+) misses", r.getMessage())
+              for r in caplog.records]
+    logged = [tuple(map(int, m.groups())) for m in logged if m]
+    assert len(logged) == 4
+    assert tuple(map(sum, zip(*logged))) == (info["row_hits"],
+                                             info["row_misses"])
+    solver.clear_caches()
 
 
 def test_model_file_loading(tmp_path):

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from helmstab.errors import WindowViolationError
+from helmstab import forward, solver
+from helmstab.errors import NumericalFailureError, WindowViolationError
 from helmstab.forward import (
     MODE_FULL,
     MODE_TOP,
@@ -252,6 +253,9 @@ def test_top_data_is_subblock_of_full(model_pair):
     full = make_acquisition(grid, MODE_FULL, 0.25, 0.125, 0.08)
     top = make_acquisition(grid, MODE_TOP, 0.25, 0.125, 0.08)
     d_full = forward_map(m1, 8.0, full)
+    # solve the top sources again rather than read the rows the full map
+    # kept, so that the two data sets are independent computations
+    solver.clear_caches()
     d_top = forward_map(m1, 8.0, top)
     si = np.searchsorted(full.source_idx, top.source_idx)
     ri = np.searchsorted(full.receiver_idx, top.receiver_idx)
@@ -377,9 +381,8 @@ def test_trace_csv(tmp_path, model_pair):
 
 
 def test_rebuilt_system_gives_identical_data(model_pair):
-    # a system evicted from the store and built again yields the same data
-    from helmstab import solver
-
+    # a system evicted from the store loses its DtN rows with its LU: built
+    # again, it solves every source anew and yields the same data
     m1, m2 = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
     solver.clear_caches()
@@ -387,9 +390,69 @@ def test_rebuilt_system_gives_identical_data(model_pair):
     for w2 in (7.0, 7.5, 8.5, 9.0):
         forward_map(m2, w2, acq, override_window_check=True)
     assert solver.cache_info()["evictions"] == 1
+    row_misses = solver.cache_info()["row_misses"]
     again = forward_map(m1, 8.0, acq)
     assert solver.cache_info()["misses"] == 6
+    assert solver.cache_info()["row_misses"] == row_misses + acq.n_sources
     assert np.array_equal(first.values, again.values)
+    solver.clear_caches()
+
+
+@pytest.mark.parametrize("modes", [(MODE_FULL, MODE_TOP), (MODE_TOP, MODE_FULL)])
+def test_kept_rows_give_the_data_of_a_cold_store(model_pair, modes):
+    # the top lattice is a subset of the full one, so whichever mode runs
+    # second reads the shared sources from the rows the first one kept
+    m1, _ = model_pair
+    acqs = [make_acquisition(m1.grid, mode, 0.25, 0.125, 0.08)
+            for mode in modes]
+    n_full, n_top = sorted((a.n_sources for a in acqs), reverse=True)
+    solver.clear_caches()
+    warm = [forward_map(m1, 8.0, acq) for acq in acqs]
+    info = solver.cache_info()
+    assert (info["row_hits"], info["row_misses"]) == (n_top, n_full)
+    for acq, data in zip(acqs, warm):
+        solver.clear_caches()
+        assert np.array_equal(forward_map(m1, 8.0, acq).values, data.values)
+    solver.clear_caches()
+    assert solver.cache_info()["row_hits"] == 0
+    assert solver.cache_info()["row_misses"] == 0
+
+
+def test_failed_block_keeps_only_the_solved_rows(model_pair, monkeypatch):
+    # 12 sources make blocks of 8 and 4; the second block raises, so only the
+    # first block's rows are kept, and a rerun solves the other 4
+    m1, _ = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    assert acq.n_sources == 12
+    solver.clear_caches()
+    cold = forward_map(m1, 8.0, acq)
+    solver.clear_caches()
+
+    solve = forward.solve_dirichlet
+    columns = []
+
+    def second_block_fails(sys_, g, *args):
+        columns.append(g.shape[1])
+        if len(columns) == 2:
+            raise NumericalFailureError("injected", {})
+        return solve(sys_, g, *args)
+
+    monkeypatch.setattr(forward, "solve_dirichlet", second_block_fails)
+    with pytest.raises(NumericalFailureError):
+        forward_map(m1, 8.0, acq)
+    sys_ = solver.assemble(m1.grid, to_cell_field(m1), 8.0)
+    kept = [(int(s), acq.source_sigma) for s in acq.source_idx[:8]]
+    assert list(sys_.dtn_rows) == kept
+    assert solver.cache_info()["row_misses"] == 8
+
+    columns.clear()
+    monkeypatch.setattr(forward, "solve_dirichlet",
+                        lambda sys_, g, *args: columns.append(g.shape[1])
+                        or solve(sys_, g, *args))
+    again = forward_map(m1, 8.0, acq)
+    assert columns == [4]
+    assert solver.cache_info()["row_misses"] == 12
+    assert np.array_equal(again.values, cold.values)
     solver.clear_caches()
 
 
