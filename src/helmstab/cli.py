@@ -18,6 +18,10 @@ version; ignored", and a model whose block means leave [B1, B2] with one
 warning per scale that counts the subdomains clamped into the bounds.
 ``forward --mode`` must name a listed mode.
 
+The library takes omega^2 as given; ``run`` and ``forward`` refuse a frequency
+outside every admissible window (:meth:`spectrum.WindowSafety.refuse_outside`)
+before assembling anything, unless ``--override-window-check`` is given.
+
 Config schema::
 
     grid:
@@ -136,7 +140,6 @@ class ExperimentConfig:
     acquisitions: dict        # mode -> Acquisition, in config order
     first_scales: int | None = None
     out_dir: str = "out"
-    override_window_check: bool = False
 
     def grid(self) -> BoxGrid:
         return self.model_pairs[0][0].grid
@@ -503,12 +506,14 @@ def _make_out_dir(path) -> bool:
     return True
 
 
-def run_campaign(cfg: ExperimentConfig) -> int:
+def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
     """Run every (frequency, scale, mode) cell and write the artifacts.
 
     Records are flushed to ``records.csv`` through an atomic rename after
     every cell, so a crashing cell cannot corrupt earlier rows. A failing
-    cell is logged, skipped and listed on stderr at the end; the exit code
+    cell is logged, skipped and listed on stderr at the end; so is every
+    cell of a frequency outside every admissible window, refused before it
+    assembles anything, unless ``override_window_check``. The exit code
     reports partial (2) or total (3) failure, or a config error (1) when the
     output directory cannot be created or an output file cannot be written
     (the campaign stops at the first such write).
@@ -534,10 +539,10 @@ def run_campaign(cfg: ExperimentConfig) -> int:
                 t0 = time.perf_counter()
                 store0 = cache_info()
                 try:
+                    if not override_window_check:
+                        freq.safety.refuse_outside()
                     rec = stability.estimate_constant(
-                        m1, m2, freq.omega2, acq, freq_hz=freq.hz,
-                        override_window_check=cfg.override_window_check,
-                    )
+                        m1, m2, freq.omega2, acq, freq_hz=freq.hz)
                 except (HelmstabError, ValueError) as exc:
                     failures.append(f"{cell}: {exc}")
                     log.error("cell %s failed: %s", cell, exc)
@@ -683,7 +688,8 @@ def main(argv=None) -> int:
     _add_common(p_run)
     p_run.add_argument("--out", help="override the output directory")
     p_run.add_argument("--override-window-check", action="store_true",
-                       help="run even when omega^2 is outside the admissible windows")
+                       help="run the cells of a frequency outside every "
+                            "admissible window instead of failing them")
 
     p_val = sub.add_parser("validate", help="check a config file")
     _add_common(p_val)
@@ -703,7 +709,8 @@ def main(argv=None) -> int:
     p_fwd.add_argument("--model", choices=["c1", "c2"], default="c1")
     p_fwd.add_argument("--frequency-index", type=int, default=0)
     p_fwd.add_argument("--mode", choices=[fwd.MODE_FULL, fwd.MODE_TOP])
-    p_fwd.add_argument("--override-window-check", action="store_true")
+    p_fwd.add_argument("--override-window-check", action="store_true",
+                       help="run even at a frequency outside every window")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO,
@@ -761,10 +768,10 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         c1, c2 = cfg.model_pairs[-1]
         try:
+            if not args.override_window_check:
+                freq.safety.refuse_outside()
             data = fwd.forward_map(
-                c1 if args.model == "c1" else c2, freq.omega2, acq,
-                override_window_check=args.override_window_check,
-            )
+                c1 if args.model == "c1" else c2, freq.omega2, acq)
         except HelmstabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOTAL
@@ -783,8 +790,7 @@ def main(argv=None) -> int:
     # run
     if args.out:
         cfg.out_dir = args.out
-    cfg.override_window_check = args.override_window_check
-    return run_campaign(cfg)
+    return run_campaign(cfg, args.override_window_check)
 
 
 if __name__ == "__main__":

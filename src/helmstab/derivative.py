@@ -44,6 +44,9 @@ array, the same shape as one slice of the Jacobian.
 The pairing form has an exactly equivalent second implementation -- the
 variational boundary flux of the first-order solution paired with the
 receiver Gaussian -- used as the built-in cross-check.
+
+omega^2 is taken as given; :func:`spectrum.frequency_safety` says whether it
+is admissible.
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ def alessandrini_pairing(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
     ) * grid.cell_volume()
 
     u2 = solve_dirichlet(s2, g)
-    lam1 = normal_derivative(s1, u)
-    lam2 = normal_derivative(s2, u2)
+    lam1 = normal_derivative(grid, u)
+    lam2 = normal_derivative(grid, u2)
     boundary = float(np.sum(grid.boundary_weights * (lam2 - lam1) * np.asarray(h)))
     return PairingResult(volume_side=volume, boundary_side=boundary)
 
@@ -299,9 +302,8 @@ def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
     direction = np.asarray(direction, dtype=float)
     if derivative is None:
         derivative = frechet_directional(base, direction, omega2, acq)
-    d0 = forward_map(base, omega2, acq, override_window_check=True)
-    d1 = forward_map(base.perturbed(eps * direction), omega2, acq,
-                     override_window_check=True)
+    d0 = forward_map(base, omega2, acq)
+    d1 = forward_map(base.perturbed(eps * direction), omega2, acq)
     resid = d1.values - d0.values - eps * derivative
     return weighted_operator_norm(resid, acq)
 
@@ -311,10 +313,8 @@ def central_difference_matrix(base: SquaredSlownessModel, direction,
                               eps: float) -> np.ndarray:
     """Central finite-difference slope of the data matrix along ``direction``."""
     direction = np.asarray(direction, dtype=float)
-    dp = forward_map(base.perturbed(eps * direction), omega2, acq,
-                     override_window_check=True)
-    dm = forward_map(base.perturbed(-eps * direction), omega2, acq,
-                     override_window_check=True)
+    dp = forward_map(base.perturbed(eps * direction), omega2, acq)
+    dm = forward_map(base.perturbed(-eps * direction), omega2, acq)
     return (dp.values - dm.values) / (2.0 * eps)
 
 

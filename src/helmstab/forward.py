@@ -19,11 +19,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import WindowViolationError
 from .geometry import BoxGrid
 from .model import SquaredSlownessModel, _read_exact, to_cell_field
 from .solver import assemble, normal_derivative, solve_dirichlet
-from .spectrum import frequency_safety, windows_covering
+from .spectrum import windows_covering  # unused here; benchmarks/spans.py traces this binding
 
 __all__ = [
     "Acquisition",
@@ -192,8 +191,8 @@ def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
     the face containing the snapped center and is zero elsewhere.
     """
     sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     flat, _snap = grid.nearest_boundary_node(center)
     bpos = grid.boundary_position[flat]
     face = int(grid.boundary_face[bpos])
@@ -288,8 +287,8 @@ def _source_blocks(sys_, acq: Acquisition):
         yield block, solve_dirichlet(sys_, acq.sources[:, block])
 
 
-def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
-                *, override_window_check: bool = False) -> DtnData:
+def forward_map(model: SquaredSlownessModel, omega2: float,
+                acq: Acquisition) -> DtnData:
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
@@ -301,22 +300,14 @@ def forward_map(model: SquaredSlownessModel, omega2: float, acq: Acquisition,
     one block of full-grid fields is alive at a time, and their rows are
     kept; a block whose solve raises keeps nothing. So a top-mode map reuses
     the rows of a full-mode map of the same system, and the other way round.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs. Any finite omega^2 >= 0 is taken as
+    given, 0 (the Laplace map) included; :func:`spectrum.frequency_safety`
+    says whether it is admissible.
     """
     grid = acq.grid
     if grid.key != model.grid.key:
         raise ValueError("acquisition and model live on different grids")
     omega2 = float(omega2)
-    if not override_window_check:
-        safety = frequency_safety(
-            omega2, windows_covering(grid, *model.bounds, omega2=omega2))
-        if not safety.inside:
-            raise WindowViolationError(
-                f"omega^2={omega2:.9g} outside every admissible window; nearest "
-                f"window {safety.nearest_window} at distance "
-                f"{safety.nearest_distance:.3g} (use the override to force)"
-            )
-
     sys_ = assemble(grid, to_cell_field(model), omega2)
     keys = [(int(s), acq.source_sigma) for s in acq.source_idx]
     missing = sys_.missing_rows(keys)

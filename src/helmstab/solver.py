@@ -196,7 +196,6 @@ class HelmholtzSystem:
                 f"omega^2 must be nonnegative and finite, got {omega2}")
 
         self.grid = grid
-        self.coeff = coeff
         self.omega2 = omega2
         self.node_coeff = node_coefficients(grid, coeff)
         # every interior node has the volume prod(h); the trapezoid factors
@@ -353,7 +352,7 @@ def _inward_strides(grid: BoxGrid):
     return np.where(sides == 0, strides[axes], -strides[axes]), axes
 
 
-def normal_derivative(sys_or_grid, u) -> np.ndarray:
+def normal_derivative(grid: BoxGrid, u) -> np.ndarray:
     """Outward normal derivative at every boundary node.
 
     One-sided second-order stencil along the owning face's normal:
@@ -361,7 +360,6 @@ def normal_derivative(sys_or_grid, u) -> np.ndarray:
     quadratics. ``u`` is one field ``(n_nodes,)`` or a block ``(n_nodes, k)``,
     whose columns are differentiated independently into ``(n_boundary, k)``.
     """
-    grid = sys_or_grid.grid if isinstance(sys_or_grid, HelmholtzSystem) else sys_or_grid
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[0] != grid.n_nodes:
         raise ValueError(f"u must be a full-grid field with {grid.n_nodes} values")
@@ -373,7 +371,7 @@ def normal_derivative(sys_or_grid, u) -> np.ndarray:
     return (3.0 * u[b] - 4.0 * u[b + step] + u[b + 2 * step]) / (2.0 * h)
 
 
-def normal_derivative_adjoint(sys_or_grid, positions) -> np.ndarray:
+def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     """Transposed normal-derivative stencil on the interior nodes.
 
     Column j holds the weights with which :func:`normal_derivative` reads an
@@ -385,7 +383,6 @@ def normal_derivative_adjoint(sys_or_grid, positions) -> np.ndarray:
     edge or corner) drop out, because ``w`` is zero there. Solving against
     ``E`` gives the adjoint fields of the receiver samples.
     """
-    grid = sys_or_grid.grid if isinstance(sys_or_grid, HelmholtzSystem) else sys_or_grid
     if any(n < 3 for n in grid.nodes_per_axis):
         raise ValueError("need at least 3 nodes along every axis for the stencil")
     positions = np.asarray(positions, dtype=np.int64)

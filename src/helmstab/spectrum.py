@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, WindowViolationError
 from .geometry import BoxGrid
 from .solver import HelmholtzSystem
 
@@ -171,6 +171,14 @@ class WindowSafety:
             return 0.0
         lo, hi = self.window
         return self.edge_distance / (hi - lo)
+
+    def refuse_outside(self):
+        """Raise :class:`WindowViolationError` unless inside a window."""
+        if not self.inside:
+            raise WindowViolationError(
+                f"omega^2={self.omega2:.9g} outside every admissible window; "
+                f"nearest window {self.nearest_window} at distance "
+                f"{self.nearest_distance:.3g} (use the override to force)")
 
 
 def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:

@@ -98,25 +98,22 @@ class BoundConstants:
 
 def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
                       omega2: float, acq: Acquisition, *,
-                      freq_hz: float | None = None,
-                      override_window_check: bool = False) -> StabilityRecord:
+                      freq_hz: float | None = None) -> StabilityRecord:
     """Estimate the stability constant for one model pair.
 
     Simulates the data for both media, computes the weighted operator norm of
     the difference, and reports model-distance / data-distance. The bounds
     stay unset until :func:`fill_bounds` adds them from fitted constants.
+    omega^2 is taken as given (see :func:`forward.forward_map`);
+    :func:`spectrum.frequency_safety` says whether it is admissible.
     """
-    if m1.partition.key != m2.partition.key:
-        raise ValueError("models live on different partitions")
+    model_l2 = l2_distance(m1, m2)
     if np.array_equal(m1.values, m2.values):
         raise DegenerateInputError("models are identical; the ratio is undefined")
     omega2 = float(omega2)
 
-    model_l2 = l2_distance(m1, m2)
-    d1 = forward_map(m1, omega2, acq,
-                     override_window_check=override_window_check)
-    d2 = forward_map(m2, omega2, acq,
-                     override_window_check=override_window_check)
+    d1 = forward_map(m1, omega2, acq)
+    d2 = forward_map(m2, omega2, acq)
     data_norm = dtn_operator_norm(d1, d2)
     if data_norm < 1e-14 * model_l2:
         raise IllConditionedEstimateError(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helmstab import cli
+from helmstab import cli, solver
 from helmstab.stability import (
     BoundConstants,
     evaluate_bounds,
@@ -160,6 +160,24 @@ def test_partial_failure_keeps_going(tmp_path, capsys):
     # eigenvalue, 2 (4 / h^2) sin^2(pi h / 2)
     assert err.count("nearest window (0.0, 19.72335955") == 5
     assert "np.float64(" not in err
+
+
+def test_out_of_window_cells_are_refused_before_assembly(tmp_path, capsys):
+    # 0.75 and 0.8 Hz (omega^2 = 22.2, 25.3) lie outside every admissible
+    # window of the 32^2 grid: all 8 cells fail without assembling a system,
+    # and the override runs them
+    cfg = base_config(tmp_path / "out")
+    cfg["frequencies_hz"] = [0.75, 0.8]
+    path = write_config(tmp_path, cfg)
+    solver.clear_caches()
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_TOTAL
+    assert solver.cache_info()["misses"] == 0
+    assert "8 cell(s) failed:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "records.csv")
+    assert cli.main(["run", "--config", str(path),
+                     "--override-window-check"]) == cli.EXIT_OK
+    assert len(read_records_csv(tmp_path / "out" / "records.csv")) == 8
+    solver.clear_caches()
 
 
 def test_cache_toggle_does_not_change_results(tmp_path):

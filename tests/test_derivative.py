@@ -332,7 +332,7 @@ def first_order_data_slice(base, acq, omega2, j):
     u = solve_dirichlet(sys_, g)
     w = solve_dirichlet(sys_, np.zeros_like(g),
                         omega2 * (dnode[:, None] * u)[grid.interior_nodes])
-    return normal_derivative(sys_, w)[acq.receiver_idx].T
+    return normal_derivative(grid, w)[acq.receiver_idx].T
 
 
 def close_in_norm(got, want, rtol):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helmstab import forward, solver
-from helmstab.errors import NumericalFailureError, WindowViolationError
+from helmstab.errors import NumericalFailureError
 from helmstab.forward import (
     MODE_FULL,
     MODE_TOP,
@@ -22,7 +22,11 @@ from helmstab.forward import (
 )
 from helmstab.geometry import build_grid, build_partition
 from helmstab.model import SquaredSlownessModel, to_cell_field
-from helmstab.spectrum import discrete_dirichlet_eigenvalues
+from helmstab.spectrum import (
+    discrete_dirichlet_eigenvalues,
+    frequency_safety,
+    windows_covering,
+)
 
 BOUNDS = (0.25, 1.0)
 
@@ -77,6 +81,14 @@ def test_gaussian_center_must_be_on_boundary(square32):
     # a center with too few coordinates is rejected, not indexed past its end
     with pytest.raises(ValueError, match="3 coordinates"):
         gaussian_source(build_grid((1.0, 1.0, 1.0), (4, 4, 4)), (0.5, 0.0), 0.3)
+
+
+@pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf])
+def test_gaussian_rejects_bad_sigma(square32, sigma):
+    # an infinite width used to give a flat unit source on the whole face and
+    # a NaN width a NaN source
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        gaussian_source(square32, (0.5, 0.0), sigma)
 
 
 def test_gaussian_under_resolved_warns(square32):
@@ -199,7 +211,7 @@ def test_forward_map_rows_match_per_source_solves(model_pair):
     sys_ = assemble(m1.grid, to_cell_field(m1), 8.0)
     for s, pos in enumerate(acq.source_positions):
         u = solve_dirichlet(sys_, gaussian_source(m1.grid, pos, acq.source_sigma))
-        row = normal_derivative(sys_, u)[acq.receiver_idx]
+        row = normal_derivative(m1.grid, u)[acq.receiver_idx]
         np.testing.assert_allclose(data.values[s], row, rtol=1e-12, atol=0)
 
 
@@ -216,19 +228,28 @@ def test_forward_linearity_in_source_amplitude(model_pair):
     for s, pos in enumerate(acq.source_positions):
         g = gaussian_source(m1.grid, pos, acq.source_sigma)
         u = solve_dirichlet(sys_, alpha * g)
-        row = normal_derivative(sys_, u)[acq.receiver_idx]
+        row = normal_derivative(m1.grid, u)[acq.receiver_idx]
         assert np.allclose(row, alpha * base.values[s], rtol=1e-12)
 
 
-def test_window_violation_refused_and_overridable(model_pair):
+def test_forward_map_outside_the_windows_gives_finite_data(model_pair):
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
-    # first window for these bounds is (0, 2 pi^2 / B2); omega2 = 21 is outside
-    bad_omega2 = 21.0
-    with pytest.raises(WindowViolationError):
-        forward_map(m1, bad_omega2, acq)
-    data = forward_map(m1, bad_omega2, acq, override_window_check=True)
+    # first window for these bounds is (0, 2 pi^2 / B2); omega2 = 21 is
+    # outside, and the forward map takes it as given
+    data = forward_map(m1, 21.0, acq)
     assert np.all(np.isfinite(data.values))
+
+
+def test_forward_map_takes_what_assemble_takes(model_pair):
+    # omega^2 = 0 is the Laplace map; a negative or non-finite omega^2 is
+    # refused by assemble
+    m1, _ = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    assert np.all(np.isfinite(forward_map(m1, 0.0, acq).values))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            forward_map(m1, bad, acq)
 
 
 def test_window_ends_at_the_discrete_resonance():
@@ -239,12 +260,17 @@ def test_window_ends_at_the_discrete_resonance():
     g = build_grid((1.0, 1.0), (16, 16))
     m = SquaredSlownessModel(build_partition(g, (2, 2)), np.full(4, 1.0),
                              BOUNDS)
-    acq = make_acquisition(g, MODE_FULL, 0.25, 0.125, 0.08)
     lam = discrete_dirichlet_eigenvalues(g, to_cell_field(m), 1)[0]
     assert np.isclose(lam, 2 * 4 * 256 * np.sin(np.pi / 32) ** 2, rtol=1e-10)
-    forward_map(m, lam * (1 - 1e-4), acq)
-    with pytest.raises(WindowViolationError, match=r"\(0.0, 19.6758728"):
-        forward_map(m, lam * (1 + 1e-4), acq)
+
+    def safety(omega2):
+        return frequency_safety(omega2, windows_covering(g, *BOUNDS, omega2))
+
+    assert safety(lam * (1 - 1e-4)).inside
+    outside = safety(lam * (1 + 1e-4))
+    assert not outside.inside
+    assert outside.nearest_window[0] == 0.0
+    assert np.isclose(outside.nearest_window[1], 19.6758728, rtol=1e-8)
 
 
 def test_top_data_is_subblock_of_full(model_pair):
@@ -388,7 +414,7 @@ def test_rebuilt_system_gives_identical_data(model_pair):
     solver.clear_caches()
     first = forward_map(m1, 8.0, acq)
     for w2 in (7.0, 7.5, 8.5, 9.0):
-        forward_map(m2, w2, acq, override_window_check=True)
+        forward_map(m2, w2, acq)
     assert solver.cache_info()["evictions"] == 1
     row_misses = solver.cache_info()["row_misses"]
     again = forward_map(m1, 8.0, acq)

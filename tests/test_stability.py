@@ -68,6 +68,16 @@ def test_partition_mismatch_rejected(pipeline):
         estimate_constant(m1, m_other, 8.0, acq)
 
 
+def test_partition_mismatch_checked_before_identical_values(pipeline):
+    # 2 x 8 blocks have as many subdomains as m1's 4 x 4, so the same values
+    # on them must not read as identical models
+    m1, _, acq = pipeline
+    other = build_partition(m1.grid, (2, 8))
+    m_other = SquaredSlownessModel(other, m1.values, BOUNDS)
+    with pytest.raises(ValueError, match="models live on different partitions"):
+        estimate_constant(m1, m_other, 8.0, acq)
+
+
 def test_ill_conditioned_guard(pipeline, monkeypatch):
     # a vanishing data difference cannot come out of the real solver, so
     # force the norm to zero to exercise the threshold branch
