@@ -50,13 +50,17 @@ Two boundary normal-derivative extractors are provided:
   which the pointwise stencil is not. Dual pairings ("<Lambda g, h>") must
   use this extractor.
 
-Factorized systems from :func:`assemble` live in one store keyed by grid,
-coefficient content hash and omega^2 that keeps the 4 most recently used.
-An entry holds its LU and the DtN rows of the sources solved against it
-(``HelmholtzSystem.dtn_rows``, filled by ``forward.forward_map``), and both
-are evicted together. :func:`cache_info` counts the store's hits, misses and
-evictions and the rows read from an entry (row hits) or solved into one (row
-misses); :func:`clear_caches` empties the store.
+Systems from :func:`assemble` live in one store keyed by grid, coefficient
+content hash and omega^2 that keeps the 4 most recently used. An entry holds
+its assembled matrices and the DtN rows of the sources solved against it
+(``HelmholtzSystem.dtn_rows``, filled by ``forward.forward_map``), which are
+evicted together. Only the most recently factorized system keeps its LU:
+factorizing a system first drops the LU of the one before, so at most one LU
+and SuperLU's workspace are alive at a time. A system whose LU was dropped
+factorizes again when it is next solved against. :func:`cache_info` counts
+the store's hits, misses and evictions, the LUs computed (re-factorizations
+included) and the rows read from an entry (row hits) or solved into one (row
+misses); :func:`clear_caches` empties the store and drops the live LU.
 """
 
 from __future__ import annotations
@@ -88,17 +92,20 @@ __all__ = [
 SOLVER_RTOL = 1e-10
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
-# Factorized systems keyed by (grid.key, coeff hash, omega2), least recently
+# Assembled systems keyed by (grid.key, coeff hash, omega2), least recently
 # used first. A campaign cell needs the two systems of its model pair. In the
 # benchmark campaigns a system is needed again after at most 3 other distinct
 # systems (a 3D two-layer field that one scale does not align), so 4 entries
-# keep every reuse; 3 would factorize one twice. An entry holds its LU and its
-# DtN rows, n_boundary floats per solved source (about 240 kB for 60 sources
-# at 128^2), and evicting the entry drops both.
+# keep every reuse. An entry holds its assembled matrices and its DtN rows,
+# n_boundary floats per solved source (about 240 kB for 60 sources at 128^2),
+# and evicting the entry drops both. Once a system's rows are kept no forward
+# map solves against it again, so only the newest factorized system keeps
+# its LU (_factorized; about 40 MiB at 24^3).
 _STORE_SIZE = 4
 _store: OrderedDict = OrderedDict()
-_store_counts = {"hits": 0, "misses": 0, "evictions": 0,
+_store_counts = {"hits": 0, "misses": 0, "evictions": 0, "factorizations": 0,
                  "row_hits": 0, "row_misses": 0}
+_factorized = None
 
 
 def _coeff_hash(coeff: np.ndarray) -> str:
@@ -106,15 +113,26 @@ def _coeff_hash(coeff: np.ndarray) -> str:
 
 
 def cache_info() -> dict:
-    """Hits, misses and evictions of the factorization store, and the DtN
-    rows read from an entry (``row_hits``) or solved into one
-    (``row_misses``), since the last :func:`clear_caches`; and the store's
-    live entry count."""
+    """Hits, misses and evictions of the factorization store, the LUs
+    computed (``factorizations``, one more each time a system whose LU was
+    dropped is factorized again), and the DtN rows read from an entry
+    (``row_hits``) or solved into one (``row_misses``), since the last
+    :func:`clear_caches`; and the store's live entry count."""
     return dict(_store_counts, entries=len(_store))
 
 
+def _drop_factorization():
+    """Drop the LU of the one system that holds it, if any."""
+    global _factorized
+    if _factorized is not None:
+        _factorized._lu = None
+        _factorized = None
+
+
 def clear_caches():
-    """Empty the factorization store and reset its counts."""
+    """Empty the factorization store, drop the live LU and reset the
+    counts."""
+    _drop_factorization()
     _store.clear()
     _store_counts.update(dict.fromkeys(_store_counts, 0))
 
@@ -240,8 +258,12 @@ class HelmholtzSystem:
 
     @property
     def factorization(self):
-        """Sparse LU of the interior matrix, computed lazily and shareable."""
+        """Sparse LU of the interior matrix, computed lazily. Computing it
+        first drops the LU of the system factorized before, so only the
+        newest one is alive."""
+        global _factorized
         if self._lu is None:
+            _drop_factorization()
             try:
                 self._lu = splu(self.interior_matrix, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # singular factor
@@ -249,6 +271,8 @@ class HelmholtzSystem:
                     "sparse factorization failed",
                     {"reason": str(exc), "omega2": self.omega2},
                 ) from exc
+            _factorized = self
+            _store_counts["factorizations"] += 1
         return self._lu
 
 

@@ -13,10 +13,12 @@ sandwich ``lambda_h,n / B2 <= lambda~_n <= lambda_h,n / B1`` holds exactly
 for every such coefficient. Hence no admissible coefficient has a discrete
 resonance in the windows
 
-    0 < omega^2 < lambda_h,1 / B2,
+    0 <= omega^2 < lambda_h,1 / B2,
     lambda_h,n / B1 < omega^2 < lambda_h,n+1 / B2   (n >= 1),
 
-and there the discrete Dirichlet problem is uniquely solvable. The discrete
+and there the discrete Dirichlet problem is uniquely solvable. The lower
+edge 0 of the first window is no resonance: omega^2 = 0 is the Laplace
+problem, which is uniquely solvable for every coefficient. The discrete
 spectrum is finite, so there is no window above ``lambda_h,max / B1``; an
 omega^2 up there resolves fewer than about pi points per wavelength and is
 reported as outside every window.
@@ -98,7 +100,7 @@ class FrequencyWindows:
     def candidate_rows(self):
         """Per-candidate table rows (n, lambda_n, lo, hi, nonempty).
 
-        Row 0 is the low-frequency window (0, lambda_1/B2); row n >= 1 is
+        Row 0 is the low-frequency window [0, lambda_1/B2); row n >= 1 is
         (lambda_n/B1, lambda_{n+1}/B2). Values are plain floats, so that
         messages print (0.0, 29.6) and not np.float64(...).
         """
@@ -112,7 +114,8 @@ class FrequencyWindows:
 
     @property
     def windows(self) -> tuple:
-        """The nonempty candidates as open intervals (lo, hi), ascending."""
+        """The nonempty candidates as intervals (lo, hi), ascending; the
+        first one, (0, lambda_1/B2), also holds its lower edge 0."""
         return tuple((lo, hi) for _, _, lo, hi, ok in self.candidate_rows()
                      if ok)
 
@@ -126,10 +129,11 @@ def _bounds(b1, b2) -> tuple:
 
 
 def _frequency(omega2) -> float:
-    """omega2 as a float; ValueError unless 0 < omega2 < inf."""
+    """omega2 as a float; ValueError unless 0 <= omega2 < inf."""
     omega2 = float(omega2)
-    if not 0.0 < omega2 < np.inf:
-        raise ValueError(f"omega^2 must be positive and finite, got {omega2}")
+    if not 0.0 <= omega2 < np.inf:
+        raise ValueError(
+            f"omega^2 must be nonnegative and finite, got {omega2}")
     return omega2
 
 
@@ -141,7 +145,7 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     Enumerates the analytic eigenvalues ``lambda_h`` of the grid's Dirichlet
     stencil (module docstring) and keeps every one with
     ``lambda_h / b2 <= omega2`` and the next one, if there is one. Candidate
-    n = 0 is (0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
+    n = 0 is [0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
     lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
     b1, b2 = _bounds(b1, b2)
@@ -161,7 +165,8 @@ class WindowSafety:
     omega2: float
     inside: bool
     window: tuple | None          # containing window, or None
-    edge_distance: float          # min distance to the containing window's edges
+    edge_distance: float          # min distance to the containing window's
+                                  # resonant edges (0 is not one)
     nearest_window: tuple | None  # closest window when outside
     nearest_distance: float       # distance to that window (0 when inside)
 
@@ -182,13 +187,18 @@ class WindowSafety:
 
 
 def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
-    """Report the containing window (if any) and distances to window edges."""
+    """Report the containing window (if any) and distances to window edges.
+
+    The first window starts at 0, which is no resonance: it holds
+    omega^2 = 0, and only its upper edge counts toward the edge distance.
+    """
     omega2 = _frequency(omega2)
     for win in windows.windows:
         lo, hi = win
-        if lo < omega2 < hi:
+        above_lo = omega2 - lo if lo > 0.0 else np.inf
+        if above_lo > 0.0 and omega2 < hi:
             return WindowSafety(omega2=omega2, inside=True, window=win,
-                                edge_distance=min(omega2 - lo, hi - omega2),
+                                edge_distance=min(above_lo, hi - omega2),
                                 nearest_window=win, nearest_distance=0.0)
     best, best_d = None, np.inf
     for win in windows.windows:

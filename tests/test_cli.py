@@ -256,6 +256,47 @@ def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
     solver.clear_caches()
 
 
+def test_campaign_keeps_one_live_lu(tmp_path, monkeypatch, caplog):
+    # the 3 distinct systems of the campaign above are factorized once each,
+    # as the per-cell log lines say, and after every cell only the newest
+    # one still holds its LU
+    from helmstab import solver, stability
+
+    loaded, _, _ = cli.load_config(write_config(tmp_path, base_config(
+        tmp_path / "out")))
+    live = []
+    estimate = stability.estimate_constant
+
+    def counting_live_lus(*args, **kwargs):
+        rec = estimate(*args, **kwargs)
+        live.append(sum(sys_._lu is not None
+                        for sys_ in solver._store.values()))
+        return rec
+
+    monkeypatch.setattr(stability, "estimate_constant", counting_live_lus)
+    solver.clear_caches()
+    with caplog.at_level("INFO", logger="helmstab"):
+        assert cli.run_campaign(loaded) == cli.EXIT_OK
+    info = solver.cache_info()
+    assert info["factorizations"] == info["misses"] == 3
+    assert live == [1] * 4
+    logged = [re.search(r"(\d+) factorizations", r.getMessage())
+              for r in caplog.records]
+    assert [int(m.group(1)) for m in logged if m] == [2, 0, 1, 0]
+    solver.clear_caches()
+
+
+def test_low_frequency_gives_no_edge_warning(tmp_path):
+    # 0.1 Hz (omega^2 = 0.395) lies low in the first window of the 32^2 grid,
+    # whose lower edge 0 is no resonance, so it is near no window edge
+    cfg = base_config(tmp_path / "out")
+    cfg["frequencies_hz"] = [0.1]
+    loaded, errors, warnings_ = cli.load_config(write_config(tmp_path, cfg))
+    assert loaded is not None and errors == []
+    assert loaded.frequencies[0].safety.relative_edge_margin() > 0.95
+    assert not [w for w in warnings_ if "window" in w]
+
+
 def test_model_file_loading(tmp_path):
     # c1 from a binary field file, c2 from a text file
     from helmstab.geometry import build_grid

@@ -407,8 +407,8 @@ def test_trace_csv(tmp_path, model_pair):
 
 
 def test_rebuilt_system_gives_identical_data(model_pair):
-    # a system evicted from the store loses its DtN rows with its LU: built
-    # again, it solves every source anew and yields the same data
+    # a system evicted from the store loses its DtN rows: built again, it
+    # solves every source anew and yields the same data
     m1, m2 = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
     solver.clear_caches()
@@ -421,6 +421,35 @@ def test_rebuilt_system_gives_identical_data(model_pair):
     assert solver.cache_info()["misses"] == 6
     assert solver.cache_info()["row_misses"] == row_misses + acq.n_sources
     assert np.array_equal(first.values, again.values)
+    solver.clear_caches()
+
+
+def test_dropped_lu_is_rebuilt_for_the_missing_sources(model_pair,
+                                                       monkeypatch):
+    # factorizing m2 drops the LU of m1; a full-mode map of m1 then
+    # factorizes m1 once more and solves only the sources its top-mode map
+    # left out, and its data equal those of a cold store
+    m1, m2 = model_pair
+    top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
+    full = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    solver.clear_caches()
+    cold = forward_map(m1, 8.0, full)
+    solver.clear_caches()
+    forward_map(m1, 8.0, top)
+    forward_map(m2, 8.0, top)
+    assert [sys_._lu is not None for sys_ in solver._store.values()] == \
+        [False, True]
+
+    solve = forward.solve_dirichlet
+    columns = []
+    monkeypatch.setattr(forward, "solve_dirichlet",
+                        lambda sys_, g, *args: columns.append(g.shape[1])
+                        or solve(sys_, g, *args))
+    factorizations = solver.cache_info()["factorizations"]
+    warm = forward_map(m1, 8.0, full)
+    assert sum(columns) == full.n_sources - top.n_sources > 0
+    assert solver.cache_info()["factorizations"] == factorizations + 1
+    assert np.array_equal(warm.values, cold.values)
     solver.clear_caches()
 
 

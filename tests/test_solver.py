@@ -186,15 +186,18 @@ def test_factorization_cache_reuse():
     assert assemble(g, coeff.copy(), 1.0) is systems[0]
     assemble(g, coeff, 5.0)
     assert cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
-                            "row_hits": 0, "row_misses": 0, "entries": 4}
+                            "factorizations": 0, "row_hits": 0,
+                            "row_misses": 0, "entries": 4}
     assert assemble(g, coeff, 1.0) is systems[0]
     rebuilt = assemble(g, coeff, 2.0)
     assert rebuilt is not systems[1]
     assert cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
-                            "row_hits": 0, "row_misses": 0, "entries": 4}
+                            "factorizations": 0, "row_hits": 0,
+                            "row_misses": 0, "entries": 4}
     clear_caches()
     assert cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
-                            "row_hits": 0, "row_misses": 0, "entries": 0}
+                            "factorizations": 0, "row_hits": 0,
+                            "row_misses": 0, "entries": 0}
 
 
 @pytest.mark.parametrize("cells", [(12, 12, 12), (48, 48)])

@@ -195,15 +195,29 @@ def test_frequency_safety_cases():
     assert gap.nearest_window is not None
 
 
-def test_safety_rejects_nonpositive_frequency():
+def test_safety_rejects_negative_or_nonfinite_frequency():
     g = build_grid((1.0, 1.0), (8, 8))
     fw = windows_covering(g, 1.0, 1.0, omega2=8.0)
     # NaN used to read as "outside, nearest window None at distance inf"
-    for omega2 in (0.0, -1.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
+    for omega2 in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             frequency_safety(omega2, fw)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             windows_covering(g, 1.0, 1.0, omega2)
+
+
+def test_zero_frequency_is_inside_the_first_window():
+    # the first window is [0, lambda_1/B2): omega^2 = 0 is the Laplace
+    # problem, and its lower edge 0 is no resonance, so the margin is the
+    # whole window
+    g = build_grid((1.0, 1.0), (16, 16))
+    fw = windows_covering(g, 0.25, 1.0, 0.0)
+    assert fw.source_eigenvalues.size == 1
+    safety = frequency_safety(0.0, fw)
+    assert safety.inside
+    assert safety.window == fw.windows[0] == (0.0, fw.source_eigenvalues[0])
+    assert safety.edge_distance == fw.source_eigenvalues[0]
+    assert safety.relative_edge_margin() == 1.0
 
 
 def test_windows_covering_reaches_target():
@@ -231,8 +245,8 @@ def test_eigensolve_leaves_the_factorization_store_alone():
     g = build_grid((1.0, 0.8), (12, 10))
     discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, 0.5), 3)
     assert solver.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
-                                   "row_hits": 0, "row_misses": 0,
-                                   "entries": 0}
+                                   "factorizations": 0, "row_hits": 0,
+                                   "row_misses": 0, "entries": 0}
     solver.clear_caches()
 
 
