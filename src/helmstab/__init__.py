@@ -6,7 +6,6 @@ from .geometry import (
     CubicalPartition,
     build_grid,
     build_partition,
-    refine_partition,
 )
 from .model import (
     SquaredSlownessModel,
@@ -49,7 +48,6 @@ from .stability import (
     evaluate_bounds,
     fit_constants,
     fractional_sobolev_check,
-    linf_stability_report,
 )
 
 __version__ = "0.1.0"

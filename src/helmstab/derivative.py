@@ -51,7 +51,6 @@ is admissible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +85,6 @@ __all__ = [
     "taylor_remainder",
     "central_difference_matrix",
     "frechet_norm_bounds_report",
-    "write_bounds_report_csv",
 ]
 
 @dataclass(frozen=True)
@@ -327,11 +325,12 @@ class BoundShapeReport:
 
     ``jacobian_sigma_min`` is the smallest singular value of the Jacobian as
     a map from coefficients in the L2 subdomain-volume norm to data in the
-    weighted Frobenius norm, and ``local_lipschitz`` its inverse: the local
-    stability constant of the linearized problem in that Frobenius data
-    norm. The campaign's ``c_est`` measures data in the weighted operator
-    norm, which is no larger than the Frobenius norm, so ``local_lipschitz``
-    is a lower bound on the linearized ``c_est``, not the same quantity.
+    Frobenius norm of the matrix scaled by ``acq.data_weights``, and
+    ``local_lipschitz`` its inverse: the local stability constant of the
+    linearized problem in that Frobenius data norm. The campaign's ``c_est``
+    measures data in the weighted operator norm, which is no larger than the
+    Frobenius norm, so ``local_lipschitz`` is a lower bound on the linearized
+    ``c_est``, not the same quantity.
     """
 
     omega2: float
@@ -407,21 +406,3 @@ def frechet_norm_bounds_report(base: SquaredSlownessModel, omega2: float,
         b2=b2, jacobian_sigma_min=sigma_min, local_lipschitz=lipschitz,
     )
 
-
-def write_bounds_report_csv(path, report: BoundShapeReport):
-    """Per-direction norms (rows 0..N-1), then the summary rows."""
-    number = "{:.17g}".format
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "df_opnorm"])
-        for j, nrm in enumerate(report.norms):
-            writer.writerow([j, number(nrm)])
-        writer.writerow([])
-        writer.writerow(["omega2", number(report.omega2)])
-        writer.writerow(["n_subdomains", report.n_subdomains])
-        writer.writerow(["min_norm", number(report.min_norm)])
-        writer.writerow(["max_norm", number(report.max_norm)])
-        writer.writerow(["upper_shape_constant", number(report.upper_shape_constant)])
-        writer.writerow(["lower_shape_constant", number(report.lower_shape_constant)])
-        writer.writerow(["jacobian_sigma_min", number(report.jacobian_sigma_min)])
-        writer.writerow(["local_lipschitz", number(report.local_lipschitz)])

@@ -32,7 +32,6 @@ __all__ = [
     "forward_map",
     "dtn_operator_norm",
     "weighted_operator_norm",
-    "weighted_frobenius",
     "write_dtn",
     "read_dtn",
     "export_trace_csv",
@@ -349,13 +348,6 @@ def dtn_operator_norm(d1: DtnData, d2: DtnData) -> float:
     return weighted_operator_norm(d1.values - d2.values, d1.acquisition)
 
 
-def weighted_frobenius(d1: DtnData, d2: DtnData) -> float:
-    """Quadrature-weighted Frobenius norm (secondary, for reports)."""
-    _check_compatible(d1, d2)
-    return float(np.linalg.norm((d1.values - d2.values)
-                                * d1.acquisition.data_weights))
-
-
 # -- serialization ------------------------------------------------------------------
 
 def write_dtn(path, data: DtnData):
@@ -391,10 +383,11 @@ def read_dtn(path) -> DtnData:
     """Read a binary DtN dump, rebuilding the grid and acquisition.
 
     A truncated file, an unknown mode code, a nonzero flags byte (which
-    includes the complex files of earlier versions), an ``omega2`` or
-    ``sigma`` that is not finite and positive, a grid that ``BoxGrid``
-    rejects and a source or receiver position that is not finite or lies off
-    the box raise ValueError.
+    includes the complex files of earlier versions), an ``omega2`` that is
+    not finite and nonnegative, a ``sigma`` that is not finite and positive,
+    a grid that ``BoxGrid`` rejects and a source or receiver position that is
+    not finite or lies off the box raise ValueError. ``omega2 = 0`` (the
+    Laplace map, which :func:`forward_map` computes) is read back.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -414,9 +407,9 @@ def read_dtn(path) -> DtnData:
             raise ValueError(
                 f"{path}: flags byte is {flags}, expected 0 (complex "
                 "absorbing-boundary data are no longer supported)")
-        if not 0.0 < omega2 < np.inf:
+        if not 0.0 <= omega2 < np.inf:
             raise ValueError(
-                f"{path}: omega2 must be finite and positive, got {omega2}")
+                f"{path}: omega2 must be finite and nonnegative, got {omega2}")
         cells = struct.unpack(f"<{dim}I", read(4 * dim))
         extents = struct.unpack(f"<{dim}d", read(8 * dim))
         model_hash = read(12).decode(errors="replace").strip()

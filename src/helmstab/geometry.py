@@ -8,9 +8,9 @@ Conventions used everywhere downstream:
   ``flat = ix + nx * (iy + ny * iz)``.
 * Each boundary node is owned by exactly one face. Nodes on edges/corners are
   assigned to the touching face with the lowest axis index; the owning face
-  fixes the node's outward normal. Boundary quadrature weights are geometric
-  (the node's trapezoidal patch measure summed over *all* touching faces), so
-  the weights sum to |dOmega| exactly.
+  (``BoxGrid.boundary_face``) fixes the node's outward normal. Boundary
+  quadrature weights are geometric (the node's trapezoidal patch measure
+  summed over *all* touching faces), so the weights sum to |dOmega| exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "CubicalPartition",
     "build_grid",
     "build_partition",
-    "refine_partition",
 ]
 
 
@@ -103,12 +102,6 @@ class BoxGrid:
             owner[on_low[a]] = 2 * a
         self.boundary_face = _as_flat(owner)[self.boundary_nodes].astype(np.int64)
 
-        normals = np.zeros((self.n_boundary, dim))
-        axes = self.boundary_face // 2
-        sides = self.boundary_face % 2
-        normals[np.arange(self.n_boundary), axes] = np.where(sides == 1, 1.0, -1.0)
-        self.boundary_normals = normals
-
         # patch measure summed over every touching face
         h = self.spacing
         weights = np.zeros(npa)
@@ -130,7 +123,6 @@ class BoxGrid:
             self.boundary_nodes,
             self.interior_nodes,
             self.boundary_face,
-            self.boundary_normals,
             self.boundary_weights,
             self.boundary_position,
         ):
@@ -235,7 +227,7 @@ class CubicalPartition:
     are flattened x-fastest over the block lattice.
     """
 
-    def __init__(self, grid: BoxGrid, widths_per_axis, parent_map=None):
+    def __init__(self, grid: BoxGrid, widths_per_axis):
         self.grid = grid
         widths = tuple(_counts(ws, "block widths") for ws in widths_per_axis)
         if len(widths) != grid.dim:
@@ -250,7 +242,6 @@ class CubicalPartition:
         self.widths_per_axis = widths
         self.blocks_per_axis = tuple(len(ws) for ws in widths)
         self.n_subdomains = int(np.prod(self.blocks_per_axis))
-        self.parent_map = None if parent_map is None else np.asarray(parent_map)
 
         # per-axis map: cell index -> block index
         cell_to_block = [
@@ -323,35 +314,3 @@ def build_partition(grid: BoxGrid, blocks_per_axis) -> CubicalPartition:
                    for a in range(grid.dim))
     return CubicalPartition(grid, widths)
 
-
-def refine_partition(p: CubicalPartition, factor: int) -> CubicalPartition:
-    """Split every block into ``factor**dim`` children.
-
-    Every block width must be divisible by ``factor`` so that children remain
-    cell-aligned. The returned partition carries a ``parent_map`` from child
-    subdomain index to parent subdomain index.
-    """
-    factor = int(factor)
-    if factor < 2:
-        raise ValueError(f"refinement factor must be >= 2, got {factor}")
-    new_widths = []
-    for a, ws in enumerate(p.widths_per_axis):
-        refined = []
-        for w in ws:
-            if w % factor != 0:
-                raise ValueError(
-                    f"axis {a}: block of {w} cells is not divisible by {factor}"
-                )
-            refined.extend([w // factor] * factor)
-        new_widths.append(tuple(refined))
-
-    child_blocks = tuple(len(ws) for ws in new_widths)
-    per_axis_parent = [np.arange(nb, dtype=np.int64) // factor for nb in child_blocks]
-    parent = np.zeros(child_blocks, dtype=np.int64)
-    mesh = np.meshgrid(*per_axis_parent, indexing="ij")
-    mult = 1
-    for a in range(p.grid.dim):
-        parent += mesh[a] * mult
-        mult *= p.blocks_per_axis[a]
-    parent_map = _as_flat(parent)
-    return CubicalPartition(p.grid, tuple(new_widths), parent_map=parent_map)

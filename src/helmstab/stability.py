@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, IllConditionedEstimateError
 from .forward import NORM_KIND, Acquisition, dtn_operator_norm, forward_map
-from .model import SquaredSlownessModel, l2_distance, linf_distance
+from .model import SquaredSlownessModel, l2_distance
 
 __all__ = [
     "StabilityRecord",
@@ -34,8 +34,6 @@ __all__ = [
     "fit_constants",
     "fractional_sobolev_check",
     "FractionalSobolevReport",
-    "linf_stability_report",
-    "LinfStabilityRow",
     "write_records_csv",
     "read_records_csv",
     "RECORD_COLUMNS",
@@ -68,11 +66,6 @@ class StabilityRecord:
     norm_kind: str = NORM_KIND
     lower_bound: float | None = None
     upper_bound: float | None = None
-    # extras carried for reports, not part of the CSV schema
-    model_linf: float = float("nan")
-    domain_volume: float = float("nan")
-    r0: float = float("nan")
-    dim: int = 0
     c_est_sq: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -121,7 +114,6 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
             f"difference {model_l2:.3g}"
         )
 
-    grid = m1.grid
     return StabilityRecord(
         n_subdomains=m1.n_subdomains,
         omega2=omega2,
@@ -131,10 +123,6 @@ def estimate_constant(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
         data_norm=data_norm,
         c_est=model_l2 / data_norm,
         mode=acq.mode,
-        model_linf=linf_distance(m1, m2),
-        domain_volume=grid.domain_volume(),
-        r0=m1.partition.r0,
-        dim=grid.dim,
     )
 
 
@@ -319,46 +307,6 @@ def fractional_sobolev_check(m: SquaredSlownessModel, s_prime: float,
         samples_used=used,
         samples_rejected=rejected,
     )
-
-
-# -- L-infinity report ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinfStabilityRow:
-    """Dimension-adapted norm sandwich for one record.
-
-    The lower direction  L2/sqrt(|Omega|) <= Linf  is exact arithmetic on
-    piecewise constants and is asserted; the upper direction carries an
-    unquantified constant, so only the scale factor r0^(-dim/2) * L2 is
-    reported.
-    """
-
-    n_subdomains: int
-    mode: str
-    model_l2: float
-    model_linf: float
-    l2_scaled: float               # model_l2 / sqrt(|Omega|)
-    upper_scale: float             # r0^(-dim/2) * model_l2 (constant-free part)
-    lower_holds: bool
-
-
-def linf_stability_report(records) -> list[LinfStabilityRow]:
-    rows = []
-    for r in records:
-        if not np.isfinite(r.model_linf) or not np.isfinite(r.domain_volume):
-            raise ValueError("record lacks the model-pair norms for this report")
-        l2_scaled = r.model_l2 / np.sqrt(r.domain_volume)
-        upper_scale = r.r0 ** (-r.dim / 2.0) * r.model_l2 if r.dim else float("nan")
-        rows.append(LinfStabilityRow(
-            n_subdomains=r.n_subdomains,
-            mode=r.mode,
-            model_l2=r.model_l2,
-            model_linf=r.model_linf,
-            l2_scaled=float(l2_scaled),
-            upper_scale=float(upper_scale),
-            lower_holds=bool(l2_scaled <= r.model_linf * (1.0 + 1e-12)),
-        ))
-    return rows
 
 
 # -- record CSV ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from helmstab.derivative import (
     frechet_norm_bounds_report,
     frechet_pairing_first_order,
     taylor_remainder,
-    write_bounds_report_csv,
 )
 from helmstab.forward import Acquisition, gaussian_source, make_acquisition
 from helmstab.geometry import build_grid, build_partition
@@ -201,7 +200,7 @@ def test_pairing_matrix_symmetric_when_sources_equal_receivers():
     assert np.max(np.abs(df - df.T)) <= 1e-8 * scale
 
 
-def test_bounds_report(tmp_path):
+def test_bounds_report():
     g, p, base, acq, _ = setup(n=16, blocks=(2, 2))
     report = frechet_norm_bounds_report(base, OMEGA2, acq)
     assert len(report.norms) == p.n_subdomains
@@ -221,14 +220,6 @@ def test_bounds_report(tmp_path):
     sigma = np.linalg.svd(np.column_stack(columns), compute_uv=False)[-1]
     assert np.isclose(report.jacobian_sigma_min, sigma, rtol=1e-10)
     assert report.local_lipschitz == 1.0 / report.jacobian_sigma_min
-
-    path = tmp_path / "report.csv"
-    write_bounds_report_csv(path, report)
-    text = path.read_text()
-    assert "df_opnorm" in text
-    assert "lower_shape_constant" in text
-    assert f"jacobian_sigma_min,{report.jacobian_sigma_min:.17g}" in text
-    assert f"local_lipschitz,{report.local_lipschitz:.17g}" in text
 
 
 def test_bounds_report_upper_shape_uses_the_distance_to_spectrum():
@@ -259,7 +250,7 @@ def test_bounds_report_with_fewer_data_than_unknowns():
     assert report.local_lipschitz == np.inf
 
 
-def test_bounds_report_uses_every_direction_beyond_64(tmp_path):
+def test_bounds_report_uses_every_direction_beyond_64():
     # N = 81: every direction gets a norm and sigma_min is that of the
     # stacked, weighted Jacobian
     g, p, base, acq, _ = setup(n=18, blocks=(9, 9))
@@ -274,12 +265,6 @@ def test_bounds_report_uses_every_direction_beyond_64(tmp_path):
     assert np.isfinite(report.jacobian_sigma_min)
     assert np.isclose(report.jacobian_sigma_min, sigma, rtol=1e-8)
     assert report.local_lipschitz == 1.0 / report.jacobian_sigma_min
-
-    path = tmp_path / "report.csv"
-    write_bounds_report_csv(path, report)
-    lines = path.read_text().splitlines()
-    assert [line.split(",")[0] for line in lines[1:82]] == \
-        [str(j) for j in range(81)]
 
 
 def test_single_direction_matches_fd_slope():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmstab.geometry import build_grid, build_partition, refine_partition
+from helmstab.geometry import build_grid, build_partition
 
 
 def test_smallest_3d_grid_with_interior_node():
@@ -48,14 +48,11 @@ def test_every_node_classified_once():
     assert np.array_equal(combined, np.arange(g.n_nodes))
 
 
-def test_boundary_normals_unit_and_owned_by_lowest_axis():
+def test_boundary_corner_owned_by_lowest_axis():
     g = build_grid((1.0, 1.0), (4, 4))
-    norms = np.linalg.norm(g.boundary_normals, axis=1)
-    assert np.allclose(norms, 1.0)
     # the (0, 0) corner touches faces x-low and y-low; x-low must own it
     corner = g.boundary_position[0]
     assert g.boundary_face[corner] == 0
-    assert np.array_equal(g.boundary_normals[corner], [-1.0, 0.0])
 
 
 def test_boundary_weights_sum_to_surface_measure():
@@ -103,56 +100,6 @@ def test_too_many_blocks_rejected():
         build_partition(g, (5, 2))
     with pytest.raises(ValueError):
         build_partition(g, (0, 2))
-
-
-def test_refinement_counts():
-    g = build_grid((1.0, 1.0, 1.0), (8, 8, 8))
-    p = build_partition(g, (2, 2, 2))
-    assert refine_partition(p, 2).n_subdomains == 64
-
-    g2 = build_grid((1.0, 1.0), (4, 4))
-    whole = build_partition(g2, (1, 1))
-    assert refine_partition(whole, 2).n_subdomains == 4
-
-
-def test_three_refinements_multiply():
-    # N = 45 * 8^3 = 23040 after three factor-2 refinements in 3D
-    g = build_grid((1.0, 1.0, 1.0), (40, 24, 24))
-    p = build_partition(g, (5, 3, 3))
-    for _ in range(3):
-        p = refine_partition(p, 2)
-    assert p.n_subdomains == 45 * 8**3
-
-
-def test_refinement_misalignment_rejected():
-    g = build_grid((1.0, 1.0), (6, 6))
-    p = build_partition(g, (2, 2))  # widths 3 per block
-    with pytest.raises(ValueError):
-        refine_partition(p, 2)
-
-
-def test_volume_conservation_under_refinement():
-    g = build_grid((1.3, 0.7), (16, 8))
-    p = build_partition(g, (4, 2))
-    q = refine_partition(p, 2)
-    assert np.isclose(q.subdomain_volumes.sum(), p.subdomain_volumes.sum(),
-                      rtol=1e-12)
-
-
-def test_r0_divides_under_refinement():
-    g = build_grid((1.0, 1.0), (16, 16))
-    p = build_partition(g, (4, 4))
-    q = refine_partition(p, 2)
-    assert np.isclose(q.r0, p.r0 / 2, rtol=1e-15)
-
-
-def test_parent_map_recovers_nesting():
-    g = build_grid((1.0, 1.0), (8, 8))
-    p = build_partition(g, (2, 2))
-    q = refine_partition(p, 2)
-    # every cell's child subdomain must map to the parent that owns the cell
-    child_of_cell = q.cell_to_subdomain
-    assert np.array_equal(q.parent_map[child_of_cell], p.cell_to_subdomain)
 
 
 def test_nearest_boundary_node_rejects_points_off_the_box():

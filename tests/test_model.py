@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmstab.geometry import build_grid, build_partition, refine_partition
+from helmstab.geometry import build_grid, build_partition
 from helmstab.model import (
     SquaredSlownessModel,
     from_gridded_field,
@@ -174,7 +174,7 @@ def test_nested_projection_composes(seed):
     # fine -> N then N -> coarser(nested) equals fine -> coarser directly
     g = build_grid((1.0, 1.0), (16, 16))
     coarse = build_partition(g, (2, 2))
-    fine = refine_partition(coarse, 2)
+    fine = build_partition(g, (4, 4))
     rng = np.random.default_rng(seed)
     field = rng.uniform(0.5, 2.0, g.n_cells)
     via_fine = from_gridded_field(

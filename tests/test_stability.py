@@ -14,7 +14,6 @@ from helmstab.stability import (
     fill_bounds,
     fit_constants,
     fractional_sobolev_check,
-    linf_stability_report,
     read_records_csv,
     write_records_csv,
 )
@@ -22,10 +21,10 @@ from helmstab.stability import (
 BOUNDS = (0.25, 1.0)
 
 
-def make_record(n, c_est, omega2=8.0, mode="full", **extra):
+def make_record(n, c_est, omega2=8.0, mode="full"):
     return StabilityRecord(
         n_subdomains=n, omega2=omega2, freq_hz=np.sqrt(omega2) / (2 * np.pi),
-        model_l2=1.0, data_norm=1.0 / c_est, c_est=c_est, mode=mode, **extra)
+        model_l2=1.0, data_norm=1.0 / c_est, c_est=c_est, mode=mode)
 
 
 @pytest.fixture
@@ -95,9 +94,6 @@ def test_record_fields_filled(pipeline):
     assert rec.freq_hz == 0.45
     assert rec.mode == "full"
     assert rec.lower_bound is None and rec.upper_bound is None
-    assert np.isclose(rec.model_linf, 0.02)
-    assert rec.dim == 2
-    assert np.isclose(rec.domain_volume, 1.0)
 
 
 def test_bounds_plugin_values():
@@ -238,47 +234,6 @@ def test_sobolev_validates_arguments():
         fractional_sobolev_check(m, 0.0, 1000)
     with pytest.warns(UserWarning):
         fractional_sobolev_check(m, 0.25, 100, rng=0)
-
-
-def test_linf_report_equality_cases():
-    # constant difference: Linf = d and L2 = d sqrt(|Omega|), lower tight
-    rec = StabilityRecord(
-        n_subdomains=4, omega2=8.0, freq_hz=0.45, model_l2=0.3 * np.sqrt(2.0),
-        data_norm=1.0, c_est=0.3 * np.sqrt(2.0), mode="full",
-        model_linf=0.3, domain_volume=2.0, r0=0.5, dim=2)
-    row = linf_stability_report([rec])[0]
-    assert row.lower_holds
-    assert np.isclose(row.l2_scaled, row.model_linf, rtol=1e-12)
-
-    # single-subdomain difference: L2 = |d| sqrt(|D_j|) < |d| = Linf
-    rec2 = StabilityRecord(
-        n_subdomains=4, omega2=8.0, freq_hz=0.45, model_l2=0.3 * 0.5,
-        data_norm=1.0, c_est=0.15, mode="full",
-        model_linf=0.3, domain_volume=1.0, r0=0.5, dim=2)
-    row2 = linf_stability_report([rec2])[0]
-    assert row2.lower_holds
-    assert row2.l2_scaled < row2.model_linf
-
-
-def test_linf_report_random_pairs():
-    g = build_grid((1.0, 1.0), (16, 16))
-    p = build_partition(g, (4, 4))
-    acq = make_acquisition(g, "full", 0.25, 0.25, 0.1)
-    rng = np.random.default_rng(21)
-    recs = []
-    for _ in range(3):
-        v = 0.5 + 0.1 * rng.uniform(-1, 1, 16)
-        m1 = SquaredSlownessModel(p, v, BOUNDS)
-        m2 = SquaredSlownessModel(p, v + rng.uniform(0.01, 0.05, 16), BOUNDS)
-        recs.append(estimate_constant(m1, m2, 8.0, acq))
-    for row in linf_stability_report(recs):
-        assert row.lower_holds
-
-
-def test_linf_report_requires_model_norms():
-    bare = make_record(4, 10.0)
-    with pytest.raises(ValueError):
-        linf_stability_report([bare])
 
 
 def test_records_csv_round_trip(tmp_path):
