@@ -551,11 +551,12 @@ def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
                 log.info(
                     "cell %s: %.3fs, c_est %.6g, "
                     "factorization store %d hits, %d misses, "
-                    "%d factorizations, DtN rows %d hits, %d misses",
+                    "%d factorizations, %d CG columns in %d iterations, "
+                    "DtN rows %d hits, %d misses",
                     cell, time.perf_counter() - t0, rec.c_est,
                     *(store[k] - store0[k] for k in
-                      ("hits", "misses", "factorizations", "row_hits",
-                       "row_misses")),
+                      ("hits", "misses", "factorizations", "cg_columns",
+                       "cg_iterations", "row_hits", "row_misses")),
                 )
                 groups.setdefault((freq.hz, mode), []).append(len(records))
                 records.append(rec)

@@ -23,19 +23,54 @@ from it:
 The omega = 0 system also gives the pencil of the discrete Dirichlet
 eigenproblem (:mod:`spectrum`), so solver and spectrum share one stencil.
 
-The interior matrix is factorized once (sparse direct) and reused across
-right-hand sides. It is exactly symmetric, so SuperLU orders its columns by
-minimum degree on the pattern of ``A^T + A`` (``MMD_AT_PLUS_A``) rather than
-by its default COLAMD, which ignores that symmetry; the symmetric ordering
-roughly halves the LU fill (6.8 M to 3.3 M nonzeros at 24^3) and with it the
-factorization and solve time.
+Two methods solve the interior system, and :func:`solve_dirichlet` picks
+one per system:
+
+* Preconditioned conjugate gradients (CG), for a 3D grid whose system is
+  certified symmetric positive definite: ``omega^2 max c < lambda_h,1``
+  over the interior node coefficients, with ``lambda_h,1`` the smallest
+  analytic eigenvalue of the stencil (:func:`axis_eigenvalues`). In the
+  first admissible window (:mod:`spectrum`) every admissible system passes.
+  The preconditioner is the shifted constant-coefficient stencil
+  ``L_h - sigma I``, ``sigma = omega^2 (c_min + c_max) / 2``, inverted exactly
+  by the orthonormal type-I discrete sine transform, which diagonalizes
+  ``L_h`` (fast-Poisson preconditioning, Concus & Golub 1973). The interior
+  matrix differs from it by a diagonal of norm at most
+  ``omega^2 (c_max - c_min) / 2``, so with
+  ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
+  preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
+  the iteration cap follows from that bound. No LU is computed.
+* Sparse LU, for every other system: every 2D system, and every 3D system
+  outside the certificate (where the matrix may be indefinite). The
+  interior matrix is factorized once and reused across right-hand sides. It
+  is exactly symmetric, so SuperLU orders its columns by minimum degree on
+  the pattern of ``A^T + A`` (``MMD_AT_PLUS_A``) rather than by its default
+  COLAMD, which ignores that symmetry; the symmetric ordering roughly halves
+  the LU fill (6.8 M to 3.3 M nonzeros at 24^3) and with it the
+  factorization and solve time.
+
+CPU time on a 2-vCPU Xeon VM with one BLAS thread, unit box, coefficients
+uniform in [0.25, 1] with largest value B2, omega = 2 pi 0.45 unless given,
+3-5 random draws:
+
+    problem                            CG                       LU factor + solve
+    24^3, 9 columns                    0.04-0.08 s, 5-6 iter.   0.38-0.42 + 0.02-0.03 s
+    24^3, 9 columns, omega^2 B2
+      = 0.999 lambda_h,1               0.06-0.08 s, 7 iter.     0.37-0.47 + 0.03 s
+    32^3, 9 columns                    0.17-0.19 s, 5 iter.     3.8 + 0.13 s
+    128^2, 60 columns                  0.48-0.57 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
+
+In 2D the LU has little fill (0.65 M nonzeros at 128^2, against 3.3 M at
+24^3 and 13 M at 32^3), so LU stays faster there and 2D keeps LU. The first
+CG solve of a process also loads ``scipy.fft`` (about 0.1 s).
 
 :func:`solve_dirichlet` takes one right-hand side (``g`` of shape
 ``(n_boundary,)``, ``f`` of shape ``(n_interior,)``) or a block of ``k`` of
 them (``(n_boundary, k)`` and ``(n_interior, k)``), which it solves with one
-call into the factorization. Every column must meet the relative residual
-target ``SOLVER_RTOL`` on its own. :func:`normal_derivative` likewise acts
-column-wise on ``(n_nodes, k)`` fields.
+call into the factorization or one CG loop over all columns. Whatever the
+method, every column must meet the relative residual target ``SOLVER_RTOL``
+on its own. :func:`normal_derivative` likewise acts column-wise on
+``(n_nodes, k)`` fields.
 
 Two boundary normal-derivative extractors are provided:
 
@@ -57,10 +92,12 @@ its assembled matrices and the DtN rows of the sources solved against it
 evicted together. Only the most recently factorized system keeps its LU:
 factorizing a system first drops the LU of the one before, so at most one LU
 and SuperLU's workspace are alive at a time. A system whose LU was dropped
-factorizes again when it is next solved against. :func:`cache_info` counts
-the store's hits, misses and evictions, the LUs computed (re-factorizations
-included) and the rows read from an entry (row hits) or solved into one (row
-misses); :func:`clear_caches` empties the store and drops the live LU.
+factorizes again when it is next solved against; a system solved by CG
+never holds an LU. :func:`cache_info` counts the store's hits, misses and
+evictions, the LUs computed (re-factorizations included), the rows read from
+an entry (row hits) or solved into one (row misses), and the columns solved
+by CG with their iterations; :func:`clear_caches` empties the store and
+drops the live LU.
 """
 
 from __future__ import annotations
@@ -79,6 +116,7 @@ from .geometry import BoxGrid
 __all__ = [
     "HelmholtzSystem",
     "assemble",
+    "axis_eigenvalues",
     "solve_dirichlet",
     "normal_derivative",
     "normal_derivative_adjoint",
@@ -90,6 +128,10 @@ __all__ = [
 ]
 
 SOLVER_RTOL = 1e-10
+# CG stops once every column's residual is this small relative to its
+# right-hand side, about what LU reaches at 24^3; SOLVER_RTOL still judges
+# the result
+CG_RTOL = 1e-14
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
 # Assembled systems keyed by (grid.key, coeff hash, omega2), least recently
@@ -100,11 +142,14 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 # n_boundary floats per solved source (about 240 kB for 60 sources at 128^2),
 # and evicting the entry drops both. Once a system's rows are kept no forward
 # map solves against it again, so only the newest factorized system keeps
-# its LU (_factorized; about 40 MiB at 24^3).
+# its LU (_factorized; about 8 MB at 128^2). A 3D system in the first window
+# is solved by CG and holds no LU; one outside it would hold about 40 MiB at
+# 24^3.
 _STORE_SIZE = 4
 _store: OrderedDict = OrderedDict()
 _store_counts = {"hits": 0, "misses": 0, "evictions": 0, "factorizations": 0,
-                 "row_hits": 0, "row_misses": 0}
+                 "row_hits": 0, "row_misses": 0, "cg_columns": 0,
+                 "cg_iterations": 0}
 _factorized = None
 
 
@@ -115,9 +160,11 @@ def _coeff_hash(coeff: np.ndarray) -> str:
 def cache_info() -> dict:
     """Hits, misses and evictions of the factorization store, the LUs
     computed (``factorizations``, one more each time a system whose LU was
-    dropped is factorized again), and the DtN rows read from an entry
-    (``row_hits``) or solved into one (``row_misses``), since the last
-    :func:`clear_caches`; and the store's live entry count."""
+    dropped is factorized again), the DtN rows read from an entry
+    (``row_hits``) or solved into one (``row_misses``), and the columns
+    solved by CG (``cg_columns``) with the CG iterations of their block
+    solves (``cg_iterations``), since the last :func:`clear_caches`; and the
+    store's live entry count."""
     return dict(_store_counts, entries=len(_store))
 
 
@@ -199,6 +246,16 @@ def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def axis_eigenvalues(grid: BoxGrid) -> list:
+    """Eigenvalues of the Dirichlet second difference ``[-1, 2, -1] / h_a^2``
+    on the interior nodes of every axis, ascending:
+    ``4 / h_a^2 sin^2(k pi / (2 n_a))``, ``k = 1 .. n_a - 1``, for n_a cells of
+    width h_a. The stencil's eigenvalues are their sums over the axes, with
+    the sine lattice ``sin(j k pi / n_a)`` of every axis as eigenvectors."""
+    return [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+            for h, n in zip(grid.spacing, grid.cells_per_axis)]
+
+
 class HelmholtzSystem:
     """Assembled discrete Helmholtz operator with a reusable factorization."""
 
@@ -260,7 +317,9 @@ class HelmholtzSystem:
     def factorization(self):
         """Sparse LU of the interior matrix, computed lazily. Computing it
         first drops the LU of the system factorized before, so only the
-        newest one is alive."""
+        newest one is alive. :func:`solve_dirichlet` asks for it only for a
+        system that CG does not solve (every 2D system, and a 3D one outside
+        the first-window certificate)."""
         global _factorized
         if self._lu is None:
             _drop_factorization()
@@ -318,8 +377,10 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     Either ``g`` is one vector of shape ``(n_boundary,)`` with ``f`` of shape
     ``(n_interior,)`` and the result has shape ``(n_nodes,)``, or ``g`` is a
     block ``(n_boundary, k)`` with ``f`` ``(n_interior, k)`` and the result is
-    ``(n_nodes, k)``, column j solving for ``g[:, j]`` and ``f[:, j]``. A block
-    is solved with one call into the factorization. ``g`` and ``f`` must be
+    ``(n_nodes, k)``, column j solving for ``g[:, j]`` and ``f[:, j]``. A 3D
+    system certified positive definite (module docstring) is solved by
+    preconditioned CG, one loop over all columns; any other system by its LU,
+    one call into the factorization per block. ``g`` and ``f`` must be
     finite (ValueError otherwise). Every column must reach a residual of
     ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
     :class:`NumericalFailureError` reports the worst column; a non-finite
@@ -344,7 +405,13 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
             raise ValueError("f contains non-finite interior values")
         rhs = f - sys.coupling.dot(g)
 
-    u_i = sys.factorization.solve(rhs)
+    plan = _cg_plan(sys)
+    if plan is None:
+        u_i = sys.factorization.solve(rhs)
+        method = "direct solve"
+    else:
+        u_i = _cg_solve(sys, rhs, *plan)
+        method = "preconditioned CG solve"
     rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
     residual = np.atleast_1d(
         np.linalg.norm(sys.interior_matrix.dot(u_i) - rhs, axis=0))
@@ -359,13 +426,102 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
                    "target": SOLVER_RTOL * float(rhs_norm[j])}
         if g.ndim == 2:
             details["column"] = j
-        raise NumericalFailureError("direct solve missed the residual target",
+        raise NumericalFailureError(f"{method} missed the residual target",
                                     details)
 
     u = np.empty((grid.n_nodes,) + g.shape[1:])
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
+
+
+def _cg_iteration_cap(delta: float, kappa: float) -> int:
+    """CG iterations after which every residual is within ``CG_RTOL``.
+
+    With the preconditioned condition number at most
+    ``(1 + delta) / (1 - delta)``, the energy-norm error falls at least by
+    ``2 rho^k``, ``rho = delta / (1 + sqrt(1 - delta^2))``. Starting from zero,
+    the residual relative to the right-hand side is at most ``sqrt(kappa)``
+    times the relative energy error, ``kappa`` bounding the interior matrix's
+    own condition number.
+    """
+    if delta == 0.0:  # the preconditioner is the inverse
+        return 1
+    rho = delta / (1.0 + np.sqrt(1.0 - delta * delta))
+    need = np.log(2.0 * np.sqrt(kappa) / CG_RTOL) / -np.log(rho)
+    return max(1, int(np.ceil(need)))
+
+
+def _cg_plan(sys_: HelmholtzSystem):
+    """``(sigma, cap)`` of the preconditioned CG solve of a 3D system whose
+    interior matrix is certified positive definite,
+    ``omega^2 max c < lambda_h,1``; None for every other system."""
+    grid = sys_.grid
+    if grid.dim != 3:
+        return None
+    c = sys_.node_coeff[grid.interior_nodes]
+    c_min, c_max = float(c.min()), float(c.max())
+    per_axis = axis_eigenvalues(grid)
+    lam_min = sum(float(v[0]) for v in per_axis)
+    lam_max = sum(float(v[-1]) for v in per_axis)
+    w2 = sys_.omega2
+    if not w2 * c_max < lam_min:
+        return None
+    sigma = 0.5 * w2 * (c_min + c_max)
+    delta = 0.5 * w2 * (c_max - c_min) / (lam_min - sigma)
+    kappa = (lam_max - w2 * c_min) / (lam_min - w2 * c_max)
+    return sigma, _cg_iteration_cap(delta, kappa)
+
+
+def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
+              cap: int) -> np.ndarray:
+    """Interior solution of every column of ``rhs`` by CG preconditioned with
+    ``(L_h - sigma I)^-1``, applied by the orthonormal DST-I (its own
+    inverse) over the interior lattice. The columns share each sparse
+    product and transform but keep their own step lengths, and a column
+    leaves the loop once its residual is within ``CG_RTOL``; all leave after
+    ``cap`` iterations."""
+    # loaded here, so that importing the package does not pay for it
+    from scipy.fft import dstn
+
+    grid = sys_.grid
+    b = rhs.reshape(rhs.shape[0], -1)
+    lattice = tuple(n - 1 for n in grid.cells_per_axis)
+    axes = tuple(range(grid.dim))
+    inverse = 1.0 / (sum(np.ix_(*axis_eigenvalues(grid))) - sigma)[..., None]
+
+    def precondition(r):
+        z = dstn(r.reshape(lattice + (-1,), order="F"), type=1,
+                 norm="ortho", axes=axes)
+        z *= inverse
+        return dstn(z, type=1, norm="ortho", axes=axes,
+                    overwrite_x=True).reshape(r.shape, order="F")
+
+    def column_dots(u, v):
+        return np.einsum("ij,ij->j", u, v)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    target = CG_RTOL * np.linalg.norm(b, axis=0)
+    active = np.flatnonzero(np.linalg.norm(r, axis=0) > target)
+    p = rz = None
+    iterations = 0
+    while active.size and iterations < cap:
+        z = precondition(r[:, active])
+        rz_next = column_dots(r[:, active], z)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        q = sys_.interior_matrix.dot(p)
+        alpha = rz / column_dots(p, q)
+        x[:, active] += alpha * p
+        r[:, active] -= alpha * q
+        iterations += 1
+        # a NaN residual leaves too, for the residual check to report
+        going = np.linalg.norm(r[:, active], axis=0) > target[active]
+        active, p, rz = active[going], p[:, going], rz[going]
+    _store_counts["cg_columns"] += b.shape[1]
+    _store_counts["cg_iterations"] += iterations
+    return x.reshape(rhs.shape)
 
 
 def _inward_strides(grid: BoxGrid):

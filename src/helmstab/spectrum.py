@@ -35,7 +35,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError, WindowViolationError
 from .geometry import BoxGrid
-from .solver import HelmholtzSystem
+from .solver import HelmholtzSystem, axis_eigenvalues
 
 __all__ = [
     "FrequencyWindows",
@@ -143,16 +143,15 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     one that reaches past omega2.
 
     Enumerates the analytic eigenvalues ``lambda_h`` of the grid's Dirichlet
-    stencil (module docstring) and keeps every one with
+    stencil (module docstring), the sums over the axes of
+    :func:`solver.axis_eigenvalues`, and keeps every one with
     ``lambda_h / b2 <= omega2`` and the next one, if there is one. Candidate
     n = 0 is [0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
     lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
     b1, b2 = _bounds(b1, b2)
     omega2 = _frequency(omega2)
-    per_axis = [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
-                for h, n in zip(grid.spacing, grid.cells_per_axis)]
-    lam = sum(np.ix_(*per_axis)).ravel()
+    lam = sum(np.ix_(*axis_eigenvalues(grid))).ravel()
     count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
     lam = np.sort(np.partition(lam, count - 1)[:count])
     return FrequencyWindows(b1=b1, b2=b2, source_eigenvalues=lam)

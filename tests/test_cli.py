@@ -286,6 +286,44 @@ def test_campaign_keeps_one_live_lu(tmp_path, monkeypatch, caplog):
     solver.clear_caches()
 
 
+def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
+    # every system of an 8^3 top-mode campaign lies in the first window, so
+    # CG solves it and no LU is computed; the constants match an all-LU run
+    def campaign(name):
+        cfg = base_config(tmp_path / name)
+        cfg["grid"] = {"extents": [1.0, 1.0, 1.0], "cells": [8, 8, 8]}
+        cfg["scales"]["blocks"] = [[2, 2, 2], [4, 4, 4]]
+        cfg["acquisition"] = {"modes": ["top"], "source_spacing": 0.25,
+                              "receiver_spacing": 0.25, "sigma": 0.15}
+        loaded, errors, _ = cli.load_config(
+            write_config(tmp_path, cfg, f"{name}.yaml"))
+        assert loaded is not None and errors == []
+        solver.clear_caches()
+        assert cli.run_campaign(loaded) == cli.EXIT_OK
+        info = solver.cache_info()
+        solver.clear_caches()
+        return read_records_csv(tmp_path / name / "records.csv"), info
+
+    with caplog.at_level("INFO", logger="helmstab"):
+        cg_records, info = campaign("cg")
+    assert info["factorizations"] == 0
+    assert info["cg_columns"] == info["row_misses"] > 0
+    logged = [re.search(r"(\d+) CG columns in (\d+) iterations",
+                        r.getMessage()) for r in caplog.records]
+    logged = [tuple(map(int, m.groups())) for m in logged if m]
+    assert len(logged) == 2
+    assert tuple(map(sum, zip(*logged))) == (info["cg_columns"],
+                                             info["cg_iterations"])
+
+    monkeypatch.setattr(solver, "_cg_plan", lambda sys_: None)
+    lu_records, info = campaign("lu")
+    assert info["factorizations"] > 0 and info["cg_columns"] == 0
+    assert len(cg_records) == len(lu_records) == 2
+    for got, ref in zip(cg_records, lu_records):
+        assert got["N"] == ref["N"]
+        assert got["c_est"] == pytest.approx(ref["c_est"], rel=1e-10)
+
+
 def test_low_frequency_gives_no_edge_warning(tmp_path):
     # 0.1 Hz (omega^2 = 0.395) lies low in the first window of the 32^2 grid,
     # whose lower edge 0 is no resonance, so it is near no window edge

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+from helmstab import solver
 from helmstab.errors import NumericalFailureError
 from helmstab.geometry import build_grid
 from helmstab.solver import (
     HelmholtzSystem,
     assemble,
+    axis_eigenvalues,
     cache_info,
     clear_caches,
     flux_normal_derivative,
@@ -187,17 +189,20 @@ def test_factorization_cache_reuse():
     assemble(g, coeff, 5.0)
     assert cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
                             "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "entries": 4}
+                            "row_misses": 0, "cg_columns": 0,
+                            "cg_iterations": 0, "entries": 4}
     assert assemble(g, coeff, 1.0) is systems[0]
     rebuilt = assemble(g, coeff, 2.0)
     assert rebuilt is not systems[1]
     assert cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
                             "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "entries": 4}
+                            "row_misses": 0, "cg_columns": 0,
+                            "cg_iterations": 0, "entries": 4}
     clear_caches()
     assert cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
                             "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "entries": 0}
+                            "row_misses": 0, "cg_columns": 0,
+                            "cg_iterations": 0, "entries": 0}
 
 
 @pytest.mark.parametrize("cells", [(12, 12, 12), (48, 48)])
@@ -400,3 +405,111 @@ def test_non_finite_data_and_residuals_fail():
     with pytest.raises(NumericalFailureError) as err:
         solve_dirichlet(sys_, G)
     assert err.value.diagnostics["column"] == 1
+
+
+def first_stencil_eigenvalue(g):
+    return sum(float(v[0]) for v in axis_eigenvalues(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+       st.lists(st.integers(3, 7), min_size=3, max_size=3),
+       st.floats(0.0, 0.999), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cg_block_solve_matches_lu(extents, cells, fraction, two_valued, seed):
+    # every 3D system of the first window, B2 = 1 and omega^2 up to
+    # 0.999 lambda_h,1 / B2 (0 included), is solved by CG without an LU
+    g = build_grid(extents, cells)
+    rng = np.random.default_rng(seed)
+    coeff = (rng.choice([0.25, 1.0], g.n_cells) if two_valued
+             else rng.uniform(0.25, 1.0, g.n_cells))
+    sys_ = HelmholtzSystem(g, coeff, fraction * first_stencil_eigenvalue(g))
+    G = rng.normal(size=(g.n_boundary, 5))
+    F = rng.normal(size=(g.n_interior, 5))
+    F[:, 1] = 0.0
+    G[:, 2] = 0.0   # one column with a zero right-hand side
+    F[:, 2] = 0.0
+    clear_caches()
+    u = solve_dirichlet(sys_, G, F)
+    ref = splu(sys_.interior_matrix).solve(F - sys_.coupling.dot(G))
+    got = u[g.interior_nodes]
+    assert np.all(np.linalg.norm(got - ref, axis=0)
+                  <= 1e-12 * np.linalg.norm(ref, axis=0))
+    assert np.array_equal(got[:, 2], np.zeros(g.n_interior))
+    info = cache_info()
+    assert info["factorizations"] == 0
+    assert info["cg_columns"] == 5 and info["cg_iterations"] >= 1
+    clear_caches()
+
+
+def first_window_block(seed):
+    """A 3D system with two-valued coefficients at 0.9 lambda_h,1 and four
+    boundary columns of very different scale."""
+    g = build_grid((1.0, 0.9, 1.1), (6, 7, 5))
+    rng = np.random.default_rng(seed)
+    sys_ = HelmholtzSystem(g, rng.choice([0.25, 1.0], g.n_cells),
+                           0.9 * first_stencil_eigenvalue(g))
+    return sys_, rng.normal(size=(g.n_boundary, 4)) * [1.0, 1e3, 1e-3, 1.0]
+
+
+def test_cg_columns_keep_their_own_step_lengths():
+    # columns of very different scale share one loop but not its steps: the
+    # block takes as many iterations as its slowest column alone, and every
+    # column matches its single-column solve
+    sys_, G = first_window_block(6)
+    single, iterations = [], []
+    for j in range(G.shape[1]):
+        clear_caches()
+        single.append(solve_dirichlet(sys_, G[:, j]))
+        iterations.append(cache_info()["cg_iterations"])
+    clear_caches()
+    block = solve_dirichlet(sys_, G)
+    assert cache_info()["cg_iterations"] == max(iterations) > 1
+    for j, col in enumerate(single):
+        assert np.linalg.norm(block[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+    clear_caches()
+
+
+def test_systems_outside_the_certificate_are_factorized():
+    # a 2D system, and a 3D one with omega^2 max c > lambda_h,1 (indefinite:
+    # between the first two eigenvalues of the constant-coefficient stencil)
+    g2 = build_grid((1.0, 0.8), (12, 10))
+    g3 = build_grid((1.0, 0.8, 1.2), (6, 5, 7))
+    lam = np.sort(sum(np.ix_(*axis_eigenvalues(g3))).ravel())
+    cases = [(g2, HelmholtzSystem(g2, np.full(g2.n_cells, 0.5), 8.0)),
+             (g3, HelmholtzSystem(g3, np.ones(g3.n_cells),
+                                  0.5 * (lam[0] + lam[1])))]
+    rng = np.random.default_rng(8)
+    for g, sys_ in cases:
+        clear_caches()
+        G = rng.normal(size=(g.n_boundary, 3))
+        u = solve_dirichlet(sys_, G)  # passes the residual check
+        info = cache_info()
+        assert info["factorizations"] == 1
+        assert info["cg_columns"] == info["cg_iterations"] == 0
+        ref = sys_.factorization.solve(-sys_.coupling.dot(G))
+        assert np.array_equal(u[g.interior_nodes], ref)
+    clear_caches()
+
+
+def test_cg_residual_guard_names_the_worst_column(monkeypatch):
+    # with one CG iteration allowed no column reaches SOLVER_RTOL; the error
+    # names the column that a single-column solve finds worst
+    monkeypatch.setattr(solver, "_cg_iteration_cap", lambda *args: 1)
+    sys_, G = first_window_block(5)
+    single = []
+    for j in range(G.shape[1]):
+        with pytest.raises(NumericalFailureError) as err:
+            solve_dirichlet(sys_, G[:, j])
+        diag = err.value.diagnostics
+        single.append(diag["residual"] / diag["rhs_norm"])
+    clear_caches()
+    with pytest.raises(NumericalFailureError, match="CG") as err:
+        solve_dirichlet(sys_, G)
+    diag = err.value.diagnostics
+    assert diag["column"] == int(np.argmax(single))
+    assert np.isclose(diag["residual"] / diag["rhs_norm"], max(single),
+                      rtol=1e-6)
+    assert diag["residual"] > diag["target"]
+    assert cache_info()["cg_iterations"] == 1
+    assert cache_info()["factorizations"] == 0
+    clear_caches()

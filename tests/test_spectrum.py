@@ -246,7 +246,8 @@ def test_eigensolve_leaves_the_factorization_store_alone():
     discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, 0.5), 3)
     assert solver.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
                                    "factorizations": 0, "row_hits": 0,
-                                   "row_misses": 0, "entries": 0}
+                                   "row_misses": 0, "cg_columns": 0,
+                                   "cg_iterations": 0, "entries": 0}
     solver.clear_caches()
 
 
