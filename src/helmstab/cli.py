@@ -76,7 +76,6 @@ from . import spectrum, stability
 from .errors import HelmstabError
 from .geometry import BoxGrid, _counts, build_grid, build_partition
 from .solver import assemble  # unused here; benchmarks/spans.py traces this binding
-from .solver import cache_info
 
 __all__ = [
     "ExperimentConfig",
@@ -537,7 +536,7 @@ def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
             for mode, acq in cfg.acquisitions.items():
                 cell = f"f={freq.hz:g}Hz N={m1.n_subdomains} mode={mode}"
                 t0 = time.perf_counter()
-                store0 = cache_info()
+                store0 = fwd.cache_info()
                 try:
                     if not override_window_check:
                         freq.safety.refuse_outside()
@@ -547,10 +546,10 @@ def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
                     failures.append(f"{cell}: {exc}")
                     log.error("cell %s failed: %s", cell, exc)
                     continue
-                store = cache_info()
+                store = fwd.cache_info()
                 log.info(
                     "cell %s: %.3fs, c_est %.6g, "
-                    "factorization store %d hits, %d misses, "
+                    "DtN store %d hits, %d misses, "
                     "%d factorizations, %d CG columns in %d iterations, "
                     "DtN rows %d hits, %d misses",
                     cell, time.perf_counter() - t0, rec.c_est,

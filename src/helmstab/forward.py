@@ -11,8 +11,10 @@ this norm; it does not compute the paper's H^{1/2} -> H^{-1/2} operator norm.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -21,7 +23,7 @@ import numpy as np
 
 from .geometry import BoxGrid
 from .model import SquaredSlownessModel, _read_exact, to_cell_field
-from .solver import assemble, normal_derivative, solve_dirichlet
+from .solver import assemble, normal_derivative, solve_counts, solve_dirichlet
 from .spectrum import windows_covering  # unused here; benchmarks/spans.py traces this binding
 
 __all__ = [
@@ -35,6 +37,8 @@ __all__ = [
     "write_dtn",
     "read_dtn",
     "export_trace_csv",
+    "cache_info",
+    "clear_caches",
 ]
 
 NORM_KIND = "weighted-l2-opnorm"
@@ -51,6 +55,38 @@ _DTN_VERSION = 1
 # field held in memory (solving all 60 sources of a 128^2 campaign at once
 # raised its peak memory by 11%).
 _BLOCK = 8
+
+
+# DtN rows keyed by (grid.key, coefficient hash, omega2), least recently used
+# first. An entry maps (source boundary index, source sigma) to the outward
+# normal derivative of that source's field at every boundary node, n_boundary
+# floats per source (about 240 kB for 60 sources at 128^2). A campaign cell
+# needs the rows of its two models. In the benchmark campaigns a model's rows
+# are needed again after at most 3 other distinct (model, omega2) entries (a
+# 3D two-layer field that one scale does not align), so 4 entries keep every
+# reuse. No system is kept: the one that solves the missing rows, with its LU,
+# is freed when forward_map returns.
+_STORE_SIZE = 4
+_rows: OrderedDict = OrderedDict()
+_counts = {"hits": 0, "misses": 0, "evictions": 0, "row_hits": 0,
+           "row_misses": 0}
+
+
+def cache_info() -> dict:
+    """Hits, misses and evictions of the DtN row store's entries, the rows
+    read from an entry (``row_hits``) or solved into one (``row_misses``),
+    the LUs computed (``factorizations``) and the columns solved by CG
+    (``cg_columns``) with the CG iterations of their block solves
+    (``cg_iterations``), since the last :func:`clear_caches`; and the store's
+    live entry count."""
+    return dict(_counts, **solve_counts, entries=len(_rows))
+
+
+def clear_caches():
+    """Empty the DtN row store and reset the counts, the solver's included."""
+    _rows.clear()
+    for counts in (_counts, solve_counts):
+        counts.update(dict.fromkeys(counts, 0))
 
 
 def _blocks(n: int):
@@ -280,7 +316,7 @@ def _source_blocks(sys_, acq: Acquisition):
     The derivative paths need the whole fields and use this
     (``derivative.frechet_jacobian``, ``frechet_directional`` and
     ``frechet_pairing_first_order``); :func:`forward_map` needs only the
-    fields' DtN rows, which the system keeps.
+    fields' DtN rows, which it keeps in its row store.
     """
     for block in _blocks(acq.n_sources):
         yield block, solve_dirichlet(sys_, acq.sources[:, block])
@@ -291,14 +327,16 @@ def forward_map(model: SquaredSlownessModel, omega2: float,
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
 
     Row s holds the outward normal derivative of the solution driven by the
-    Gaussian source s, sampled at the receiver nodes. The system from
-    :func:`assemble` keeps that derivative at every boundary node for each
-    source it has solved, keyed by (source boundary index, source sigma),
-    which depends neither on the model nor on the acquisition. Only the
-    sources missing there are solved, in blocks of 8 columns so that only
-    one block of full-grid fields is alive at a time, and their rows are
-    kept; a block whose solve raises keeps nothing. So a top-mode map reuses
-    the rows of a full-mode map of the same system, and the other way round.
+    Gaussian source s, sampled at the receiver nodes. A store of the 4 most
+    recently used (grid, coefficient, omega^2) entries keeps that derivative
+    at every boundary node for each source solved, keyed by (source boundary
+    index, source sigma), which depends neither on the model nor on the
+    acquisition. Only when a source is missing from its entry is the system
+    assembled (:func:`assemble`); the missing sources are solved in blocks of
+    8 columns, so that only one block of full-grid fields is alive at a
+    time, and their rows are kept. A block whose solve raises keeps nothing.
+    So a top-mode map reuses the rows of a full-mode map of the same model,
+    and the other way round; the system and its LU are freed on return.
     Deterministic for fixed inputs. Any finite omega^2 >= 0 is taken as
     given, 0 (the Laplace map) included; :func:`spectrum.frequency_safety`
     says whether it is admissible.
@@ -307,14 +345,36 @@ def forward_map(model: SquaredSlownessModel, omega2: float,
     if grid.key != model.grid.key:
         raise ValueError("acquisition and model live on different grids")
     omega2 = float(omega2)
-    sys_ = assemble(grid, to_cell_field(model), omega2)
+    coeff = np.ascontiguousarray(to_cell_field(model), dtype=float)
+    entry = (grid.key, hashlib.sha1(coeff.tobytes()).hexdigest(), omega2)
+    rows = _rows.get(entry)
+    if rows is not None:
+        _counts["hits"] += 1
+        _rows.move_to_end(entry)
     keys = [(int(s), acq.source_sigma) for s in acq.source_idx]
-    missing = sys_.missing_rows(keys)
-    solve_keys, solve_cols = list(missing), list(missing.values())
-    for block in _blocks(len(solve_cols)):
-        u = solve_dirichlet(sys_, acq.sources[:, solve_cols[block]])
-        sys_.keep_rows(solve_keys[block], normal_derivative(grid, u))
-    values = np.stack([sys_.dtn_rows[key][acq.receiver_idx] for key in keys])
+    missing = {}
+    for pos, key in enumerate(keys):
+        if rows is None or key not in rows:
+            missing.setdefault(key, pos)
+    _counts["row_hits"] += len(keys) - len(missing)
+    if missing:
+        # assemble validates omega2 before an entry is stored
+        sys_ = assemble(grid, coeff, omega2)
+        if rows is None:
+            rows = _rows[entry] = {}
+            _counts["misses"] += 1
+            if len(_rows) > _STORE_SIZE:
+                _rows.popitem(last=False)
+                _counts["evictions"] += 1
+        solve_keys, solve_cols = list(missing), list(missing.values())
+        for block in _blocks(len(solve_cols)):
+            u = solve_dirichlet(sys_, acq.sources[:, solve_cols[block]])
+            dtn = normal_derivative(grid, u)
+            # copied, so that the block of fields is not kept alive
+            for k, key in enumerate(solve_keys[block]):
+                rows[key] = dtn[:, k].copy()
+            _counts["row_misses"] += len(solve_keys[block])
+    values = np.stack([rows[key][acq.receiver_idx] for key in keys])
 
     meta = {
         "model_hash": model.content_hash(),

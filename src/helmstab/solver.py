@@ -85,26 +85,19 @@ Two boundary normal-derivative extractors are provided:
   which the pointwise stencil is not. Dual pairings ("<Lambda g, h>") must
   use this extractor.
 
-Systems from :func:`assemble` live in one store keyed by grid, coefficient
-content hash and omega^2 that keeps the 4 most recently used. An entry holds
-its assembled matrices and the DtN rows of the sources solved against it
-(``HelmholtzSystem.dtn_rows``, filled by ``forward.forward_map``), which are
-evicted together. Only the most recently factorized system keeps its LU:
-factorizing a system first drops the LU of the one before, so at most one LU
-and SuperLU's workspace are alive at a time. A system whose LU was dropped
-factorizes again when it is next solved against; a system solved by CG
-never holds an LU. :func:`cache_info` counts the store's hits, misses and
-evictions, the LUs computed (re-factorizations included), the rows read from
-an entry (row hits) or solved into one (row misses), and the columns solved
-by CG with their iterations; :func:`clear_caches` empties the store and
-drops the live LU.
+No module keeps a system. :func:`assemble` builds a new one on every call,
+and the LU of a system, computed on its first direct solve, lives exactly as
+long as the system does: it is freed together with the system once its caller
+lets go of it. ``forward.forward_map`` keeps the DtN rows that a campaign
+reuses, not the systems that solved them. :data:`solve_counts` counts the LUs
+computed (``factorizations``) and the columns solved by CG (``cg_columns``)
+with the iterations of their block solves (``cg_iterations``);
+``forward.cache_info`` reports them and ``forward.clear_caches`` resets them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,8 +116,7 @@ __all__ = [
     "flux_normal_derivative",
     "node_coefficients",
     "cell_average",
-    "cache_info",
-    "clear_caches",
+    "solve_counts",
 ]
 
 SOLVER_RTOL = 1e-10
@@ -134,54 +126,9 @@ SOLVER_RTOL = 1e-10
 CG_RTOL = 1e-14
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
-# Assembled systems keyed by (grid.key, coeff hash, omega2), least recently
-# used first. A campaign cell needs the two systems of its model pair. In the
-# benchmark campaigns a system is needed again after at most 3 other distinct
-# systems (a 3D two-layer field that one scale does not align), so 4 entries
-# keep every reuse. An entry holds its assembled matrices and its DtN rows,
-# n_boundary floats per solved source (about 240 kB for 60 sources at 128^2),
-# and evicting the entry drops both. Once a system's rows are kept no forward
-# map solves against it again, so only the newest factorized system keeps
-# its LU (_factorized; about 8 MB at 128^2). A 3D system in the first window
-# is solved by CG and holds no LU; one outside it would hold about 40 MiB at
-# 24^3.
-_STORE_SIZE = 4
-_store: OrderedDict = OrderedDict()
-_store_counts = {"hits": 0, "misses": 0, "evictions": 0, "factorizations": 0,
-                 "row_hits": 0, "row_misses": 0, "cg_columns": 0,
-                 "cg_iterations": 0}
-_factorized = None
-
-
-def _coeff_hash(coeff: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(coeff, dtype=float).tobytes()).hexdigest()
-
-
-def cache_info() -> dict:
-    """Hits, misses and evictions of the factorization store, the LUs
-    computed (``factorizations``, one more each time a system whose LU was
-    dropped is factorized again), the DtN rows read from an entry
-    (``row_hits``) or solved into one (``row_misses``), and the columns
-    solved by CG (``cg_columns``) with the CG iterations of their block
-    solves (``cg_iterations``), since the last :func:`clear_caches`; and the
-    store's live entry count."""
-    return dict(_store_counts, entries=len(_store))
-
-
-def _drop_factorization():
-    """Drop the LU of the one system that holds it, if any."""
-    global _factorized
-    if _factorized is not None:
-        _factorized._lu = None
-        _factorized = None
-
-
-def clear_caches():
-    """Empty the factorization store, drop the live LU and reset the
-    counts."""
-    _drop_factorization()
-    _store.clear()
-    _store_counts.update(dict.fromkeys(_store_counts, 0))
+# LUs computed and columns solved by CG, with the iterations of their block
+# solves; read by forward.cache_info and reset by forward.clear_caches
+solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0}
 
 
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
@@ -257,7 +204,7 @@ def axis_eigenvalues(grid: BoxGrid) -> list:
 
 
 class HelmholtzSystem:
-    """Assembled discrete Helmholtz operator with a reusable factorization."""
+    """Assembled discrete Helmholtz operator with a lazily computed LU."""
 
     def __init__(self, grid: BoxGrid, coeff, omega2: float):
         coeff = np.ascontiguousarray(coeff, dtype=float)
@@ -290,39 +237,14 @@ class HelmholtzSystem:
         self.flux_rows = (interior_volume * form[grid.boundary_nodes]).tocsr()
 
         self._lu = None
-        # outward normal derivative at every boundary node of each solved
-        # source field, one (n_boundary,) array per (source boundary index,
-        # source sigma); see missing_rows and keep_rows
-        self.dtn_rows: dict = {}
-
-    def missing_rows(self, keys) -> dict:
-        """``{key: first position in keys}`` for every key without a DtN
-        row; the other positions count as row hits."""
-        missing = {}
-        for pos, key in enumerate(keys):
-            if key not in self.dtn_rows:
-                missing.setdefault(key, pos)
-        _store_counts["row_hits"] += len(keys) - len(missing)
-        return missing
-
-    def keep_rows(self, keys, block: np.ndarray):
-        """Keep column k of the ``(n_boundary, len(keys))`` block as the DtN
-        row of ``keys[k]``, copied so that the block is not kept alive; the
-        kept rows count as row misses."""
-        for k, key in enumerate(keys):
-            self.dtn_rows[key] = block[:, k].copy()
-        _store_counts["row_misses"] += len(keys)
 
     @property
     def factorization(self):
-        """Sparse LU of the interior matrix, computed lazily. Computing it
-        first drops the LU of the system factorized before, so only the
-        newest one is alive. :func:`solve_dirichlet` asks for it only for a
+        """Sparse LU of the interior matrix, computed on first use and kept
+        as long as the system. :func:`solve_dirichlet` asks for it only for a
         system that CG does not solve (every 2D system, and a 3D one outside
         the first-window certificate)."""
-        global _factorized
         if self._lu is None:
-            _drop_factorization()
             try:
                 self._lu = splu(self.interior_matrix, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # singular factor
@@ -330,33 +252,18 @@ class HelmholtzSystem:
                     "sparse factorization failed",
                     {"reason": str(exc), "omega2": self.omega2},
                 ) from exc
-            _factorized = self
-            _store_counts["factorizations"] += 1
+            solve_counts["factorizations"] += 1
         return self._lu
 
 
 def assemble(grid: BoxGrid, coeff, omega2: float) -> HelmholtzSystem:
-    """Assemble (or reuse from the store) the discrete system for one
-    coefficient.
+    """Assemble the discrete system for one coefficient.
 
     Warns when the grid resolves fewer than 8 points per wavelength.
     """
-    coeff = np.ascontiguousarray(coeff, dtype=float)
-    omega2 = float(omega2)
-    key = (grid.key, _coeff_hash(coeff), omega2)
-    sys_ = _store.get(key)
-    if sys_ is not None:
-        _store_counts["hits"] += 1
-        _store.move_to_end(key)
-    else:
-        # the constructor validates the inputs before anything is stored
-        sys_ = HelmholtzSystem(grid, coeff, omega2)
-        _store_counts["misses"] += 1
-        _store[key] = sys_
-        if len(_store) > _STORE_SIZE:
-            _store.popitem(last=False)
-            _store_counts["evictions"] += 1
-
+    # the constructor validates the inputs before the warning reads them
+    sys_ = HelmholtzSystem(grid, coeff, omega2)
+    omega2 = sys_.omega2
     if omega2 > 0:
         wavelength = 2.0 * np.pi / (np.sqrt(omega2) * np.sqrt(np.max(coeff)))
         ppw = wavelength / max(grid.spacing)
@@ -519,8 +426,8 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
         # a NaN residual leaves too, for the residual check to report
         going = np.linalg.norm(r[:, active], axis=0) > target[active]
         active, p, rz = active[going], p[:, going], rz[going]
-    _store_counts["cg_columns"] += b.shape[1]
-    _store_counts["cg_iterations"] += iterations
+    solve_counts["cg_columns"] += b.shape[1]
+    solve_counts["cg_iterations"] += iterations
     return x.reshape(rhs.shape)
 
 

@@ -67,8 +67,7 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    # the omega = 0 system, built directly so that it never enters the
-    # factorization store
+    # the omega = 0 system, whose interior matrix is the stiffness -Lap_h
     pencil = HelmholtzSystem(grid, coeff, 0.0)
     lap = pencil.interior_matrix
     n = lap.shape[0]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helmstab import cli, solver, spectrum, stability
+from helmstab import cli, forward, spectrum, stability
 from helmstab.derivative import (
     alessandrini_pairing,
     default_step,
@@ -294,7 +294,7 @@ def test_criterion_10_full_vs_partial(trend_records):
     acq_top = make_acquisition(grid, MODE_TOP, 0.25, 0.125, 0.08)
     d_full = forward_map(m1, omega2, acq_full)
     # the top data come from their own solves, not from the kept full rows
-    solver.clear_caches()
+    forward.clear_caches()
     d_top = forward_map(m1, omega2, acq_top)
     si = np.searchsorted(acq_full.source_idx, acq_top.source_idx)
     ri = np.searchsorted(acq_full.receiver_idx, acq_top.receiver_idx)

@@ -1,12 +1,13 @@
 import os
 import re
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
 import yaml
 
-from helmstab import cli, solver
+from helmstab import cli, forward, solver
 from helmstab.stability import (
     BoundConstants,
     evaluate_bounds,
@@ -71,7 +72,7 @@ def test_window_violation_warns(tmp_path):
 
 
 def test_removed_run_key_warns(tmp_path):
-    # sources are solved in blocks on one thread, every system goes through
+    # sources are solved in blocks on one thread, every DtN row goes through
     # one bounded store and nothing in a campaign is random: run.workers,
     # run.cache and run.seed no longer exist
     cfg = base_config(tmp_path / "out")
@@ -169,15 +170,15 @@ def test_out_of_window_cells_are_refused_before_assembly(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["frequencies_hz"] = [0.75, 0.8]
     path = write_config(tmp_path, cfg)
-    solver.clear_caches()
+    forward.clear_caches()
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_TOTAL
-    assert solver.cache_info()["misses"] == 0
+    assert forward.cache_info()["misses"] == 0
     assert "8 cell(s) failed:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "records.csv")
     assert cli.main(["run", "--config", str(path),
                      "--override-window-check"]) == cli.EXIT_OK
     assert len(read_records_csv(tmp_path / "out" / "records.csv")) == 8
-    solver.clear_caches()
+    forward.clear_caches()
 
 
 def test_cache_toggle_does_not_change_results(tmp_path):
@@ -201,8 +202,6 @@ def test_cache_toggle_does_not_change_results(tmp_path):
 def test_one_factorization_per_distinct_system(tmp_path, monkeypatch):
     # one 16^2 cell has two distinct systems (c1 and c2); each is factorized
     # once, also when the config still asks for run.cache: false
-    from helmstab import solver
-
     cfg = base_config(tmp_path / "out")
     cfg["grid"]["cells"] = [16, 16]
     cfg["scales"]["blocks"] = [[2, 2]]
@@ -217,10 +216,10 @@ def test_one_factorization_per_distinct_system(tmp_path, monkeypatch):
     splu = solver.splu
     monkeypatch.setattr(solver, "splu",
                         lambda mat, **kw: calls.append(mat.shape) or splu(mat, **kw))
-    solver.clear_caches()
+    forward.clear_caches()
     assert cli.run_campaign(loaded) == cli.EXIT_OK
     assert len(calls) == 2
-    assert solver.cache_info()["misses"] == 2
+    assert forward.cache_info()["misses"] == 2
 
 
 def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
@@ -228,8 +227,6 @@ def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
     # systems: the aligned two-layer c1 is one system at both scales, the
     # linear-depth c2 one per scale. Each system solves every full-mode
     # source once; the other maps read the rows that system kept.
-    from helmstab import forward, solver
-
     loaded, _, _ = cli.load_config(write_config(tmp_path, base_config(
         tmp_path / "out")))
     full, top = loaded.acquisitions["full"], loaded.acquisitions["top"]
@@ -238,10 +235,10 @@ def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(forward, "solve_dirichlet",
                         lambda sys_, g, *args: columns.append(g.shape[1])
                         or solve(sys_, g, *args))
-    solver.clear_caches()
+    forward.clear_caches()
     with caplog.at_level("INFO", logger="helmstab"):
         assert cli.run_campaign(loaded) == cli.EXIT_OK
-    info = solver.cache_info()
+    info = forward.cache_info()
     assert info["misses"] == 3
     assert sum(columns) == info["row_misses"] == 3 * full.n_sources
     requested = 4 * (full.n_sources + top.n_sources)
@@ -253,37 +250,45 @@ def test_each_system_solves_each_source_once(tmp_path, monkeypatch, caplog):
     assert len(logged) == 4
     assert tuple(map(sum, zip(*logged))) == (info["row_hits"],
                                              info["row_misses"])
-    solver.clear_caches()
+    forward.clear_caches()
 
 
-def test_campaign_keeps_one_live_lu(tmp_path, monkeypatch, caplog):
+def test_campaign_frees_every_system_after_its_cell(tmp_path, monkeypatch,
+                                                    caplog):
     # the 3 distinct systems of the campaign above are factorized once each,
-    # as the per-cell log lines say, and after every cell only the newest
-    # one still holds its LU
-    from helmstab import solver, stability
+    # as the per-cell log lines say, and none of them, nor its LU, outlives
+    # the forward map that assembled it
+    from helmstab import stability
 
     loaded, _, _ = cli.load_config(write_config(tmp_path, base_config(
         tmp_path / "out")))
-    live = []
+    systems, live = [], []
+    assemble = forward.assemble
+
+    def tracked_assemble(*args):
+        sys_ = assemble(*args)
+        systems.append(weakref.ref(sys_))
+        return sys_
+
+    monkeypatch.setattr(forward, "assemble", tracked_assemble)
     estimate = stability.estimate_constant
 
-    def counting_live_lus(*args, **kwargs):
+    def counting_live_systems(*args, **kwargs):
         rec = estimate(*args, **kwargs)
-        live.append(sum(sys_._lu is not None
-                        for sys_ in solver._store.values()))
+        live.append(sum(ref() is not None for ref in systems))
         return rec
 
-    monkeypatch.setattr(stability, "estimate_constant", counting_live_lus)
-    solver.clear_caches()
+    monkeypatch.setattr(stability, "estimate_constant", counting_live_systems)
+    forward.clear_caches()
     with caplog.at_level("INFO", logger="helmstab"):
         assert cli.run_campaign(loaded) == cli.EXIT_OK
-    info = solver.cache_info()
-    assert info["factorizations"] == info["misses"] == 3
-    assert live == [1] * 4
+    info = forward.cache_info()
+    assert info["factorizations"] == info["misses"] == len(systems) == 3
+    assert live == [0] * 4
     logged = [re.search(r"(\d+) factorizations", r.getMessage())
               for r in caplog.records]
     assert [int(m.group(1)) for m in logged if m] == [2, 0, 1, 0]
-    solver.clear_caches()
+    forward.clear_caches()
 
 
 def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
@@ -298,10 +303,10 @@ def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
         loaded, errors, _ = cli.load_config(
             write_config(tmp_path, cfg, f"{name}.yaml"))
         assert loaded is not None and errors == []
-        solver.clear_caches()
+        forward.clear_caches()
         assert cli.run_campaign(loaded) == cli.EXIT_OK
-        info = solver.cache_info()
-        solver.clear_caches()
+        info = forward.cache_info()
+        forward.clear_caches()
         return read_records_csv(tmp_path / name / "records.csv"), info
 
     with caplog.at_level("INFO", logger="helmstab"):

@@ -1,10 +1,14 @@
 import struct
+import warnings
+from collections import OrderedDict
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helmstab import forward, solver
+from helmstab import forward
 from helmstab.errors import NumericalFailureError
 from helmstab.forward import (
     MODE_FULL,
@@ -281,7 +285,7 @@ def test_top_data_is_subblock_of_full(model_pair):
     d_full = forward_map(m1, 8.0, full)
     # solve the top sources again rather than read the rows the full map
     # kept, so that the two data sets are independent computations
-    solver.clear_caches()
+    forward.clear_caches()
     d_top = forward_map(m1, 8.0, top)
     si = np.searchsorted(full.source_idx, top.source_idx)
     ri = np.searchsorted(full.receiver_idx, top.receiver_idx)
@@ -411,46 +415,45 @@ def test_rebuilt_system_gives_identical_data(model_pair):
     # solves every source anew and yields the same data
     m1, m2 = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
-    solver.clear_caches()
+    forward.clear_caches()
     first = forward_map(m1, 8.0, acq)
     for w2 in (7.0, 7.5, 8.5, 9.0):
         forward_map(m2, w2, acq)
-    assert solver.cache_info()["evictions"] == 1
-    row_misses = solver.cache_info()["row_misses"]
+    assert forward.cache_info()["evictions"] == 1
+    row_misses = forward.cache_info()["row_misses"]
     again = forward_map(m1, 8.0, acq)
-    assert solver.cache_info()["misses"] == 6
-    assert solver.cache_info()["row_misses"] == row_misses + acq.n_sources
+    assert forward.cache_info()["misses"] == 6
+    assert forward.cache_info()["row_misses"] == row_misses + acq.n_sources
     assert np.array_equal(first.values, again.values)
-    solver.clear_caches()
+    forward.clear_caches()
 
 
 def test_dropped_lu_is_rebuilt_for_the_missing_sources(model_pair,
                                                        monkeypatch):
-    # factorizing m2 drops the LU of m1; a full-mode map of m1 then
-    # factorizes m1 once more and solves only the sources its top-mode map
-    # left out, and its data equal those of a cold store
+    # the top-mode map of m1 frees its system and LU when it returns; a
+    # full-mode map of m1 then factorizes m1 once more and solves only the
+    # sources the top-mode map left out, and its data equal those of a cold
+    # store
     m1, m2 = model_pair
     top = make_acquisition(m1.grid, MODE_TOP, 0.25, 0.125, 0.08)
     full = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
-    solver.clear_caches()
+    forward.clear_caches()
     cold = forward_map(m1, 8.0, full)
-    solver.clear_caches()
+    forward.clear_caches()
     forward_map(m1, 8.0, top)
     forward_map(m2, 8.0, top)
-    assert [sys_._lu is not None for sys_ in solver._store.values()] == \
-        [False, True]
 
     solve = forward.solve_dirichlet
     columns = []
     monkeypatch.setattr(forward, "solve_dirichlet",
                         lambda sys_, g, *args: columns.append(g.shape[1])
                         or solve(sys_, g, *args))
-    factorizations = solver.cache_info()["factorizations"]
+    factorizations = forward.cache_info()["factorizations"]
     warm = forward_map(m1, 8.0, full)
     assert sum(columns) == full.n_sources - top.n_sources > 0
-    assert solver.cache_info()["factorizations"] == factorizations + 1
+    assert forward.cache_info()["factorizations"] == factorizations + 1
     assert np.array_equal(warm.values, cold.values)
-    solver.clear_caches()
+    forward.clear_caches()
 
 
 @pytest.mark.parametrize("modes", [(MODE_FULL, MODE_TOP), (MODE_TOP, MODE_FULL)])
@@ -461,16 +464,16 @@ def test_kept_rows_give_the_data_of_a_cold_store(model_pair, modes):
     acqs = [make_acquisition(m1.grid, mode, 0.25, 0.125, 0.08)
             for mode in modes]
     n_full, n_top = sorted((a.n_sources for a in acqs), reverse=True)
-    solver.clear_caches()
+    forward.clear_caches()
     warm = [forward_map(m1, 8.0, acq) for acq in acqs]
-    info = solver.cache_info()
+    info = forward.cache_info()
     assert (info["row_hits"], info["row_misses"]) == (n_top, n_full)
     for acq, data in zip(acqs, warm):
-        solver.clear_caches()
+        forward.clear_caches()
         assert np.array_equal(forward_map(m1, 8.0, acq).values, data.values)
-    solver.clear_caches()
-    assert solver.cache_info()["row_hits"] == 0
-    assert solver.cache_info()["row_misses"] == 0
+    forward.clear_caches()
+    assert forward.cache_info()["row_hits"] == 0
+    assert forward.cache_info()["row_misses"] == 0
 
 
 def test_failed_block_keeps_only_the_solved_rows(model_pair, monkeypatch):
@@ -479,9 +482,9 @@ def test_failed_block_keeps_only_the_solved_rows(model_pair, monkeypatch):
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
     assert acq.n_sources == 12
-    solver.clear_caches()
+    forward.clear_caches()
     cold = forward_map(m1, 8.0, acq)
-    solver.clear_caches()
+    forward.clear_caches()
 
     solve = forward.solve_dirichlet
     columns = []
@@ -495,10 +498,9 @@ def test_failed_block_keeps_only_the_solved_rows(model_pair, monkeypatch):
     monkeypatch.setattr(forward, "solve_dirichlet", second_block_fails)
     with pytest.raises(NumericalFailureError):
         forward_map(m1, 8.0, acq)
-    sys_ = solver.assemble(m1.grid, to_cell_field(m1), 8.0)
     kept = [(int(s), acq.source_sigma) for s in acq.source_idx[:8]]
-    assert list(sys_.dtn_rows) == kept
-    assert solver.cache_info()["row_misses"] == 8
+    assert [list(rows) for rows in forward._rows.values()] == [kept]
+    assert forward.cache_info()["row_misses"] == 8
 
     columns.clear()
     monkeypatch.setattr(forward, "solve_dirichlet",
@@ -506,9 +508,122 @@ def test_failed_block_keeps_only_the_solved_rows(model_pair, monkeypatch):
                         or solve(sys_, g, *args))
     again = forward_map(m1, 8.0, acq)
     assert columns == [4]
-    assert solver.cache_info()["row_misses"] == 12
+    assert forward.cache_info()["row_misses"] == 12
     assert np.array_equal(again.values, cold.values)
-    solver.clear_caches()
+    forward.clear_caches()
+
+
+def test_row_store_keeps_the_4_most_recent_entries():
+    # the store keeps the rows of the 4 most recently used (model, omega^2)
+    # entries: a hit refreshes an entry, and a fifth distinct entry evicts
+    # the least recently used one
+    forward.clear_caches()
+    g = build_grid((1.0, 1.0), (8, 8))
+    part = build_partition(g, (2, 2))
+    m = SquaredSlownessModel(part, np.full(4, 0.5), BOUNDS)
+    acq = make_acquisition(g, MODE_FULL, 0.25, 0.25, 0.2)
+    n = acq.n_sources
+    for w2 in (1.0, 2.0, 3.0, 4.0):
+        forward_map(m, w2, acq)
+    # equal content is the same entry
+    forward_map(SquaredSlownessModel(part, m.values.copy(), BOUNDS), 1.0, acq)
+    forward_map(m, 5.0, acq)
+    assert forward.cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
+                                    "factorizations": 5, "row_hits": n,
+                                    "row_misses": 5 * n, "cg_columns": 0,
+                                    "cg_iterations": 0, "entries": 4}
+    forward_map(m, 1.0, acq)
+    forward_map(m, 2.0, acq)   # evicted: solved again
+    assert forward.cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
+                                    "factorizations": 6, "row_hits": 2 * n,
+                                    "row_misses": 6 * n, "cg_columns": 0,
+                                    "cg_iterations": 0, "entries": 4}
+    forward.clear_caches()
+    assert forward.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
+                                    "factorizations": 0, "row_hits": 0,
+                                    "row_misses": 0, "cg_columns": 0,
+                                    "cg_iterations": 0, "entries": 0}
+
+
+def _store_case():
+    g = build_grid((1.0, 1.0), (16, 16))
+    part = build_partition(g, (2, 2))
+    models = {"m1": SquaredSlownessModel(part, [0.3, 0.5, 0.7, 0.9], BOUNDS),
+              "m2": SquaredSlownessModel(part, [0.9, 0.4, 0.6, 0.25], BOUNDS)}
+    acqs = {mode: make_acquisition(g, mode, 0.25, 0.125, 0.08)
+            for mode in (MODE_FULL, MODE_TOP)}
+    return models, acqs
+
+
+_STORE_MODELS, _STORE_ACQS = _store_case()
+# inside the first window of the 16^2 grid, (0, 19.68) for B2 = 1
+_STORE_OMEGA2 = (2.0, 5.0, 8.0, 11.0, 14.0)
+_cold_values = {}
+
+
+def _cold(name, omega2, mode):
+    """The map's data on a cold store, computed once per test session."""
+    key = (name, omega2, mode)
+    if key not in _cold_values:
+        forward.clear_caches()
+        _cold_values[key] = forward_map(_STORE_MODELS[name], omega2,
+                                        _STORE_ACQS[mode]).values
+    return _cold_values[key]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_STORE_MODELS)),
+                          st.sampled_from(_STORE_OMEGA2),
+                          st.sampled_from([MODE_FULL, MODE_TOP])),
+                min_size=5, max_size=12))
+def test_warm_maps_equal_cold_maps(maps):
+    # whatever the order of maps, LRU refreshes, evictions and partly filled
+    # entries give the data of a cold store bit for bit, and one LU is
+    # computed per map that finds a row missing, as predicted by a model of
+    # the 4-entry store
+    cold = [_cold(*m) for m in maps]
+    forward.clear_caches()
+    model_store = OrderedDict()   # (model, omega2) -> solved source indices
+    predicted = 0
+    for (name, omega2, mode), want in zip(maps, cold):
+        acq = _STORE_ACQS[mode]
+        have = model_store.get((name, omega2))
+        if have is not None:
+            model_store.move_to_end((name, omega2))
+        need = set(acq.source_idx.tolist())
+        missing = have is None or not need <= have
+        if have is None:
+            have = model_store[(name, omega2)] = set()
+            if len(model_store) > 4:
+                model_store.popitem(last=False)
+        have |= need
+        predicted += missing
+        before = forward.cache_info()["row_misses"]
+        got = forward_map(_STORE_MODELS[name], omega2, acq).values
+        assert np.array_equal(got, want)
+        assert (forward.cache_info()["row_misses"] > before) == missing
+    info = forward.cache_info()
+    assert info["factorizations"] == predicted
+    assert info["entries"] == len(model_store)
+    forward.clear_caches()
+
+
+def test_under_resolved_map_warns_when_it_assembles():
+    # 6.5 points per wavelength on an 8^2 grid: the first map after
+    # clear_caches assembles and warns; a map whose rows are all kept
+    # assembles nothing and so does not warn
+    g = build_grid((1.0, 1.0), (8, 8))
+    m = SquaredSlownessModel(build_partition(g, (2, 2)), np.ones(4), BOUNDS)
+    acq = make_acquisition(g, MODE_FULL, 0.25, 0.25, 0.2)
+    for _ in range(2):
+        forward.clear_caches()
+        with pytest.warns(UserWarning, match="points per wavelength"):
+            first = forward_map(m, 60.0, acq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = forward_map(m, 60.0, acq)
+        assert np.array_equal(first.values, again.values)
+    forward.clear_caches()
 
 
 @pytest.mark.parametrize("keep", [10, 40, 70, 100, -8])

@@ -7,13 +7,12 @@ from scipy.sparse.linalg import splu
 
 from helmstab import solver
 from helmstab.errors import NumericalFailureError
+from helmstab.forward import cache_info, clear_caches
 from helmstab.geometry import build_grid
 from helmstab.solver import (
     HelmholtzSystem,
     assemble,
     axis_eigenvalues,
-    cache_info,
-    clear_caches,
     flux_normal_derivative,
     node_coefficients,
     normal_derivative,
@@ -176,33 +175,6 @@ def test_flux_pairing_matches_weighted_form():
     direct = np.dot(sys_.flux_rows.dot(u), hb)
     weighted = np.sum(g.boundary_weights * flux_normal_derivative(sys_, u) * hb)
     assert np.isclose(direct, weighted, rtol=1e-12)
-
-
-def test_factorization_cache_reuse():
-    # the store keeps the 4 most recently used systems: a hit refreshes an
-    # entry, and a fifth distinct system evicts the least recently used one
-    clear_caches()
-    g = build_grid((1.0, 1.0), (8, 8))
-    coeff = np.ones(g.n_cells)
-    systems = [assemble(g, coeff, w2) for w2 in (1.0, 2.0, 3.0, 4.0)]
-    assert assemble(g, coeff.copy(), 1.0) is systems[0]
-    assemble(g, coeff, 5.0)
-    assert cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
-                            "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "cg_columns": 0,
-                            "cg_iterations": 0, "entries": 4}
-    assert assemble(g, coeff, 1.0) is systems[0]
-    rebuilt = assemble(g, coeff, 2.0)
-    assert rebuilt is not systems[1]
-    assert cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
-                            "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "cg_columns": 0,
-                            "cg_iterations": 0, "entries": 4}
-    clear_caches()
-    assert cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
-                            "factorizations": 0, "row_hits": 0,
-                            "row_misses": 0, "cg_columns": 0,
-                            "cg_iterations": 0, "entries": 0}
 
 
 @pytest.mark.parametrize("cells", [(12, 12, 12), (48, 48)])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmstab import solver
 from helmstab.geometry import build_grid
 from helmstab.spectrum import (
     discrete_dirichlet_eigenvalues,
@@ -236,19 +235,6 @@ def test_windows_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,lambda_n,window_lo,window_hi,nonempty"
     assert len(lines) == 1 + fw.source_eigenvalues.size  # one row per candidate
-
-
-def test_eigensolve_leaves_the_factorization_store_alone():
-    # the pencil is the omega = 0 system built directly, not through
-    # assemble(), so it can never evict a campaign's factorization
-    solver.clear_caches()
-    g = build_grid((1.0, 0.8), (12, 10))
-    discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, 0.5), 3)
-    assert solver.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
-                                   "factorizations": 0, "row_hits": 0,
-                                   "row_misses": 0, "cg_columns": 0,
-                                   "cg_iterations": 0, "entries": 0}
-    solver.clear_caches()
 
 
 def test_count_validation():
