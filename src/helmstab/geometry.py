@@ -185,9 +185,6 @@ class BoxGrid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def domain_volume(self) -> float:
-        return float(np.prod(self.extents))
-
     def top_face(self) -> int:
         """Face id of the acquisition surface (low side of the last axis)."""
         return 2 * (self.dim - 1)

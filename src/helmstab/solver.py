@@ -33,9 +33,13 @@ one per system:
   first admissible window (:mod:`spectrum`) every admissible system passes.
   The preconditioner is the shifted constant-coefficient stencil
   ``L_h - sigma I``, ``sigma = omega^2 (c_min + c_max) / 2``, inverted exactly
-  by the orthonormal type-I discrete sine transform, which diagonalizes
-  ``L_h`` (fast-Poisson preconditioning, Concus & Golub 1973). The interior
-  matrix differs from it by a diagonal of norm at most
+  by the orthonormal type-I discrete sine transform (DST-I), which
+  diagonalizes ``L_h`` (fast-Poisson preconditioning, Concus & Golub 1973).
+  The DST-I of length m is the symmetric, involutory matrix
+  ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))``; the transform applies one such
+  matrix per axis by one BLAS matrix product over the block viewed in place,
+  which at these sizes (m up to about 100) beats an FFT. The interior
+  matrix differs from the preconditioner by a diagonal of norm at most
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
@@ -51,18 +55,19 @@ one per system:
 
 CPU time on a 2-vCPU Xeon VM with one BLAS thread, unit box, coefficients
 uniform in [0.25, 1] with largest value B2, omega = 2 pi 0.45 unless given,
-3-5 random draws:
+4 random draws each in two runs (the 128^2 CG row calls the CG loop
+directly):
 
     problem                            CG                       LU factor + solve
-    24^3, 9 columns                    0.04-0.08 s, 5-6 iter.   0.38-0.42 + 0.02-0.03 s
+    24^3, 9 columns                    0.02-0.04 s, 5-6 iter.   0.38-0.42 + 0.02-0.03 s
     24^3, 9 columns, omega^2 B2
-      = 0.999 lambda_h,1               0.06-0.08 s, 7 iter.     0.37-0.47 + 0.03 s
-    32^3, 9 columns                    0.17-0.19 s, 5 iter.     3.8 + 0.13 s
-    128^2, 60 columns                  0.48-0.57 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
+      = 0.999 lambda_h,1               0.03-0.05 s, 7 iter.     0.37-0.47 + 0.03 s
+    32^3, 9 columns                    0.06-0.09 s, 5 iter.     3.8 + 0.13 s
+    128^2, 60 columns                  0.30-0.44 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
 
 In 2D the LU has little fill (0.65 M nonzeros at 128^2, against 3.3 M at
-24^3 and 13 M at 32^3), so LU stays faster there and 2D keeps LU. The first
-CG solve of a process also loads ``scipy.fft`` (about 0.1 s).
+24^3 and 13 M at 32^3), so LU stays faster there and 2D keeps LU. The CG
+path needs only numpy and the sparse product, so it loads no further module.
 
 :func:`solve_dirichlet` takes one right-hand side (``g`` of shape
 ``(n_boundary,)``, ``f`` of shape ``(n_interior,)``) or a block of ``k`` of
@@ -380,55 +385,96 @@ def _cg_plan(sys_: HelmholtzSystem):
     return sigma, _cg_iteration_cap(delta, kappa)
 
 
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal type-I discrete sine transform of length ``m`` as a
+    matrix, ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))``, ``j, k = 1 .. m``. It
+    is symmetric and its own inverse."""
+    k = np.arange(1, m + 1)
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * np.outer(k, k))
+
+
+def _sine_transform(v: np.ndarray, sines) -> np.ndarray:
+    """Orthonormal DST-I over the interior lattice of every column of the
+    ``(n_interior, k)`` block ``v``.
+
+    The nodes run x-fastest, so the C-ordered block is the lattice
+    ``(n_z, .., n_x, k)``. ``sines`` holds one :func:`_sine_matrix` per axis in
+    that order, slowest first, and each is applied by one matrix product
+    over the lattice viewed as ``(lead, m_a, rest)``, without a transpose.
+    """
+    z = v
+    lead = 1
+    for s in sines:
+        m = s.shape[0]
+        z = np.matmul(s, z.reshape(lead, m, -1))
+        lead *= m
+    return z.reshape(v.shape)
+
+
+def _fast_poisson(grid: BoxGrid, sigma: float):
+    """``(L_h - sigma I)^-1`` on ``(n_interior, k)`` blocks, applied exactly
+    by :func:`_sine_transform`, which diagonalizes ``L_h``; ``sigma`` must lie
+    below ``lambda_h,1``."""
+    sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
+    # stencil eigenvalues on the lattice (n_z, .., n_x), one row per node
+    inverse = 1.0 / (sum(np.ix_(*axis_eigenvalues(grid)[::-1])) - sigma)
+    inverse = inverse.reshape(-1, 1)
+
+    def precondition(r):
+        z = _sine_transform(r, sines)
+        z *= inverse
+        return _sine_transform(z, sines)
+
+    return precondition
+
+
 def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
               cap: int) -> np.ndarray:
     """Interior solution of every column of ``rhs`` by CG preconditioned with
-    ``(L_h - sigma I)^-1``, applied by the orthonormal DST-I (its own
-    inverse) over the interior lattice. The columns share each sparse
-    product and transform but keep their own step lengths, and a column
-    leaves the loop once its residual is within ``CG_RTOL``; all leave after
-    ``cap`` iterations."""
-    # loaded here, so that importing the package does not pay for it
-    from scipy.fft import dstn
-
-    grid = sys_.grid
+    :func:`_fast_poisson`. The columns share each sparse product and
+    transform but keep their own step lengths. The iterates, residuals and
+    directions of the columns still in the loop are kept as compact blocks;
+    a column leaves once its residual is within ``CG_RTOL`` (all leave after
+    ``cap`` iterations), and only then is its solution written out and the
+    blocks compacted."""
     b = rhs.reshape(rhs.shape[0], -1)
-    lattice = tuple(n - 1 for n in grid.cells_per_axis)
-    axes = tuple(range(grid.dim))
-    inverse = 1.0 / (sum(np.ix_(*axis_eigenvalues(grid))) - sigma)[..., None]
-
-    def precondition(r):
-        z = dstn(r.reshape(lattice + (-1,), order="F"), type=1,
-                 norm="ortho", axes=axes)
-        z *= inverse
-        return dstn(z, type=1, norm="ortho", axes=axes,
-                    overwrite_x=True).reshape(r.shape, order="F")
+    precondition = _fast_poisson(sys_.grid, sigma)
 
     def column_dots(u, v):
         return np.einsum("ij,ij->j", u, v)
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    target = CG_RTOL * np.linalg.norm(b, axis=0)
-    active = np.flatnonzero(np.linalg.norm(r, axis=0) > target)
+    out = np.zeros_like(b)
+    norms = np.linalg.norm(b, axis=0)
+    active = np.flatnonzero(norms > CG_RTOL * norms)
+    target = CG_RTOL * norms[active]
+    r = b[:, active]
+    x = np.zeros_like(r)
     p = rz = None
     iterations = 0
     while active.size and iterations < cap:
-        z = precondition(r[:, active])
-        rz_next = column_dots(r[:, active], z)
-        p = z if p is None else z + (rz_next / rz) * p
+        z = precondition(r)
+        rz_next = column_dots(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rz_next / rz
+            p += z
         rz = rz_next
         q = sys_.interior_matrix.dot(p)
         alpha = rz / column_dots(p, q)
-        x[:, active] += alpha * p
-        r[:, active] -= alpha * q
+        x += alpha * p
+        r -= alpha * q
         iterations += 1
         # a NaN residual leaves too, for the residual check to report
-        going = np.linalg.norm(r[:, active], axis=0) > target[active]
-        active, p, rz = active[going], p[:, going], rz[going]
+        going = np.linalg.norm(r, axis=0) > target
+        if not going.all():
+            out[:, active[~going]] = x[:, ~going]
+            active, target, rz = active[going], target[going], rz[going]
+            x, r, p = x[:, going], r[:, going], p[:, going]
+    out[:, active] = x
     solve_counts["cg_columns"] += b.shape[1]
     solve_counts["cg_iterations"] += iterations
-    return x.reshape(rhs.shape)
+    return out.reshape(rhs.shape)
 
 
 def _inward_strides(grid: BoxGrid):
