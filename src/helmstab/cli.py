@@ -12,10 +12,11 @@ the acquisition of every listed mode and the admissible windows of every
 frequency, each once; ``run``, ``forward``, ``windows`` and ``validate``
 only read what it built. So every subcommand fails the same way, with a
 config error, on a model file that cannot be loaded, on a frequency or mode
-listed twice and on a non-finite or mistyped setting. A key the schema does
-not list loads with the warning "<section>.<key> is not a setting of this
-version; ignored", and a model whose block means leave [B1, B2] with one
-warning per scale that counts the subdomains clamped into the bounds.
+listed twice and on a non-finite or mistyped setting (a boolean for a
+number, a string for a list of numbers). A key the schema does not list
+loads with the warning "<section>.<key> is not a setting of this version;
+ignored", and a model whose block means leave [B1, B2] with one warning per
+scale that counts the subdomains clamped into the bounds.
 ``forward --mode`` must name a listed mode.
 
 The library takes omega^2 as given; ``run`` and ``forward`` refuse a frequency
@@ -282,6 +283,13 @@ def load_config(path):
                   for fld in ("source_spacing", "receiver_spacing", "sigma")}}
     errors += [f"{name}: a boolean is not a number, got {value!r}"
                for name, value in numeric.items() if _holds_bool(value)]
+    # a string where a list of numbers belongs would be split into characters
+    lists = [("grid.extents", extents), ("grid.cells", cells),
+             ("model.bounds", bounds)]
+    if isinstance(blocks, list):
+        lists += [("scales.blocks", entry) for entry in blocks]
+    errors += [f"{name}: expected a list of numbers, got the string {value!r}"
+               for name, value in lists if isinstance(value, str)]
 
     if errors:
         return None, errors, warnings_

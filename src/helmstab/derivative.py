@@ -60,7 +60,6 @@ import scipy.sparse as sp
 from .forward import (
     Acquisition,
     _blocks,
-    _source_blocks,
     forward_map,
     gaussian_source,  # unused here; benchmarks/spans.py traces this binding
     weighted_operator_norm,
@@ -156,6 +155,15 @@ def _check_convention(convention: str):
 def _check_grid(base: SquaredSlownessModel, acq: Acquisition):
     if acq.grid.key != base.grid.key:
         raise ValueError("acquisition and model live on different grids")
+
+
+def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
+    """(slice, source-field block) per block of sources, solved against the
+    system ``sys_``; only one block of full-grid fields is alive at a time.
+    The derivative paths need the whole fields; ``forward.forward_map``
+    keeps only their DtN rows."""
+    for block in _blocks(acq.n_sources):
+        yield block, solve_dirichlet(sys_, acq.sources[:, block])
 
 
 def _node_weights(grid, cell_fields) -> sp.csr_matrix:

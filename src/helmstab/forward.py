@@ -17,7 +17,6 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -259,12 +258,12 @@ def _resolve_spacing(spacing, dim):
 
 
 def _face_lattice(grid: BoxGrid, face: int, spacing) -> np.ndarray:
-    """Flat node indices of a regular interior lattice on one face."""
+    """Flat node indices of a regular interior lattice on one face, sorted."""
     axis, side = grid.face_axis_side(face)
-    strides = grid.node_strides()
-    tang = [t for t in range(grid.dim) if t != axis]
-    per_axis = []
-    for t in tang:
+    per_axis = [[0 if side == 0 else grid.nodes_per_axis[axis] - 1]] * grid.dim
+    for t in range(grid.dim):
+        if t == axis:
+            continue
         sp_t = spacing[t]
         h_t = grid.spacing[t]
         if sp_t < h_t:
@@ -277,15 +276,9 @@ def _face_lattice(grid: BoxGrid, face: int, spacing) -> np.ndarray:
         ks = np.arange(1, n + 1) * sp_t
         idx = np.clip(np.rint(ks / h_t).astype(np.int64), 1,
                       grid.nodes_per_axis[t] - 2)
-        per_axis.append(np.unique(idx))
-    flats = []
-    base = 0 if side == 0 else (grid.nodes_per_axis[axis] - 1) * strides[axis]
-    for combo in product(*per_axis):
-        flat = base
-        for t, it in zip(tang, combo):
-            flat += it * strides[t]
-        flats.append(flat)
-    return np.asarray(sorted(flats), dtype=np.int64)
+        per_axis[t] = np.unique(idx)
+    mesh = np.stack(np.meshgrid(*per_axis, indexing="ij"), axis=-1)
+    return np.sort(grid.node_index(mesh), axis=None)
 
 
 def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
@@ -308,19 +301,6 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 
 
 # -- the forward map ---------------------------------------------------------------
-
-def _source_blocks(sys_, acq: Acquisition):
-    """(slice, source-field block) per block of sources, solved against the
-    system ``sys_``; only one block of full-grid fields is alive at a time.
-
-    The derivative paths need the whole fields and use this
-    (``derivative.frechet_jacobian``, ``frechet_directional`` and
-    ``frechet_pairing_first_order``); :func:`forward_map` needs only the
-    fields' DtN rows, which it keeps in its row store.
-    """
-    for block in _blocks(acq.n_sources):
-        yield block, solve_dirichlet(sys_, acq.sources[:, block])
-
 
 def forward_map(model: SquaredSlownessModel, omega2: float,
                 acq: Acquisition) -> DtnData:

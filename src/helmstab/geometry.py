@@ -5,7 +5,10 @@ Conventions used everywhere downstream:
 * Axes are ordered (x, y) in 2D and (x, y, z) in 3D; the last axis plays the
   role of depth, so the "top" boundary face is the low side of the last axis.
 * Nodes and cells are flattened x-fastest:
-  ``flat = ix + nx * (iy + ny * iz)``.
+  ``flat = ix + nx * (iy + ny * iz)``. Only this module encodes that rule:
+  the index maps ``BoxGrid.node_index``/``node_multi_index`` and
+  ``cell_index``/``cell_multi_index`` with their strides, and
+  :func:`_lattice`, which combines one array per axis over their lattice.
 * Each boundary node is owned by exactly one face. Nodes on edges/corners are
   assigned to the touching face with the lowest axis index; the owning face
   (``BoxGrid.boundary_face``) fixes the node's outward normal. Boundary
@@ -28,8 +31,10 @@ __all__ = [
 
 
 def _counts(values, what: str) -> tuple:
-    """``values`` as a tuple of ints. A fractional, non-finite or non-numeric
-    entry is a ValueError, never truncated."""
+    """``values`` as a tuple of ints. A string, or a fractional, non-finite
+    or non-numeric entry, is a ValueError, never split or truncated."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a list of numbers, got {values!r}")
     values = tuple(values)
     try:
         floats = [float(v) for v in values]
@@ -45,6 +50,31 @@ def _as_flat(a: np.ndarray) -> np.ndarray:
     return np.ravel(a, order="F")
 
 
+def _strides(shape) -> tuple:
+    """Flat-index step of every axis of an x-fastest lattice."""
+    return tuple(int(s) for s in np.cumprod((1,) + tuple(shape[:-1])))
+
+
+def _lattice(op, per_axis) -> np.ndarray:
+    """``op``-combination of one 1-D array per axis over the lattice they
+    span, flattened x-fastest."""
+    out = per_axis[0]
+    for v in per_axis[1:]:
+        out = op.outer(v, out).ravel()
+    return out
+
+
+def _multi_index(flat, shape) -> np.ndarray:
+    """Per-axis indices ``(..., len(shape))`` of x-fastest flat indices."""
+    return np.stack(np.unravel_index(flat, shape, order="F"), axis=-1)
+
+
+def _flat_index(multi, shape) -> np.ndarray:
+    """x-fastest flat indices of per-axis indices ``(..., len(shape))``."""
+    return np.ravel_multi_index(tuple(np.moveaxis(np.asarray(multi), -1, 0)),
+                                shape, order="F")
+
+
 class BoxGrid:
     """Axis-aligned box with a uniform structured grid.
 
@@ -52,6 +82,8 @@ class BoxGrid:
     """
 
     def __init__(self, extents, cells_per_axis):
+        if isinstance(extents, str):
+            raise ValueError(f"extents must be a list of numbers, got {extents!r}")
         extents = tuple(float(e) for e in extents)
         cells = _counts(cells_per_axis, "cells")
         if len(extents) not in (2, 3) or len(extents) != len(cells):
@@ -135,12 +167,6 @@ class BoxGrid:
         """Hashable identity used by caches and compatibility checks."""
         return (self.extents, self.cells_per_axis)
 
-    def __eq__(self, other):
-        return isinstance(other, BoxGrid) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"BoxGrid(extents={self.extents}, cells_per_axis={self.cells_per_axis})"
 
@@ -151,19 +177,16 @@ class BoxGrid:
 
     def node_strides(self):
         """Flat-index strides per axis (x-fastest layout)."""
-        strides = [1]
-        for n in self.nodes_per_axis[:-1]:
-            strides.append(strides[-1] * n)
-        return tuple(strides)
+        return _strides(self.nodes_per_axis)
 
     def node_multi_index(self, flat):
-        flat = np.asarray(flat)
-        out = np.empty(flat.shape + (self.dim,), dtype=np.int64)
-        rem = flat
-        for a, n in enumerate(self.nodes_per_axis):
-            out[..., a] = rem % n
-            rem = rem // n
-        return out
+        """Per-axis indices ``(..., dim)`` of the given flat node indices."""
+        return _multi_index(flat, self.nodes_per_axis)
+
+    def node_index(self, multi):
+        """Flat indices of the per-axis node indices ``(..., dim)``; the
+        inverse of :meth:`node_multi_index`."""
+        return _flat_index(multi, self.nodes_per_axis)
 
     def node_coordinates(self, flat):
         """Physical coordinates of the given flat node indices, shape (..., dim)."""
@@ -174,13 +197,13 @@ class BoxGrid:
         return self.node_coordinates(np.arange(self.n_nodes))
 
     def cell_multi_index(self, flat):
-        flat = np.asarray(flat)
-        out = np.empty(flat.shape + (self.dim,), dtype=np.int64)
-        rem = flat
-        for a, n in enumerate(self.cells_per_axis):
-            out[..., a] = rem % n
-            rem = rem // n
-        return out
+        """Per-axis indices ``(..., dim)`` of the given flat cell indices."""
+        return _multi_index(flat, self.cells_per_axis)
+
+    def cell_index(self, multi):
+        """Flat indices of the per-axis cell indices ``(..., dim)``; the
+        inverse of :meth:`cell_multi_index`."""
+        return _flat_index(multi, self.cells_per_axis)
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -210,7 +233,7 @@ class BoxGrid:
             raise ValueError(
                 f"point {tuple(point)} lies more than h/2 off the box "
                 f"{self.extents}")
-        flat = int(np.dot(mi.astype(np.int64), self.node_strides()))
+        flat = int(self.node_index(mi.astype(np.int64)))
         dist = float(np.linalg.norm(self.node_coordinates(flat) - point))
         if self.boundary_position[flat] < 0:
             raise ValueError(f"point {tuple(point)} does not lie on the boundary")
@@ -240,24 +263,14 @@ class CubicalPartition:
         self.blocks_per_axis = tuple(len(ws) for ws in widths)
         self.n_subdomains = int(np.prod(self.blocks_per_axis))
 
-        # per-axis map: cell index -> block index
-        cell_to_block = [
-            np.repeat(np.arange(len(ws), dtype=np.int64), ws) for ws in widths
-        ]
-        mesh = np.meshgrid(*cell_to_block, indexing="ij")
-        sub = np.zeros(grid.cells_per_axis, dtype=np.int64)
-        mult = 1
-        for a in range(grid.dim):
-            sub += mesh[a] * mult
-            mult *= self.blocks_per_axis[a]
-        self.cell_to_subdomain = _as_flat(sub)
+        # per axis, the flat-index step of the block holding each cell
+        self.cell_to_subdomain = _lattice(np.add, [
+            np.repeat(np.arange(len(ws), dtype=np.int64) * s, ws)
+            for ws, s in zip(widths, _strides(self.blocks_per_axis))])
 
         lengths = [np.asarray(ws, dtype=float) * grid.spacing[a]
                    for a, ws in enumerate(widths)]
-        vol = lengths[0]
-        for a in range(1, grid.dim):
-            vol = np.multiply.outer(lengths[a], vol).reshape(-1)  # keeps x-fastest
-        self.subdomain_volumes = vol
+        self.subdomain_volumes = _lattice(np.multiply, lengths)
         self.r0 = float(min(min(lg) for lg in lengths))
 
         self.cell_to_subdomain.setflags(write=False)
@@ -266,12 +279,6 @@ class CubicalPartition:
     @property
     def key(self):
         return (self.grid.key, self.widths_per_axis)
-
-    def __eq__(self, other):
-        return isinstance(other, CubicalPartition) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return (

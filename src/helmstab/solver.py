@@ -80,10 +80,11 @@ on its own. :func:`normal_derivative` likewise acts column-wise on
 Two boundary normal-derivative extractors are provided:
 
 * :func:`normal_derivative` -- the pointwise one-sided stencil
-  ``(3 u0 - 4 u1 + u2) / (2 h)`` along the outward normal. Exact on
-  quadratics; this is what enters the measured DtN data. Its transpose on
-  the interior nodes, :func:`normal_derivative_adjoint`, is the right-hand
-  side of the adjoint solves of the data-convention derivative.
+  ``(3 u0 - 4 u1 + u2) / (2 h)`` along the outward normal, one sparse
+  boundary-by-node matrix. Exact on quadratics; this is what enters the
+  measured DtN data. That matrix's transpose, restricted to the interior
+  columns, is :func:`normal_derivative_adjoint`: the right-hand side of the
+  adjoint solves of the data-convention derivative.
 * :func:`flux_normal_derivative` -- the flux rows applied to the field,
   divided by the boundary quadrature weight. Consistent in the integrated
   (weak) sense and *exactly* self-adjoint in the weighted boundary pairing,
@@ -109,7 +110,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalFailureError
-from .geometry import BoxGrid
+from .geometry import BoxGrid, _lattice
 
 __all__ = [
     "HelmholtzSystem",
@@ -136,6 +137,13 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0}
 
 
+def _corner_slices(grid: BoxGrid) -> list:
+    """For each of the 2^dim corner offsets of a cell, the slice of the node
+    lattice holding that corner of every cell, shaped like the cell lattice."""
+    return [tuple(slice(o, o + n) for o, n in zip(offsets, grid.cells_per_axis))
+            for offsets in np.ndindex(*([2] * grid.dim))]
+
+
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
     """Coefficient at every node: arithmetic mean of the adjacent cell values."""
     coeff = np.asarray(coeff, dtype=float)
@@ -144,9 +152,7 @@ def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
     cells = coeff.reshape(grid.cells_per_axis, order="F")
     acc = np.zeros(grid.nodes_per_axis)
     cnt = np.zeros(grid.nodes_per_axis)
-    # each cell touches the 2^dim nodes at its corners
-    for offsets in np.ndindex(*([2] * grid.dim)):
-        sl = tuple(slice(o, o + n) for o, n in zip(offsets, grid.cells_per_axis))
+    for sl in _corner_slices(grid):
         acc[sl] += cells
         cnt[sl] += 1.0
     return np.ravel(acc / cnt, order="F")
@@ -158,15 +164,6 @@ def _trapezoid(n: int) -> np.ndarray:
     f = np.ones(n)
     f[0] = f[-1] = 0.5
     return f
-
-
-def _lattice(op, per_axis) -> np.ndarray:
-    """``op``-combination of one 1-D array per axis over the lattice they
-    span, flattened x-fastest."""
-    out = per_axis[0]
-    for v in per_axis[1:]:
-        out = op.outer(v, out).ravel()
-    return out
 
 
 def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
@@ -477,12 +474,20 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     return out.reshape(rhs.shape)
 
 
-def _inward_strides(grid: BoxGrid):
-    """Signed flat stride stepping inward from each boundary node."""
-    strides = np.asarray(grid.node_strides())
-    axes = grid.boundary_face // 2
-    sides = grid.boundary_face % 2
-    return np.where(sides == 0, strides[axes], -strides[axes]), axes
+def _normal_stencil(grid: BoxGrid):
+    """The one-sided normal-derivative stencil: the ``(n_boundary, n_nodes)``
+    CSR matrix ``D`` and ``2 h`` per boundary node, with
+    ``D @ u / 2h = (3 u0 - 4 u1 + u2) / (2 h)`` and u1, u2 stepping inward
+    along the owning face's normal. Each row stores the taps 3, -4 and 1 in
+    that order, which is the order ``D @ u`` adds them in."""
+    axes, sides = np.divmod(grid.boundary_face, 2)
+    step = np.asarray(grid.node_strides())[axes] * np.where(sides == 0, 1, -1)
+    b = grid.boundary_nodes
+    cols = np.stack([b, b + step, b + 2 * step], axis=1).ravel()
+    taps = np.tile([3.0, -4.0, 1.0], grid.n_boundary)
+    d = sp.csr_matrix((taps, cols, np.arange(0, 3 * b.size + 1, 3)),
+                      shape=(grid.n_boundary, grid.n_nodes))
+    return d, 2.0 * np.asarray(grid.spacing)[axes]
 
 
 def normal_derivative(grid: BoxGrid, u) -> np.ndarray:
@@ -496,12 +501,8 @@ def normal_derivative(grid: BoxGrid, u) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[0] != grid.n_nodes:
         raise ValueError(f"u must be a full-grid field with {grid.n_nodes} values")
-    if any(n < 3 for n in grid.nodes_per_axis):
-        raise ValueError("need at least 3 nodes along every axis for the stencil")
-    step, axes = _inward_strides(grid)
-    b = grid.boundary_nodes
-    h = np.asarray(grid.spacing)[axes].reshape((-1,) + (1,) * (u.ndim - 1))
-    return (3.0 * u[b] - 4.0 * u[b + step] + u[b + 2 * step]) / (2.0 * h)
+    d, two_h = _normal_stencil(grid)
+    return d @ u / two_h.reshape((-1,) + (1,) * (u.ndim - 1))
 
 
 def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
@@ -511,27 +512,15 @@ def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     interior field at boundary position ``positions[j]``: for every field
     ``w`` that vanishes on the boundary,
     ``normal_derivative(grid, w)[positions] == E.T @ w[grid.interior_nodes]``
-    with ``E`` the returned ``(n_interior, len(positions))`` array. The
-    ``3 u0`` term and every inward node that lies on the boundary (next to an
-    edge or corner) drop out, because ``w`` is zero there. Solving against
-    ``E`` gives the adjoint fields of the receiver samples.
+    with ``E`` the returned dense ``(n_interior, len(positions))`` array, the
+    transpose of the stencil's rows at ``positions`` restricted to the
+    interior columns. Solving against ``E`` gives the adjoint fields of the
+    receiver samples.
     """
-    if any(n < 3 for n in grid.nodes_per_axis):
-        raise ValueError("need at least 3 nodes along every axis for the stencil")
     positions = np.asarray(positions, dtype=np.int64)
-    step, axes = _inward_strides(grid)
-    b = grid.boundary_nodes[positions]
-    step = step[positions]
-    h = np.asarray(grid.spacing)[axes[positions]]
-    interior_position = np.full(grid.n_nodes, -1, dtype=np.int64)
-    interior_position[grid.interior_nodes] = np.arange(grid.n_interior)
-    e = np.zeros((grid.n_interior, positions.size))
-    cols = np.arange(positions.size)
-    for k, coef in ((1, -4.0), (2, 1.0)):
-        rows = interior_position[b + k * step]
-        inside = rows >= 0
-        e[rows[inside], cols[inside]] += coef / (2.0 * h[inside])
-    return e
+    d, two_h = _normal_stencil(grid)
+    return (d[positions][:, grid.interior_nodes].toarray()
+            / two_h[positions, None]).T
 
 
 def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:
@@ -552,8 +541,7 @@ def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
     """Mean of the 2^dim corner nodes per cell, x-fastest order."""
     lattice = np.asarray(u).reshape(grid.nodes_per_axis, order="F")
     acc = np.zeros(grid.cells_per_axis, dtype=lattice.dtype)
-    for off in np.ndindex(*([2] * grid.dim)):
-        sl = tuple(slice(o, o + n) for o, n in zip(off, grid.cells_per_axis))
+    for sl in _corner_slices(grid):
         acc = acc + lattice[sl]
     return np.ravel(acc / 2 ** grid.dim, order="F")
 

@@ -50,9 +50,10 @@ EIG_TOL = 1e-10
 EIG_MAXITER = 500
 # Extra eigenvalues solved for beyond the wanted ones. At EIG_TOL the
 # eigenvalues at the edge of the wanted set converge last, and a copy of a
-# repeated eigenvalue there can be missed (a 20^2 square lost one of its
-# double eigenvalues in 2-4% of solves, an 8^3 cube one of its triple
-# eigenvalues in 90%); with two more requested, none was missed in 200.
+# repeated eigenvalue there can be missed (from random starts, a 20^2 square
+# lost one of its double eigenvalues in 2-4% of solves and an 8^3 cube one of
+# its triple eigenvalues in 90%; the fixed start below always loses the
+# cube's); with two more requested, none was missed in 200.
 EIG_GUARD = 2
 
 
@@ -60,8 +61,9 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
                                    count: int) -> np.ndarray:
     """Smallest ``count`` eigenvalues of ``(-Lap_h) u = lambda~ M_{c^-2} u``.
 
-    Shift-invert Lanczos about zero, on the solver's own stencil and
-    cell-to-node coefficient averaging. The coefficient must be finite and
+    Shift-invert Lanczos about zero from a fixed start vector, on the
+    solver's own stencil and cell-to-node coefficient averaging, so equal
+    inputs give equal digits. The coefficient must be finite and
     positive (ValueError otherwise).
     """
     count = int(count)
@@ -74,9 +76,13 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     if count > n - 1:
         raise ValueError(f"count={count} too large for {n} interior nodes")
     m = sp.diags(pencil.node_coeff[grid.interior_nodes]).tocsc()
+    # a fixed start makes the digits repeat from call to call; a random one
+    # has a part along every mode, where ones would have none along the
+    # modes that are odd about a symmetry plane of the box
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         vals = eigsh(lap, k=min(count + EIG_GUARD, n - 1), M=m, sigma=0.0,
-                     which="LM", tol=EIG_TOL, maxiter=EIG_MAXITER,
+                     which="LM", v0=v0, tol=EIG_TOL, maxiter=EIG_MAXITER,
                      return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(

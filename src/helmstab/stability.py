@@ -269,12 +269,7 @@ def fractional_sobolev_check(m: SquaredSlownessModel, s_prime: float,
             (pts / np.asarray(grid.spacing)).astype(np.int64),
             np.asarray(grid.cells_per_axis) - 1,
         )
-        flat = np.zeros(len(pts), dtype=np.int64)
-        mult = 1
-        for a in range(grid.dim):
-            flat += cells[:, a] * mult
-            mult *= grid.cells_per_axis[a]
-        return m.partition.cell_to_subdomain[flat]
+        return m.partition.cell_to_subdomain[grid.cell_index(cells)]
 
     sx = subdomain_of(x)
     sy = subdomain_of(y)

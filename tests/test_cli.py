@@ -509,13 +509,41 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "acquisition.receiver_spacing: a boolean is not a number, got True"),
     ("acquisition", "sigma", True,
      "acquisition.sigma: a boolean is not a number, got True"),
+    # quoted numbers: tuple("64") would split each into characters
+    ("grid", "cells", "64",
+     "grid.cells: expected a list of numbers, got the string '64'"),
+    ("model", "bounds", "14",
+     "model.bounds: expected a list of numbers, got the string '14'"),
+    ("scales", "blocks", [[2, 2], "22"],
+     "scales.blocks: expected a list of numbers, got the string '22'"),
+    ("grid", "extents", "11",
+     "grid.extents: expected a list of numbers, got the string '11'"),
+    ("model", "c2", 5, "model.c2: expected a mapping"),
+    ("model", "c2", {"generator": "spiral"},
+     "model.c2: 'generator' must be one of ('two_layer', 'linear_depth', "
+     "'constant') (or use 'file'/'text_file'), got 'spiral'"),
+    ("model", "c2", {"generator": "two_layer", "v_top": 1.0, "v_bottom": 2.0},
+     "model.c2: generator 'two_layer' needs field 'interface_depth'"),
+    ("model", "bounds", [0.25, 0.5, 1.0],
+     "model.bounds: expected [B1, B2], got [0.25, 0.5, 1.0]"),
+    (None, "frequencies_hz", 0.45, "frequencies_hz: expected a non-empty list"),
+    (None, "frequencies_hz", ["fast"],
+     "frequencies_hz: non-numeric entry 'fast'"),
+    ("scales", "blocks", 16,
+     "scales.blocks: expected a non-empty list of block counts"),
+    ("scales", "blocks", [[2, 2], 4], "scales.blocks: bad entry 4"),
+    ("acquisition", "modes", ["side"], "acquisition.modes: unknown mode 'side'"),
 ], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks",
         "duplicate_mode", "duplicate_frequency", "nan_frequency",
         "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
         "nan_wavespeed", "quantity", "fractional_cells", "fractional_blocks",
         "inf_cells", "bool_extent", "bool_cells", "bool_bound",
         "bool_generator_field", "bool_frequency", "bool_blocks",
-        "bool_source_spacing", "bool_receiver_spacing", "bool_sigma"])
+        "bool_source_spacing", "bool_receiver_spacing", "bool_sigma",
+        "string_cells", "string_bounds", "string_block", "string_extents",
+        "model_not_a_mapping", "unknown_generator", "generator_field_missing",
+        "bounds_not_a_pair", "frequencies_not_a_list", "non_numeric_frequency",
+        "blocks_not_a_list", "bad_block_entry", "unknown_mode"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")
@@ -528,6 +556,56 @@ def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
     assert message in text
     assert "Traceback" not in text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"file": "c2.hsmd"}, "grid mismatch"),
+    ({"text_file": "c2.txt"}, "c2.txt: expected 1024 values"),
+], ids=["file", "text_file"])
+def test_model_file_of_the_wrong_size_is_a_config_error(tmp_path, capsys,
+                                                        spec, message):
+    # the config grid is 32^2; both files hold a 16^2 field
+    from helmstab.geometry import build_grid
+    from helmstab.model import write_field
+
+    g = build_grid((1.0, 1.0), (16, 16))
+    write_field(tmp_path / "c2.hsmd", g, np.full(g.n_cells, 0.5))
+    np.savetxt(tmp_path / "c2.txt", np.full(g.n_cells, 0.5))
+    cfg = base_config(tmp_path / "out")
+    cfg["model"]["c2"] = spec
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert f"model.c2: {tmp_path}" in text and message in text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "no such file"),
+    ("- 1\n- 2\n", "top level must be a mapping"),
+], ids=["missing", "list"])
+def test_config_file_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys,
+                                                             content, message):
+    path = tmp_path / "exp.yaml"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{path}: {message}" in captured.out + captured.err
+
+
+def test_constant_generator_and_a_single_mode_string_load(tmp_path):
+    # c2 is the constant 1 / 1.5^2 at every scale; modes: top reads as [top]
+    cfg = base_config(tmp_path / "out")
+    cfg["model"]["c2"] = {"generator": "constant", "v": 1.5}
+    cfg["acquisition"]["modes"] = "top"
+    loaded, errors, _ = cli.load_config(write_config(tmp_path, cfg))
+    assert loaded is not None and errors == []
+    assert list(loaded.acquisitions) == ["top"]
+    for _, c2 in loaded.model_pairs:
+        assert c2.n_clamped == 0
+        assert np.allclose(c2.values, 1.0 / 1.5 ** 2, rtol=1e-14, atol=0)
 
 
 def docstring_schema():

@@ -688,3 +688,23 @@ def test_dtn_bad_cell_count_names_the_file(tmp_path, model_pair):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="data.hsdt: need at least 2 cells"):
         read_dtn(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_face_lattice_matches_a_filter_of_the_boundary_nodes(data):
+    cells = data.draw(st.lists(st.integers(2, 9), min_size=2, max_size=3))
+    g = build_grid(tuple(data.draw(st.floats(0.5, 2.0)) for _ in cells), cells)
+    face = data.draw(st.sampled_from(g.boundary_faces))
+    spacing = [h * data.draw(st.floats(1.0, 4.0)) for h in g.spacing]
+    axis, side = divmod(face, 2)
+    mi = g.node_multi_index(g.boundary_nodes)
+    keep = mi[:, axis] == (0 if side == 0 else g.nodes_per_axis[axis] - 1)
+    for t in range(g.dim):
+        if t != axis:
+            n = int(np.floor(g.extents[t] / spacing[t] - 1e-9))
+            ks = np.rint(np.arange(1, n + 1) * spacing[t] / g.spacing[t])
+            wanted = np.clip(ks, 1, g.nodes_per_axis[t] - 2)
+            keep &= np.isin(mi[:, t], wanted)
+    got = forward._face_lattice(g, face, spacing)
+    assert got.tolist() == g.boundary_nodes[keep].tolist()

@@ -1,7 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helmstab.geometry import build_grid, build_partition
+from helmstab.geometry import CubicalPartition, build_grid, build_partition
+
+# 2D and 3D lattices with 2-9 cells per axis
+cell_shapes = st.lists(st.integers(2, 9), min_size=2, max_size=3)
 
 
 def test_smallest_3d_grid_with_interior_node():
@@ -40,6 +47,11 @@ def test_invalid_grid_arguments():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             build_grid((1.0, bad), (4, 4))
+    # a string is not split into characters: "64" is not (6, 4)
+    with pytest.raises(ValueError, match="list of numbers"):
+        build_grid((1.0, 1.0), "64")
+    with pytest.raises(ValueError, match="list of numbers"):
+        build_grid("11", (4, 4))
 
 
 def test_every_node_classified_once():
@@ -100,6 +112,8 @@ def test_too_many_blocks_rejected():
         build_partition(g, (5, 2))
     with pytest.raises(ValueError):
         build_partition(g, (0, 2))
+    with pytest.raises(ValueError, match="list of numbers"):
+        build_partition(g, "22")
 
 
 def test_nearest_boundary_node_rejects_points_off_the_box():
@@ -116,3 +130,39 @@ def test_nearest_boundary_node_rejects_points_off_the_box():
             g.nearest_boundary_node(point)
     with pytest.raises(ValueError, match="does not lie on the boundary"):
         g.nearest_boundary_node((0.5, 0.25))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell_shapes)
+def test_index_maps_invert_each_other_x_fastest(cells):
+    g = build_grid((1.0,) * len(cells), cells)
+    for shape, multi_index, index in (
+            (g.cells_per_axis, g.cell_multi_index, g.cell_index),
+            (g.nodes_per_axis, g.node_multi_index, g.node_index)):
+        k = np.arange(int(np.prod(shape)))
+        mi = multi_index(k)
+        assert mi.shape == (k.size, g.dim)
+        assert np.array_equal(index(mi), k)
+        iz = mi[:, 2] if g.dim == 3 else 0
+        assert np.array_equal(mi[:, 0] + shape[0] * (mi[:, 1] + shape[1] * iz), k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cell_to_subdomain_matches_a_brute_force_lookup(data):
+    cells = data.draw(cell_shapes)
+    widths = []
+    for n in cells:
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))))
+        widths.append(tuple(np.diff([0, *cuts, n]).tolist()))
+    p = CubicalPartition(build_grid((1.0,) * len(cells), cells), widths)
+    # block index of every cell along each axis, by scanning the widths
+    blocks = [[b for b, w in enumerate(ws) for _ in range(w)] for ws in widths]
+    expected = []
+    for rev in product(*(range(n) for n in reversed(cells))):  # x fastest
+        flat, stride = 0, 1
+        for a, i in enumerate(reversed(rev)):
+            flat += blocks[a][i] * stride
+            stride *= len(widths[a])
+        expected.append(flat)
+    assert p.cell_to_subdomain.tolist() == expected

@@ -336,6 +336,28 @@ def test_residual_guard_names_the_failing_column():
     assert diag["residual"] > diag["target"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=2, max_size=3),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_normal_derivative_is_the_explicit_one_sided_stencil(cells, k, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(tuple(rng.uniform(0.5, 2.0, len(cells))), cells)
+    nx, ny = g.nodes_per_axis[:2]
+    for u in (rng.normal(size=g.n_nodes), rng.normal(size=(g.n_nodes, k))):
+        expected = np.empty((g.n_boundary,) + u.shape[1:])
+        for p, b in enumerate(g.boundary_nodes):
+            axis, side = divmod(int(g.boundary_face[p]), 2)
+            i = g.node_multi_index(b)
+            flats = []
+            for step in (0, 1, 2):
+                j = i.copy()
+                j[axis] += step if side == 0 else -step
+                flats.append(j[0] + nx * (j[1] + ny * (j[2] if g.dim == 3 else 0)))
+            u0, u1, u2 = u[flats]
+            expected[p] = (3.0 * u0 - 4.0 * u1 + u2) / (2.0 * g.spacing[axis])
+        assert np.array_equal(normal_derivative(g, u), expected)
+
+
 @pytest.mark.parametrize("cells", [(5, 4), (3, 4, 3)])
 def test_normal_derivative_adjoint_is_the_transposed_stencil(cells):
     # every boundary position, corners and edges included, where some inward
