@@ -11,7 +11,6 @@ from .model import (
     SquaredSlownessModel,
     from_gridded_field,
     l2_distance,
-    linf_distance,
     to_cell_field,
 )
 from .spectrum import (

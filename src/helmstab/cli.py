@@ -112,11 +112,13 @@ SCHEMA = {
     "output": ("directory",),
 }
 
-# model generator -> the fields it needs, in call order
+# model generator -> (its cell-field builder, the fields it needs in call
+# order)
 GENERATORS = {
-    "two_layer": ("v_top", "v_bottom", "interface_depth"),
-    "linear_depth": ("v_top", "v_bottom"),
-    "constant": ("v",),
+    "two_layer": (mdl.two_layer_field, ("v_top", "v_bottom", "interface_depth")),
+    "linear_depth": (mdl.linear_depth_field, ("v_top", "v_bottom")),
+    "constant": (lambda grid, v: np.full(
+        grid.n_cells, float(mdl.wavespeed_to_squared_slowness(v))), ("v",)),
 }
 
 
@@ -218,22 +220,17 @@ def _model_field(spec, grid: BoxGrid, base_dir) -> np.ndarray:
             raise ValueError(
                 f"'generator' must be one of {tuple(GENERATORS)} "
                 f"(or use 'file'/'text_file'), got {gen!r}")
-        missing = [name for name in GENERATORS[gen] if name not in spec]
+        build, fields = GENERATORS[gen]
+        missing = [name for name in fields if name not in spec]
         if missing:
             raise ValueError(f"generator '{gen}' needs field '{missing[0]}'")
-        if _holds_bool([spec[name] for name in GENERATORS[gen]]):
+        if _holds_bool([spec[name] for name in fields]):
             raise ValueError(f"generator '{gen}': a boolean is not a number")
-        args = [float(spec[name]) for name in GENERATORS[gen]]
+        args = [float(spec[name]) for name in fields]
         if not all(map(math.isfinite, args)):
             raise ValueError(f"generator '{gen}': fields must be finite, "
                              f"got {args}")
-        if gen == "two_layer":
-            field = mdl.two_layer_field(grid, *args)
-        elif gen == "linear_depth":
-            field = mdl.linear_depth_field(grid, *args)
-        else:
-            field = np.full(grid.n_cells,
-                            float(mdl.wavespeed_to_squared_slowness(args[0])))
+        field = build(grid, *args)
     if not np.all(np.isfinite(field) & (field > 0)):
         raise ValueError("squared slowness must be positive and finite")
     return field

@@ -60,6 +60,7 @@ import scipy.sparse as sp
 from .forward import (
     Acquisition,
     _blocks,
+    _check_grid,
     forward_map,
     gaussian_source,  # unused here; benchmarks/spans.py traces this binding
     weighted_operator_norm,
@@ -150,11 +151,6 @@ def _check_direction(base: SquaredSlownessModel, direction) -> np.ndarray:
 def _check_convention(convention: str):
     if convention not in ("data", "pairing"):
         raise ValueError(f"unknown convention {convention!r}")
-
-
-def _check_grid(base: SquaredSlownessModel, acq: Acquisition):
-    if acq.grid.key != base.grid.key:
-        raise ValueError("acquisition and model live on different grids")
 
 
 def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
@@ -297,17 +293,15 @@ def default_step(base: SquaredSlownessModel) -> float:
 
 def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
                      acq: Acquisition, eps: float,
-                     derivative: np.ndarray | None = None) -> float:
+                     derivative: np.ndarray) -> float:
     """|| F(c + eps*dc) - F(c) - eps*DF(dc) || in the weighted operator norm.
 
-    ``derivative`` is DF(dc) as returned by :func:`frechet_directional`
-    (computed when omitted). Second-order in eps when DF is the
-    data-convention derivative. The perturbed model must stay within bounds
-    (no clamping, which would destroy differentiability).
+    ``derivative`` is DF(dc) as returned by :func:`frechet_directional`.
+    Second-order in eps when DF is the data-convention derivative. The
+    perturbed model must stay within bounds (no clamping, which would
+    destroy differentiability).
     """
     direction = np.asarray(direction, dtype=float)
-    if derivative is None:
-        derivative = frechet_directional(base, direction, omega2, acq)
     d0 = forward_map(base, omega2, acq)
     d1 = forward_map(base.perturbed(eps * direction), omega2, acq)
     resid = d1.values - d0.values - eps * derivative

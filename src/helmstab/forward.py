@@ -22,7 +22,8 @@ import numpy as np
 
 from .geometry import BoxGrid
 from .model import SquaredSlownessModel, _read_exact, to_cell_field
-from .solver import assemble, normal_derivative, solve_counts, solve_dirichlet
+from .solver import (_check_omega2, assemble, normal_derivative, solve_counts,
+                     solve_dirichlet)
 from .spectrum import windows_covering  # unused here; benchmarks/spans.py traces this binding
 
 __all__ = [
@@ -46,7 +47,7 @@ MODE_FULL = "full"
 MODE_TOP = "top"
 
 _DTN_MAGIC = b"HSDT"
-_DTN_VERSION = 1
+_DTN_VERSION = 2
 
 # Sources per block solve. One factorization solve on 8 stacked right-hand
 # sides costs about two thirds of 8 single solves at 128^2; blocks of 16 gain
@@ -88,6 +89,14 @@ def clear_caches():
         counts.update(dict.fromkeys(counts, 0))
 
 
+def _positive_width(value, name: str) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless 0 < value < inf."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _blocks(n: int):
     """Consecutive slices of at most ``_BLOCK`` items covering ``range(n)``."""
     for start in range(0, n, _BLOCK):
@@ -116,11 +125,8 @@ class Acquisition:
     def __post_init__(self):
         if self.mode not in (MODE_FULL, MODE_TOP):
             raise ValueError(f"unknown acquisition mode {self.mode!r}")
-        sigma = float(self.source_sigma)
-        if not 0.0 < sigma < np.inf:
-            raise ValueError(
-                f"source_sigma must be finite and positive, got {sigma}")
-        object.__setattr__(self, "source_sigma", sigma)
+        object.__setattr__(self, "source_sigma", _positive_width(
+            self.source_sigma, "source_sigma"))
         faces, top = self.grid.boundary_face, self.grid.top_face()
         for name in ("source_idx", "receiver_idx"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
@@ -224,9 +230,7 @@ def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
     ``exp(-|x - center|^2 / (2 sigma^2))`` is evaluated on the nodes owned by
     the face containing the snapped center and is zero elsewhere.
     """
-    sigma = float(sigma)
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    sigma = _positive_width(sigma, "sigma")
     flat, _snap = grid.nearest_boundary_node(center)
     bpos = grid.boundary_position[flat]
     face = int(grid.boundary_face[bpos])
@@ -259,7 +263,7 @@ def _resolve_spacing(spacing, dim):
 
 def _face_lattice(grid: BoxGrid, face: int, spacing) -> np.ndarray:
     """Flat node indices of a regular interior lattice on one face, sorted."""
-    axis, side = grid.face_axis_side(face)
+    axis, side = divmod(face, 2)
     per_axis = [[0 if side == 0 else grid.nodes_per_axis[axis] - 1]] * grid.dim
     for t in range(grid.dim):
         if t == axis:
@@ -302,6 +306,11 @@ def make_acquisition(grid: BoxGrid, mode: str, source_spacing, receiver_spacing,
 
 # -- the forward map ---------------------------------------------------------------
 
+def _check_grid(model: SquaredSlownessModel, acq: Acquisition):
+    if acq.grid.key != model.grid.key:
+        raise ValueError("acquisition and model live on different grids")
+
+
 def forward_map(model: SquaredSlownessModel, omega2: float,
                 acq: Acquisition) -> DtnData:
     """Discrete DtN data for one model: F_omega(c^-2) sampled on the acquisition.
@@ -321,9 +330,8 @@ def forward_map(model: SquaredSlownessModel, omega2: float,
     given, 0 (the Laplace map) included; :func:`spectrum.frequency_safety`
     says whether it is admissible.
     """
+    _check_grid(model, acq)
     grid = acq.grid
-    if grid.key != model.grid.key:
-        raise ValueError("acquisition and model live on different grids")
     omega2 = float(omega2)
     coeff = np.ascontiguousarray(to_cell_field(model), dtype=float)
     entry = (grid.key, hashlib.sha1(coeff.tobytes()).hexdigest(), omega2)
@@ -396,8 +404,8 @@ def write_dtn(path, data: DtnData):
     Layout: magic(4s) version(u16) dim(u8) mode(u8: 0 full, 1 top)
     flags(u8: reserved, must be 0) omega2(f64) sigma(f64) n_src(u32)
     n_rec(u32) cells(u32 x dim) extents(f64 x dim) model_hash(12s)
-    grid_hash(12s), then source positions, receiver positions, source
-    weights, receiver weights and the row-major value matrix, all f64.
+    grid_hash(12s), then source positions, receiver positions and the
+    row-major value matrix, all f64.
     """
     acq = data.acquisition
     grid = acq.grid
@@ -414,20 +422,19 @@ def write_dtn(path, data: DtnData):
         fh.write(head)
         fh.write(acq.source_positions.astype("<f8").tobytes())
         fh.write(acq.receiver_positions.astype("<f8").tobytes())
-        fh.write(acq.source_weights.astype("<f8").tobytes())
-        fh.write(acq.receiver_weights.astype("<f8").tobytes())
         fh.write(data.values.astype("<f8").tobytes())
 
 
 def read_dtn(path) -> DtnData:
     """Read a binary DtN dump, rebuilding the grid and acquisition.
 
-    A truncated file, an unknown mode code, a nonzero flags byte (which
-    includes the complex files of earlier versions), an ``omega2`` that is
-    not finite and nonnegative, a ``sigma`` that is not finite and positive,
-    a grid that ``BoxGrid`` rejects and a source or receiver position that is
-    not finite or lies off the box raise ValueError. ``omega2 = 0`` (the
-    Laplace map, which :func:`forward_map` computes) is read back.
+    A file of another version (version 1 also stored the quadrature
+    weights), a truncated file, an unknown mode code, a nonzero flags byte,
+    an ``omega2`` that is not finite and nonnegative, a ``sigma`` that is not
+    finite and positive, a grid that ``BoxGrid`` rejects and a source or
+    receiver position that is not finite or lies off the box raise
+    ValueError. ``omega2 = 0`` (the Laplace map, which :func:`forward_map`
+    computes) is read back.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -447,9 +454,6 @@ def read_dtn(path) -> DtnData:
             raise ValueError(
                 f"{path}: flags byte is {flags}, expected 0 (complex "
                 "absorbing-boundary data are no longer supported)")
-        if not 0.0 <= omega2 < np.inf:
-            raise ValueError(
-                f"{path}: omega2 must be finite and nonnegative, got {omega2}")
         cells = struct.unpack(f"<{dim}I", read(4 * dim))
         extents = struct.unpack(f"<{dim}d", read(8 * dim))
         model_hash = read(12).decode(errors="replace").strip()
@@ -458,14 +462,11 @@ def read_dtn(path) -> DtnData:
                                 "<f8").reshape(n_src, dim)
         rec_pos = np.frombuffer(read(8 * n_rec * dim, "receiver positions"),
                                 "<f8").reshape(n_rec, dim)
-        if not (np.all(np.isfinite(src_pos)) and np.all(np.isfinite(rec_pos))):
-            raise ValueError(f"{path}: non-finite source or receiver position")
-        # weights are derived from the grid on reload
-        read(8 * (n_src + n_rec), "weights")
         values = np.frombuffer(read(8 * n_src * n_rec, "values"),
                                "<f8").reshape(n_src, n_rec)
 
     try:
+        omega2 = _check_omega2(omega2)
         grid = BoxGrid(extents, cells)
         source_idx, receiver_idx = (
             grid.boundary_position[[grid.nearest_boundary_node(p)[0] for p in pos]]

@@ -14,6 +14,8 @@ Conventions used everywhere downstream:
   (``BoxGrid.boundary_face``) fixes the node's outward normal. Boundary
   quadrature weights are geometric (the node's trapezoidal patch measure
   summed over *all* touching faces), so the weights sum to |dOmega| exactly.
+* This module builds the trapezoid rule (:func:`_trapezoid`) and the node
+  tables, each table from one 1-D array per axis by :func:`_lattice`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ def _counts(values, what: str) -> tuple:
     return tuple(int(f) for f in floats)
 
 
-def _as_flat(a: np.ndarray) -> np.ndarray:
-    """Flatten a lattice-shaped array in the package's x-fastest order."""
-    return np.ravel(a, order="F")
+def _trapezoid(n: int) -> np.ndarray:
+    """Trapezoid-rule factors of an axis with ``n`` nodes: 1/2 at both ends,
+    1 inside."""
+    f = np.ones(n)
+    f[0] = f[-1] = 0.5
+    return f
 
 
 def _strides(shape) -> tuple:
@@ -110,41 +115,29 @@ class BoxGrid:
     # -- construction helpers -------------------------------------------------
 
     def _build_node_tables(self):
-        dim = self.dim
+        """The boundary tables, each combined by :func:`_lattice` from one
+        1-D array per axis."""
         npa = self.nodes_per_axis
-        idx = np.indices(npa)  # shape (dim, *npa)
-        on_low = [idx[a] == 0 for a in range(dim)]
-        on_high = [idx[a] == npa[a] - 1 for a in range(dim)]
-        on_face = [on_low[a] | on_high[a] for a in range(dim)]
-
-        is_boundary = np.zeros(npa, dtype=bool)
-        for a in range(dim):
-            is_boundary |= on_face[a]
-
-        flat_boundary = _as_flat(is_boundary)
-        self.boundary_nodes = np.flatnonzero(flat_boundary)
-        self.interior_nodes = np.flatnonzero(~flat_boundary)
+        ends = [np.isin(np.arange(n), (0, n - 1)) for n in npa]
+        on_boundary = _lattice(np.logical_or, ends)
+        self.boundary_nodes = np.flatnonzero(on_boundary)
+        self.interior_nodes = np.flatnonzero(~on_boundary)
         self.n_boundary = self.boundary_nodes.size
         self.n_interior = self.interior_nodes.size
 
-        # owning face: lowest axis index among the touching faces
-        owner = np.full(npa, -1, dtype=np.int8)
-        for a in reversed(range(dim)):
-            owner[on_high[a]] = 2 * a + 1
-            owner[on_low[a]] = 2 * a
-        self.boundary_face = _as_flat(owner)[self.boundary_nodes].astype(np.int64)
+        # owning face: the lowest id among the touching faces (2 * dim: none)
+        face_ids = [np.where(e, 2 * a + (np.arange(e.size) > 0), 2 * self.dim)
+                    for a, e in enumerate(ends)]
+        self.boundary_face = _lattice(np.minimum, face_ids)[self.boundary_nodes]
 
-        # patch measure summed over every touching face
-        h = self.spacing
-        weights = np.zeros(npa)
-        for a in range(dim):
-            tang = [t for t in range(dim) if t != a]
-            w_face = np.ones(npa)
-            for t in tang:
-                edge = on_face[t]
-                w_face = w_face * np.where(edge, 0.5 * h[t], h[t])
-            weights += np.where(on_face[a], w_face, 0.0)
-        self.boundary_weights = _as_flat(weights)[self.boundary_nodes]
+        # every touching face adds its patch measure, the trapezoid rule's
+        # node weight over the other axes
+        patch = [h * _trapezoid(n) for h, n in zip(self.spacing, npa)]
+        weights = sum(_lattice(np.multiply,
+                               [ends[t] * 1.0 if t == a else patch[t]
+                                for t in range(self.dim)])
+                      for a in range(self.dim))
+        self.boundary_weights = weights[self.boundary_nodes]
 
         # boundary position of a flat node index, -1 for interior
         pos = np.full(self.n_nodes, -1, dtype=np.int64)
@@ -211,9 +204,6 @@ class BoxGrid:
     def top_face(self) -> int:
         """Face id of the acquisition surface (low side of the last axis)."""
         return 2 * (self.dim - 1)
-
-    def face_axis_side(self, face):
-        return face // 2, face % 2
 
     def nearest_boundary_node(self, point):
         """Snap a physical point to the nearest grid node and report it.

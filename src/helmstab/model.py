@@ -22,7 +22,6 @@ __all__ = [
     "SquaredSlownessModel",
     "from_gridded_field",
     "l2_distance",
-    "linf_distance",
     "to_cell_field",
     "write_field",
     "read_field",
@@ -138,11 +137,6 @@ def l2_distance(m1: SquaredSlownessModel, m2: SquaredSlownessModel) -> float:
     _check_same_partition(m1, m2)
     d = m1.values - m2.values
     return float(np.sqrt(np.sum(d * d * m1.partition.subdomain_volumes)))
-
-
-def linf_distance(m1: SquaredSlownessModel, m2: SquaredSlownessModel) -> float:
-    _check_same_partition(m1, m2)
-    return float(np.max(np.abs(m1.values - m2.values)))
 
 
 def to_cell_field(m: SquaredSlownessModel) -> np.ndarray:

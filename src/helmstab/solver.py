@@ -110,7 +110,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalFailureError
-from .geometry import BoxGrid, _lattice
+from .geometry import BoxGrid, _lattice, _trapezoid
 
 __all__ = [
     "HelmholtzSystem",
@@ -137,6 +137,15 @@ POINTS_PER_WAVELENGTH_MIN = 8.0
 solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0}
 
 
+def _check_omega2(omega2) -> float:
+    """``omega2`` as a float; ValueError unless 0 <= omega2 < inf."""
+    omega2 = float(omega2)
+    if not 0.0 <= omega2 < np.inf:
+        raise ValueError(
+            f"omega^2 must be nonnegative and finite, got {omega2}")
+    return omega2
+
+
 def _corner_slices(grid: BoxGrid) -> list:
     """For each of the 2^dim corner offsets of a cell, the slice of the node
     lattice holding that corner of every cell, shaped like the cell lattice."""
@@ -156,14 +165,6 @@ def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
         acc[sl] += cells
         cnt[sl] += 1.0
     return np.ravel(acc / cnt, order="F")
-
-
-def _trapezoid(n: int) -> np.ndarray:
-    """Trapezoid-rule factors of an axis with ``n`` nodes: 1/2 at both ends,
-    1 inside."""
-    f = np.ones(n)
-    f[0] = f[-1] = 0.5
-    return f
 
 
 def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
@@ -210,14 +211,9 @@ class HelmholtzSystem:
 
     def __init__(self, grid: BoxGrid, coeff, omega2: float):
         coeff = np.ascontiguousarray(coeff, dtype=float)
-        if coeff.shape != (grid.n_cells,):
-            raise ValueError(f"coeff must have one value per cell ({grid.n_cells})")
         if not np.all((coeff > 0) & (coeff < np.inf)):
             raise ValueError("coefficient must be positive and finite")
-        omega2 = float(omega2)
-        if not 0.0 <= omega2 < np.inf:
-            raise ValueError(
-                f"omega^2 must be nonnegative and finite, got {omega2}")
+        omega2 = _check_omega2(omega2)
 
         self.grid = grid
         self.omega2 = omega2

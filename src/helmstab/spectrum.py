@@ -35,7 +35,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError, WindowViolationError
 from .geometry import BoxGrid
-from .solver import HelmholtzSystem, axis_eigenvalues
+from .solver import HelmholtzSystem, _check_omega2, axis_eigenvalues
 
 __all__ = [
     "FrequencyWindows",
@@ -133,15 +133,6 @@ def _bounds(b1, b2) -> tuple:
     return b1, b2
 
 
-def _frequency(omega2) -> float:
-    """omega2 as a float; ValueError unless 0 <= omega2 < inf."""
-    omega2 = float(omega2)
-    if not 0.0 <= omega2 < np.inf:
-        raise ValueError(
-            f"omega^2 must be nonnegative and finite, got {omega2}")
-    return omega2
-
-
 def windows_covering(grid: BoxGrid, b1: float, b2: float,
                      omega2: float) -> FrequencyWindows:
     """Admissible windows of the grid's discrete problem, up to the first
@@ -155,7 +146,7 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
     b1, b2 = _bounds(b1, b2)
-    omega2 = _frequency(omega2)
+    omega2 = _check_omega2(omega2)
     lam = sum(np.ix_(*axis_eigenvalues(grid))).ravel()
     count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
     lam = np.sort(np.partition(lam, count - 1)[:count])
@@ -196,7 +187,7 @@ def frequency_safety(omega2: float, windows: FrequencyWindows) -> WindowSafety:
     The first window starts at 0, which is no resonance: it holds
     omega^2 = 0, and only its upper edge counts toward the edge distance.
     """
-    omega2 = _frequency(omega2)
+    omega2 = _check_omega2(omega2)
     for win in windows.windows:
         lo, hi = win
         above_lo = omega2 - lo if lo > 0.0 else np.inf

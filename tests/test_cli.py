@@ -581,10 +581,35 @@ def test_model_file_of_the_wrong_size_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("spec", [{"file": "c2.hsmd"}, {"text_file": "c2.txt"}],
+                         ids=["file", "text_file"])
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_model_file_that_is_not_positive_is_a_config_error(tmp_path, capsys,
+                                                           spec, bad):
+    from helmstab.geometry import build_grid
+    from helmstab.model import write_field
+
+    g = build_grid((1.0, 1.0), (32, 32))
+    field = np.full(g.n_cells, 0.5)
+    field[7] = bad
+    write_field(tmp_path / "c2.hsmd", g, field)
+    np.savetxt(tmp_path / "c2.txt", field)
+    cfg = base_config(tmp_path / "out")
+    cfg["model"]["c2"] = spec
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "model.c2: squared slowness must be positive and finite" in text
+    assert "Traceback" not in text
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "no such file"),
     ("- 1\n- 2\n", "top level must be a mapping"),
-], ids=["missing", "list"])
+    # the reader's error carries no line/column mark
+    ("grid: \0\n", "parse error: unacceptable character"),
+], ids=["missing", "list", "nul_byte"])
 def test_config_file_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys,
                                                              content, message):
     path = tmp_path / "exp.yaml"

@@ -127,6 +127,8 @@ def test_acquisition_rejects_empty_and_fine_lattices(square32):
         make_acquisition(square32, MODE_FULL, 0.001, 0.25, 0.08)  # below h
     with pytest.raises(ValueError, match="finite"):
         make_acquisition(square32, MODE_FULL, 0.25, float("nan"), 0.08)
+    with pytest.raises(ValueError, match=r"need one spacing per axis \(2\)"):
+        make_acquisition(square32, MODE_FULL, (0.25,) * 3, 0.25, 0.08)
 
 
 def test_acquisition_rejects_out_of_range_indices(square32):
@@ -140,6 +142,23 @@ def test_acquisition_rejects_out_of_range_indices(square32):
                             **idx)
     Acquisition(grid=square32, mode=MODE_FULL, source_idx=[0, n - 1],
                 receiver_idx=[0], source_sigma=0.08)
+
+
+def test_acquisition_rejects_unknown_mode_and_off_top_positions(square32):
+    with pytest.raises(ValueError, match="unknown acquisition mode 'side'"):
+        Acquisition(grid=square32, mode="side", source_idx=[0],
+                    receiver_idx=[0], source_sigma=0.08)
+    faces = square32.boundary_face
+    on_top = np.flatnonzero(faces == square32.top_face())
+    off_top = np.flatnonzero(faces != square32.top_face())
+    Acquisition(grid=square32, mode=MODE_TOP, source_idx=on_top,
+                receiver_idx=on_top, source_sigma=0.08)
+    for name in ("source_idx", "receiver_idx"):
+        idx = {"source_idx": on_top, "receiver_idx": on_top,
+               name: [on_top[0], off_top[0]]}
+        with pytest.raises(ValueError,
+                           match=f"{name}: positions stray off the top face"):
+            Acquisition(grid=square32, mode=MODE_TOP, source_sigma=0.08, **idx)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
@@ -315,6 +334,8 @@ def test_opnorm_rank_one_and_dense_oracle():
     u = rng.normal(size=n_s)
     v = rng.normal(size=n_r)
     rank1 = np.outer(u, v)
+    with pytest.raises(ValueError, match="does not match the acquisition"):
+        weighted_operator_norm(rank1[:, :-1], acq)
     sw = np.sqrt(acq.source_weights)
     rw = np.sqrt(acq.receiver_weights)
     expect = np.linalg.norm(u * sw) * np.linalg.norm(v * rw)
@@ -351,6 +372,16 @@ def test_norm_requires_matching_acquisition(model_pair):
     d2 = forward_map(m2, 8.0, a2)
     with pytest.raises(ValueError):
         dtn_operator_norm(d1, d2)
+    with pytest.raises(ValueError, match="different frequencies"):
+        dtn_operator_norm(d1, forward_map(m2, 4.0, a1))
+
+
+def test_forward_map_requires_the_model_grid(model_pair):
+    m1, _ = model_pair
+    acq = make_acquisition(build_grid((1.0, 1.0), (16, 16)), MODE_FULL, 0.5,
+                           0.25, 0.08)
+    with pytest.raises(ValueError, match="live on different grids"):
+        forward_map(m1, 8.0, acq)
 
 
 def test_data_symmetry_under_model_reflection():
@@ -379,6 +410,8 @@ def test_dtn_finite_guard(square32):
     bad = np.full((acq.n_sources, acq.n_receivers), np.nan)
     with pytest.raises(ValueError):
         DtnData(acquisition=acq, omega2=1.0, values=bad)
+    with pytest.raises(ValueError, match="values shape"):
+        DtnData(acquisition=acq, omega2=1.0, values=np.zeros((1, 1)))
 
 
 def test_binary_roundtrip(tmp_path, model_pair):
@@ -408,6 +441,9 @@ def test_trace_csv(tmp_path, model_pair):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "receiver,x,y,value"
     assert len(lines) == 1 + acq.n_receivers
+    for bad in (-1, acq.n_sources):
+        with pytest.raises(ValueError, match=f"source index {bad} out of range"):
+            export_trace_csv(data, bad, tmp_path / "bad.csv")
 
 
 def test_rebuilt_system_gives_identical_data(model_pair):
@@ -676,6 +712,25 @@ def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
     with pytest.raises(ValueError, match="data.hsdt"):
         read_dtn(path)
 
+
+
+@pytest.mark.parametrize("offset, patch, message", [
+    (0, b"HSMD", "bad magic b'HSMD'"),
+    (4, struct.pack("<H", 1), "unsupported version 1"),
+    (4, struct.pack("<H", 3), "unsupported version 3"),
+], ids=["magic", "version1", "version3"])
+def test_dtn_of_another_format_is_refused(tmp_path, model_pair, offset, patch,
+                                          message):
+    # version 1 also stored the source and receiver quadrature weights
+    m1, _ = model_pair
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
+    path = tmp_path / "data.hsdt"
+    write_dtn(path, forward_map(m1, 8.0, acq))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"data.hsdt: {message}"):
+        read_dtn(path)
 
 
 def test_dtn_bad_cell_count_names_the_file(tmp_path, model_pair):

@@ -114,6 +114,22 @@ def test_too_many_blocks_rejected():
         build_partition(g, (0, 2))
     with pytest.raises(ValueError, match="list of numbers"):
         build_partition(g, "22")
+    for counts in ((2,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="need 2 block counts"):
+            build_partition(g, counts)
+
+
+@pytest.mark.parametrize("widths, message", [
+    (((4,),), "one width list per axis"),
+    (((4,), (4,), (4,)), "one width list per axis"),
+    (((4,), (0, 4)), r"axis 1: block widths must be >= 1"),
+    (((3,), (2, 2)), r"axis 0: widths \(3,\) do not cover 4 cells"),
+    (((2, 2), (2, 3)), r"axis 1: widths \(2, 3\) do not cover 4 cells"),
+])
+def test_partition_widths_must_tile_every_axis(widths, message):
+    g = build_grid((1.0, 1.0), (4, 4))
+    with pytest.raises(ValueError, match=message):
+        CubicalPartition(g, widths)
 
 
 def test_nearest_boundary_node_rejects_points_off_the_box():
@@ -166,3 +182,38 @@ def test_cell_to_subdomain_matches_a_brute_force_lookup(data):
             stride *= len(widths[a])
         expected.append(flat)
     assert p.cell_to_subdomain.tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_node_tables_match_a_per_node_definition(data):
+    # a node lies on the faces 2a (index 0 on axis a) and 2a + 1 (the last
+    # index); the lowest such face owns it, and each such face adds the
+    # product over the other axes t of h_t, halved at an end of axis t
+    cells = data.draw(cell_shapes)
+    g = build_grid(tuple(data.draw(st.floats(0.5, 2.0)) for _ in cells), cells)
+    npa = g.nodes_per_axis
+    boundary, owner, weights = [], [], []
+    for flat, rev in enumerate(product(*(range(n) for n in reversed(npa)))):
+        idx = rev[::-1]                                   # x fastest
+        faces = [2 * a + (i > 0) for a, i in enumerate(idx)
+                 if i in (0, npa[a] - 1)]
+        if not faces:
+            continue
+        boundary.append(flat)
+        owner.append(min(faces))
+        weight = 0.0
+        for face in faces:
+            patch = 1.0
+            for t, i in enumerate(idx):
+                if t != face // 2:
+                    patch *= g.spacing[t] / (2.0 if i in (0, npa[t] - 1) else 1.0)
+            weight += patch
+        weights.append(weight)
+    assert g.boundary_nodes.tolist() == boundary
+    assert g.interior_nodes.tolist() == sorted(set(range(g.n_nodes)) - set(boundary))
+    assert g.boundary_face.tolist() == owner
+    assert np.allclose(g.boundary_weights, weights, rtol=1e-15, atol=0)
+    expected_position = np.full(g.n_nodes, -1)
+    expected_position[boundary] = np.arange(len(boundary))
+    assert g.boundary_position.tolist() == expected_position.tolist()

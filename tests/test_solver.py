@@ -247,8 +247,13 @@ def test_system_rows_are_the_fd_stencil(box, omega2, seed):
 
 def test_invalid_assembly_inputs():
     g = build_grid((1.0, 1.0), (8, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"one value per cell \(64\)"):
         HelmholtzSystem(g, np.ones(5), 1.0)
+    with pytest.raises(ValueError, match=r"one value per cell \(64\)"):
+        node_coefficients(g, np.ones((8, 8)))
+    sys_ = HelmholtzSystem(g, np.ones(g.n_cells), 1.0)
+    with pytest.raises(ValueError, match="u must be a full-grid field"):
+        flux_normal_derivative(sys_, np.ones((g.n_nodes, 2)))
     bad = np.ones(g.n_cells)
     bad[0] = -1.0
     with pytest.raises(ValueError):

@@ -241,6 +241,9 @@ def test_count_validation():
     g = build_grid((1.0, 1.0), (8, 8))
     with pytest.raises(ValueError):
         discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 0)
+    # the 7^2 interior nodes give at most 48 eigenvalues
+    with pytest.raises(ValueError, match="count=49 too large for 49 interior"):
+        discrete_dirichlet_eigenvalues(g, np.ones(g.n_cells), 49)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

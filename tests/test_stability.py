@@ -133,6 +133,11 @@ def test_bounds_validate_arguments():
     for omega2 in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             evaluate_bounds(4, omega2, consts)
+    with pytest.raises(ValueError, match="need at least one record"):
+        BoundConstants(k=0.1, k1=0.1, b2=1.0, records_used=0)
+    for k, k1 in ((np.nan, 0.1), (0.1, np.inf)):
+        with pytest.raises(ValueError, match="fitted constants must be finite"):
+            BoundConstants(k=k, k1=k1, b2=1.0, records_used=1)
 
 
 def test_fit_k1_inverts_single_record():
@@ -232,6 +237,8 @@ def test_sobolev_validates_arguments():
         fractional_sobolev_check(m, 0.5, 1000)
     with pytest.raises(ValueError):
         fractional_sobolev_check(m, 0.0, 1000)
+    with pytest.raises(ValueError, match="need a positive sample count"):
+        fractional_sobolev_check(m, 0.25, 0)
     with pytest.warns(UserWarning):
         fractional_sobolev_check(m, 0.25, 100, rng=0)
 
