@@ -36,8 +36,10 @@ canonical directions (:func:`frechet_jacobian`) costs n_sources +
 n_receivers solves, not N * n_sources. The source fields are kept on the
 interior nodes (n_interior x n_sources floats) and the adjoint fields stream
 in blocks of 8 receivers, each contracted with a sparse direction-by-node
-weight matrix; solving all receivers at once, or contracting against a
-dense weight matrix, costs more memory for no fewer solves. A directional
+weight matrix: one product of the averaging :func:`solver._node_averaging`
+with the directions as cell-field columns. Solving all receivers at once, or
+contracting against a dense weight matrix, costs more memory for no fewer
+solves. A directional
 derivative is returned as the data-shaped ``(n_sources, n_receivers)``
 array, the same shape as one slice of the Jacobian.
 
@@ -68,6 +70,7 @@ from .forward import (
 from .model import SquaredSlownessModel, to_cell_field
 from .solver import (
     HelmholtzSystem,
+    _node_averaging,
     assemble,
     cell_average,
     node_coefficients,
@@ -148,11 +151,6 @@ def _check_direction(base: SquaredSlownessModel, direction) -> np.ndarray:
     return direction
 
 
-def _check_convention(convention: str):
-    if convention not in ("data", "pairing"):
-        raise ValueError(f"unknown convention {convention!r}")
-
-
 def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
     """(slice, source-field block) per block of sources, solved against the
     system ``sys_``; only one block of full-grid fields is alive at a time.
@@ -160,15 +158,6 @@ def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
     keeps only their DtN rows."""
     for block in _blocks(acq.n_sources):
         yield block, solve_dirichlet(sys_, acq.sources[:, block])
-
-
-def _node_weights(grid, cell_fields) -> sp.csr_matrix:
-    """Direction-by-node weights: row i is the nodal coefficient
-    (:func:`solver.node_coefficients`) of the i-th cell field on the interior
-    nodes. Rows are built one at a time and stored sparse."""
-    interior = grid.interior_nodes
-    return sp.vstack([sp.csr_matrix(node_coefficients(grid, f)[interior])
-                      for f in cell_fields], format="csr")
 
 
 def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
@@ -212,6 +201,23 @@ def _adjoint_products(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
     return out
 
 
+def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
+                cell_fields, convention: str) -> np.ndarray:
+    """``(m, n_sources, n_receivers)`` derivative along the m columns of the
+    ``(n_cells, m)`` array or sparse matrix ``cell_fields``. The weight row
+    of a column is its nodal coefficient on the interior nodes, all rows
+    from one product with the averaging :func:`solver._node_averaging`."""
+    omega2 = float(omega2)
+    if convention not in ("data", "pairing"):
+        raise ValueError(f"unknown convention {convention!r}")
+    _check_grid(base, acq)
+    grid = base.grid
+    sys_ = assemble(grid, to_cell_field(base), omega2)
+    weights = sp.csr_matrix(
+        (_node_averaging(grid)[grid.interior_nodes] @ cell_fields).T)
+    return _adjoint_products(sys_, acq, omega2, weights, convention)
+
+
 def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
                      acq: Acquisition, *, convention: str = "data") -> np.ndarray:
     """Derivative of the forward map along every canonical subdomain direction.
@@ -220,15 +226,9 @@ def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
     derivative along the indicator of subdomain j, in the given convention
     (module docstring). Costs n_sources + n_receivers solves.
     """
-    omega2 = float(omega2)
-    _check_convention(convention)
-    _check_grid(base, acq)
-    grid = base.grid
-    sys_ = assemble(grid, to_cell_field(base), omega2)
-    cells = base.partition.cell_to_subdomain
-    weights = _node_weights(grid, ((cells == j).astype(float)
-                                   for j in range(base.n_subdomains)))
-    return _adjoint_products(sys_, acq, omega2, weights, convention)
+    indicators = sp.identity(base.n_subdomains, format="csr")[
+        base.partition.cell_to_subdomain]
+    return _derivative(base, omega2, acq, indicators, convention)
 
 
 def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
@@ -245,14 +245,9 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     take 2 * n_sources), and keeps every source field on the interior nodes
     while the receivers stream.
     """
-    omega2 = float(omega2)
-    _check_convention(convention)
-    _check_grid(base, acq)
     direction = _check_direction(base, direction)
-    grid = base.grid
-    sys_ = assemble(grid, to_cell_field(base), omega2)
-    weights = _node_weights(grid, [direction[base.partition.cell_to_subdomain]])
-    return _adjoint_products(sys_, acq, omega2, weights, convention)[0]
+    column = direction[base.partition.cell_to_subdomain, None]
+    return _derivative(base, omega2, acq, column, convention)[0]
 
 
 def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):

@@ -7,8 +7,9 @@ Conventions used everywhere downstream:
 * Nodes and cells are flattened x-fastest:
   ``flat = ix + nx * (iy + ny * iz)``. Only this module encodes that rule:
   the index maps ``BoxGrid.node_index``/``node_multi_index`` and
-  ``cell_index``/``cell_multi_index`` with their strides, and
-  :func:`_lattice`, which combines one array per axis over their lattice.
+  ``cell_index``/``cell_multi_index`` with their strides, :func:`_lattice`,
+  which combines one array per axis over their lattice, and its matrix twin
+  :func:`_kron`, the Kronecker product of one sparse matrix per axis.
 * Each boundary node is owned by exactly one face. Nodes on edges/corners are
   assigned to the touching face with the lowest axis index; the owning face
   (``BoxGrid.boundary_face``) fixes the node's outward normal. Boundary
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "BoxGrid",
@@ -67,6 +69,20 @@ def _lattice(op, per_axis) -> np.ndarray:
     for v in per_axis[1:]:
         out = op.outer(v, out).ravel()
     return out
+
+
+def _kron(per_axis) -> sp.csr_matrix:
+    """Sparse Kronecker product of one small dense matrix per axis, on
+    lattices flattened x-fastest: the matrix twin of :func:`_lattice`, which
+    combines the factors' nonzeros into the product's entries."""
+    rows, cols = zip(*(np.nonzero(m) for m in per_axis))
+    n_rows, n_cols = np.array([m.shape for m in per_axis]).T
+    vals = [m[r, c] for m, r, c in zip(per_axis, rows, cols)]
+    return sp.csr_matrix(
+        (_lattice(np.multiply, vals),
+         (_lattice(np.add, [r * s for r, s in zip(rows, _strides(n_rows))]),
+          _lattice(np.add, [c * s for c, s in zip(cols, _strides(n_cols))]))),
+        shape=(n_rows.prod(), n_cols.prod()))
 
 
 def _multi_index(flat, shape) -> np.ndarray:

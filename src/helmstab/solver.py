@@ -1,19 +1,19 @@
 """Discrete Helmholtz Dirichlet solver on structured grids.
 
-One discrete form defines every system: the trapezoidal bilinear form
+One discrete form defines every system: the trapezoidal bilinear form, per
+unit interior node volume ``prod(h)``, with the symmetric matrix
 
-    a(u, v) = sum over edges e of w_e (u_p - u_q)(v_p - v_q)
-              - omega^2 sum over nodes i of vol_i c_i u_i v_i,
+    K - omega^2 diag(t c),   K = sum_a kron_b (S_a if b == a else T_b),
 
-with c the nodal coefficient, vol the trapezoidal node volumes and an edge
-along axis a weighted by its transverse face measure over h_a. Its matrix
-``K - omega^2 diag(vol * c)`` is symmetric. Every interior node has the
-volume ``prod(h)``, and every edge that touches an interior node carries
-``prod(h) / h_a^2``, so the interior rows divided by ``prod(h)`` are the
-second-order central differences of ``-Lap - omega^2 c^-2`` (5-point
-stencil in 2D, 7-point in 3D). :class:`HelmholtzSystem` builds the form
-once, stored per unit interior volume, and reads all three of its blocks
-from it:
+a Kronecker sum of one small factor per axis b (:func:`geometry._kron`):
+``T_b`` the diagonal of the axis's trapezoid factors (1/2 at both ends, 1
+inside), ``t`` their product over the axes, and ``S_a`` the 1-D stiffness
+``[-1, 2, -1] / h_a^2`` with diagonal ``2 T_a / h_a^2``. The nodal coefficient
+is ``c = _node_averaging(grid) @ coeff``, at every node the mean of the cells
+that touch it. On an interior row every ``T_b`` is 1, so the interior rows are
+the second-order central differences of ``-Lap - omega^2 c^-2`` (5-point
+stencil in 2D, 7-point in 3D). :class:`HelmholtzSystem` builds the form once
+and reads all three of its blocks from it:
 
 * ``interior_matrix`` and ``coupling``: the interior rows, split by column
   into ``A_ii`` and ``A_ib`` of the Dirichlet problem
@@ -110,7 +110,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalFailureError
-from .geometry import BoxGrid, _lattice, _trapezoid
+from .geometry import BoxGrid, _kron, _lattice, _trapezoid
 
 __all__ = [
     "HelmholtzSystem",
@@ -146,11 +146,14 @@ def _check_omega2(omega2) -> float:
     return omega2
 
 
-def _corner_slices(grid: BoxGrid) -> list:
-    """For each of the 2^dim corner offsets of a cell, the slice of the node
-    lattice holding that corner of every cell, shaped like the cell lattice."""
-    return [tuple(slice(o, o + n) for o, n in zip(offsets, grid.cells_per_axis))
-            for offsets in np.ndindex(*([2] * grid.dim))]
+def _node_averaging(grid: BoxGrid) -> sp.csr_matrix:
+    """``(n_nodes, n_cells)`` averaging of cell values onto the nodes: row i
+    takes the mean of the cells that touch node i. On every axis an end node
+    touches one cell (weight 1) and an inner node two (weight 1/2 each)."""
+    weights = [0.5 / _trapezoid(n + 1) for n in grid.cells_per_axis]
+    return _kron([w[:, None] * (np.eye(w.size, w.size - 1)
+                                + np.eye(w.size, w.size - 1, -1))
+                  for w in weights])
 
 
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
@@ -158,42 +161,19 @@ def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
     coeff = np.asarray(coeff, dtype=float)
     if coeff.shape != (grid.n_cells,):
         raise ValueError(f"coeff must have one value per cell ({grid.n_cells})")
-    cells = coeff.reshape(grid.cells_per_axis, order="F")
-    acc = np.zeros(grid.nodes_per_axis)
-    cnt = np.zeros(grid.nodes_per_axis)
-    for sl in _corner_slices(grid):
-        acc[sl] += cells
-        cnt[sl] += 1.0
-    return np.ravel(acc / cnt, order="F")
+    return _node_averaging(grid) @ coeff
 
 
 def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
-    """Stiffness of the trapezoidal bilinear form of -Lap, per unit interior
-    node volume ``prod(h)``.
-
-    The sum over grid edges of ``w_e (e_p - e_q)(e_p - e_q)^T``, where an edge
-    along axis ``a`` carries ``1/h_a^2`` times the trapezoid factor of every
-    transverse axis. An edge that touches an interior node lies inside on
-    every transverse axis, so an interior row is exactly the central-
-    difference row of -Lap.
-    """
-    n = grid.n_nodes
-    strides = grid.node_strides()
-    rows, cols, vals = [], [], []
-    for a, h in enumerate(grid.spacing):
-        counts = [m - (t == a) for t, m in enumerate(grid.nodes_per_axis)]
-        p = _lattice(np.add, [np.arange(c) * s for c, s in zip(counts, strides)])
-        q = p + strides[a]
-        w = _lattice(np.multiply, [np.full(c, 1.0 / (h * h)) if t == a
-                                   else _trapezoid(c)
-                                   for t, c in enumerate(counts)])
-        rows.extend([p, q, p, q])
-        cols.extend([p, q, q, p])
-        vals.extend([w, w, -w, -w])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    """Stiffness ``K`` of -Lap per unit interior node volume, the Kronecker
+    sum of the module docstring: an edge along axis a carries ``1/h_a^2``
+    times the trapezoid factor of every other axis, and an end node of the
+    1-D stiffness has one edge, so its diagonal is ``2 T_a / h_a^2``."""
+    trap = [_trapezoid(m) for m in grid.nodes_per_axis]
+    return sum(_kron([(np.diag(2.0 * f) - np.eye(f.size, k=1)
+                       - np.eye(f.size, k=-1)) / (h * h) if t == a
+                      else np.diag(f) for t, f in enumerate(trap)])
+               for a, h in enumerate(grid.spacing))
 
 
 def axis_eigenvalues(grid: BoxGrid) -> list:
@@ -535,9 +515,5 @@ def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:
 
 def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
     """Mean of the 2^dim corner nodes per cell, x-fastest order."""
-    lattice = np.asarray(u).reshape(grid.nodes_per_axis, order="F")
-    acc = np.zeros(grid.cells_per_axis, dtype=lattice.dtype)
-    for sl in _corner_slices(grid):
-        acc = acc + lattice[sl]
-    return np.ravel(acc / 2 ** grid.dim, order="F")
-
+    return _kron([0.5 * (np.eye(n, n + 1) + np.eye(n, n + 1, 1))
+                  for n in grid.cells_per_axis]) @ np.asarray(u)

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError, WindowViolationError
-from .geometry import BoxGrid
+from .geometry import BoxGrid, _lattice
 from .solver import HelmholtzSystem, _check_omega2, axis_eigenvalues
 
 __all__ = [
@@ -147,7 +147,7 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     """
     b1, b2 = _bounds(b1, b2)
     omega2 = _check_omega2(omega2)
-    lam = sum(np.ix_(*axis_eigenvalues(grid))).ravel()
+    lam = _lattice(np.add, axis_eigenvalues(grid))
     count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
     lam = np.sort(np.partition(lam, count - 1)[:count])
     return FrequencyWindows(b1=b1, b2=b2, source_eigenvalues=lam)

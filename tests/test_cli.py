@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helmstab import cli, forward, solver
+from helmstab import cli, forward, solver, stability
 from helmstab.stability import (
     BoundConstants,
     evaluate_bounds,
@@ -487,6 +487,10 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "grid: cells must be whole numbers, got (32.7, 32)"),
     ("scales", "blocks", [[2, 2], [4.5, 4]],
      "scales.blocks: block counts must be whole numbers, got (4.5, 4)"),
+    ("grid", "cells", ["a", 32],
+     "grid: cells must be whole numbers, got ('a', 32)"),
+    ("scales", "blocks", [[2, 2], [4, "x"]],
+     "scales.blocks: block counts must be whole numbers, got (4, 'x')"),
     ("grid", "cells", [float("inf"), 32],
      "grid: cells must be whole numbers, got (inf, 32)"),
     # YAML booleans: float(True) is 1.0, so each would load as a number
@@ -537,6 +541,7 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
         "duplicate_mode", "duplicate_frequency", "nan_frequency",
         "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
         "nan_wavespeed", "quantity", "fractional_cells", "fractional_blocks",
+        "non_numeric_cells", "non_numeric_blocks",
         "inf_cells", "bool_extent", "bool_cells", "bool_bound",
         "bool_generator_field", "bool_frequency", "bool_blocks",
         "bool_source_spacing", "bool_receiver_spacing", "bool_sigma",
@@ -847,6 +852,33 @@ def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, command,
         # the campaign stops at the first write that fails
         assert "cell(s) failed" not in err
         assert not (out / "constants.csv").exists()
+
+
+def test_failing_final_records_write_is_a_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # one cell: its records flush succeeds, the flush after the constant fit
+    # writes the temporary file and then fails
+    cfg = base_config(tmp_path / "out")
+    cfg["scales"]["blocks"] = [[2, 2]]
+    cfg["acquisition"]["modes"] = ["full"]
+    path = write_config(tmp_path, cfg)
+    calls = []
+
+    def write_then_fail(path, *args, **kwargs):
+        calls.append(path)
+        write_records_csv(path, *args, **kwargs)
+        if len(calls) == 2:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(stability, "write_records_csv", write_then_fail)
+    status = cli.main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    out = tmp_path / "out"
+    assert status == cli.EXIT_CONFIG
+    assert len(calls) == 2
+    assert f"error: {out / 'records.csv'}: disk full" in err
+    assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+    assert not (out / "constants.csv").exists()
 
 
 def test_clamped_subdomains_warn(tmp_path):

@@ -19,10 +19,12 @@ from helmstab.model import SquaredSlownessModel, to_cell_field
 from helmstab.solver import (
     HelmholtzSystem,
     assemble,
+    axis_eigenvalues,
     node_coefficients,
     normal_derivative,
     solve_dirichlet,
 )
+from tests.test_solver import boxes
 
 BOUNDS = (0.2, 1.2)
 OMEGA2 = 6.0
@@ -168,14 +170,25 @@ def test_two_derivative_implementations_agree():
         assert np.max(np.abs(pair - flux)) <= 1e-8 * scale
 
 
-def test_taylor_remainder_is_second_order():
-    _, p, base, acq, rng = setup()
+# sigma 0.08 lies below the spacing of the coarsest grids
+@pytest.mark.filterwarnings("ignore:sigma=0.08 below grid spacing")
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(8, 16), min_size=2, max_size=2),
+       st.lists(st.integers(1, 4), min_size=2, max_size=2),
+       st.floats(1.0, 8.0), st.integers(0, 2**32 - 1))
+def test_taylor_remainder_is_second_order(cells, blocks, omega2, seed):
+    g = build_grid((1.0, 1.0), cells)
+    p = build_partition(g, blocks)
+    rng = np.random.default_rng(seed)
+    base = SquaredSlownessModel(p, rng.uniform(0.4, 0.85, p.n_subdomains),
+                                (0.2, 1.0))
+    acq = make_acquisition(g, "full", 0.3, 0.2, 0.08)
     direction = rng.normal(size=p.n_subdomains)
     direction /= np.max(np.abs(direction))
     eps = default_step(base)
-    df = frechet_directional(base, direction, OMEGA2, acq)
-    r1 = taylor_remainder(base, direction, OMEGA2, acq, eps, df)
-    r2 = taylor_remainder(base, direction, OMEGA2, acq, eps / 2, df)
+    df = frechet_directional(base, direction, omega2, acq)
+    r1 = taylor_remainder(base, direction, omega2, acq, eps, df)
+    r2 = taylor_remainder(base, direction, omega2, acq, eps / 2, df)
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -403,3 +416,30 @@ def test_derivatives_reject_acquisition_on_another_grid():
             frechet_directional(base, e, OMEGA2, acq)
         with pytest.raises(ValueError, match="different grids"):
             frechet_pairing_first_order(base, e, OMEGA2, acq)
+
+
+@pytest.mark.filterwarnings("ignore:grid resolves only")
+@settings(max_examples=20, deadline=None)
+@given(boxes, st.floats(0.1, 0.8), st.integers(0, 2**32 - 1))
+def test_jacobian_slices_are_the_canonical_directional_derivatives(
+        box, fraction, seed):
+    # c^-2 <= 1 and omega^2 below lambda_h,1: no discrete resonance
+    rng = np.random.default_rng(seed)
+    grid = build_grid(*box)
+    partition = build_partition(
+        grid, [int(rng.integers(1, min(c, 3) + 1)) for c in box[1]])
+    n = partition.n_subdomains
+    base = SquaredSlownessModel(partition, rng.uniform(0.25, 1.0, n),
+                                (0.2, 1.2))
+    omega2 = fraction * sum(v[0] for v in axis_eigenvalues(grid))
+    acq = Acquisition(grid=grid, mode="full",
+                      source_idx=rng.choice(grid.n_boundary, size=3),
+                      receiver_idx=rng.choice(grid.n_boundary, size=4),
+                      source_sigma=2 * max(grid.spacing))
+    for convention in ("data", "pairing"):
+        jac = frechet_jacobian(base, omega2, acq, convention=convention)
+        for j in range(n):
+            df = frechet_directional(base, np.eye(n)[j], omega2, acq,
+                                     convention=convention)
+            assert np.max(np.abs(df - jac[j])) <= \
+                1e-13 * np.max(np.abs(jac[j]))

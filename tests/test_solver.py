@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dstn
 from scipy.sparse.linalg import splu
@@ -37,15 +39,63 @@ def test_single_interior_node_matrix():
     assert np.isclose(sys_.interior_matrix.toarray()[0, 0], 24.0 - 5.0 * 0.7)
 
 
-def test_node_coefficient_is_adjacent_cell_mean():
-    g = build_grid((1.0, 1.0), (2, 2))
-    coeff = np.array([1.0, 2.0, 3.0, 4.0])  # x-fastest 2x2 cells
+# 2D and 3D boxes with 2-9 cells per axis and random extents
+boxes = st.integers(2, 3).flatmap(lambda dim: st.tuples(
+    st.lists(st.floats(0.3, 3.0), min_size=dim, max_size=dim),
+    st.lists(st.integers(2, 9), min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(boxes)
+def test_stiffness_is_the_per_edge_sum(box):
+    # an edge along axis a carries 1/h_a^2 times the trapezoid factor of
+    # every other axis, on both of its nodes
+    g = build_grid(*box)
+    npa = g.nodes_per_axis
+    expected = np.zeros((g.n_nodes, g.n_nodes))
+    for mi in itertools.product(*(range(n) for n in npa)):
+        p = g.node_index(mi)
+        for a, h in enumerate(g.spacing):
+            if mi[a] + 1 == npa[a]:
+                continue
+            w = 1.0 / h**2 * np.prod([0.5 if mi[t] in (0, npa[t] - 1) else 1.0
+                                      for t in range(g.dim) if t != a])
+            q = g.node_index(tuple(i + (t == a) for t, i in enumerate(mi)))
+            expected[[p, q, p, q], [p, q, q, p]] += [w, w, -w, -w]
+    got = solver._form_stiffness(g)
+    assert got.nnz == np.count_nonzero(expected)
+    got = got.toarray()
+    assert np.array_equal(got != 0, expected != 0)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+
+@settings(max_examples=30, deadline=None)
+@given(boxes, st.lists(st.floats(0.25, 4.0), min_size=1, max_size=16))
+@example(((1.0, 1.0), (2, 2)), [1.0, 2.0, 3.0, 4.0])
+def test_node_coefficient_is_the_mean_of_the_touching_cells(box, values):
+    # the cell values cycle through ``values``, x-fastest
+    g = build_grid(*box)
+    coeff = np.resize(values, g.n_cells)
     nodal = node_coefficients(g, coeff)
-    # center node touches all four cells
-    center_flat = 1 + 3 * 1
-    assert np.isclose(nodal[center_flat], 2.5)
-    # corner node touches only its one cell
-    assert np.isclose(nodal[0], 1.0)
+    for mi in itertools.product(*(range(n) for n in g.nodes_per_axis)):
+        # per axis, the cells j - 1 and j that exist touch node j
+        cells = itertools.product(*([i for i in (j - 1, j) if 0 <= i < n]
+                                    for j, n in zip(mi, g.cells_per_axis)))
+        mean = np.mean([coeff[g.cell_index(c)] for c in cells])
+        assert np.isclose(nodal[g.node_index(mi)], mean, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(boxes, st.integers(0, 2**32 - 1))
+def test_cell_average_is_the_mean_of_the_corners(box, seed):
+    g = build_grid(*box)
+    u = np.random.default_rng(seed).normal(size=g.n_nodes)
+    got = solver.cell_average(g, u)
+    assert got.shape == (g.n_cells,)
+    for ci in itertools.product(*(range(n) for n in g.cells_per_axis)):
+        corners = itertools.product(*((i, i + 1) for i in ci))
+        mean = np.mean([u[g.node_index(c)] for c in corners])
+        assert abs(got[g.cell_index(ci)] - mean) <= 1e-15 * np.abs(u).max()
 
 
 def test_laplace_reproduces_linear_functions():

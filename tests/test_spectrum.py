@@ -75,6 +75,7 @@ def test_no_window_above_the_top_eigenvalue():
     assert np.allclose(fw.source_eigenvalues, brute, rtol=1e-14)
     safety = frequency_safety(brute[-1] / 0.25 * 1.01, fw)
     assert not safety.inside
+    assert safety.relative_edge_margin() == 0.0
     assert all(hi <= brute[-1] for _, hi in fw.windows)
 
 
