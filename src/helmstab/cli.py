@@ -13,10 +13,14 @@ frequency, each once; ``run``, ``forward``, ``windows`` and ``validate``
 only read what it built. So every subcommand fails the same way, with a
 config error, on a model file that cannot be loaded, on a frequency or mode
 listed twice and on a non-finite or mistyped setting (a boolean for a
-number, a string for a list of numbers). A key the schema does not list
-loads with the warning "<section>.<key> is not a setting of this version;
-ignored", and a model whose block means leave [B1, B2] with one warning per
-scale that counts the subdomains clamped into the bounds.
+number, a string for a list of numbers). Every value rule is the
+library's: the loader calls the check of :mod:`model` (bounds, positive
+fields), :mod:`forward` (Gaussian width), :mod:`solver` (omega^2) or
+:mod:`geometry` (grid, block counts) and adds only the setting's name. A key
+the schema does not list loads with the warning "<section>.<key> is not a
+setting of this version; ignored", and a model whose block means leave
+[B1, B2] with one warning per scale that counts the subdomains clamped into
+the bounds.
 ``forward --mode`` must name a listed mode.
 
 The library takes omega^2 as given; ``run`` and ``forward`` refuse a frequency
@@ -75,8 +79,8 @@ from . import forward as fwd
 from . import model as mdl
 from . import spectrum, stability
 from .errors import HelmstabError
-from .geometry import BoxGrid, _counts, build_grid, build_partition
-from .solver import assemble  # unused here; benchmarks/spans.py traces this binding
+from .geometry import BoxGrid, build_grid, build_partition
+from .solver import _check_omega2, assemble  # assemble: traced by benchmarks/spans.py
 
 __all__ = [
     "ExperimentConfig",
@@ -112,6 +116,15 @@ SCHEMA = {
     "output": ("directory",),
 }
 
+# the settings load_config requires; its first pass rejects a YAML boolean in
+# "numbers", and also a string in a "list" and in each entry of "lists"
+REQUIRED = {
+    "grid.extents": "list", "grid.cells": "list", "model.bounds": "list",
+    "model.c1": None, "model.c2": None, "frequencies_hz": "numbers",
+    "scales.blocks": "lists", "acquisition.source_spacing": "numbers",
+    "acquisition.receiver_spacing": "numbers", "acquisition.sigma": "numbers",
+}
+
 # model generator -> (its cell-field builder, the fields it needs in call
 # order)
 GENERATORS = {
@@ -145,13 +158,6 @@ class ExperimentConfig:
 
     def grid(self) -> BoxGrid:
         return self.model_pairs[0][0].grid
-
-
-def _require(section: dict, key: str, errors: list, where: str):
-    if key not in section:
-        errors.append(f"{where}: missing required field '{key}'")
-        return None
-    return section[key]
 
 
 def _section(raw: dict, name: str, errors: list) -> dict:
@@ -231,9 +237,7 @@ def _model_field(spec, grid: BoxGrid, base_dir) -> np.ndarray:
             raise ValueError(f"generator '{gen}': fields must be finite, "
                              f"got {args}")
         field = build(grid, *args)
-    if not np.all(np.isfinite(field) & (field > 0)):
-        raise ValueError("squared slowness must be positive and finite")
-    return field
+    return mdl._positive(field, "squared slowness")
 
 
 def load_config(path):
@@ -258,54 +262,38 @@ def load_config(path):
         return None, [f"{path}: top level must be a mapping"], []
     warnings_ = _ignored_keys(raw)
 
-    grid_sec = _section(raw, "grid", errors)
-    extents = _require(grid_sec, "extents", errors, "grid")
-    cells = _require(grid_sec, "cells", errors, "grid")
-    model_sec = _section(raw, "model", errors)
-    bounds = _require(model_sec, "bounds", errors, "model")
-    for name in ("c1", "c2"):
-        _require(model_sec, name, errors, "model")
-    freqs = raw.get("frequencies_hz")
-    if freqs is None:
-        errors.append("frequencies_hz: missing required field")
-    scales_sec = _section(raw, "scales", errors)
-    blocks = _require(scales_sec, "blocks", errors, "scales")
-    acq_sec = _section(raw, "acquisition", errors)
-    for fld in ("source_spacing", "receiver_spacing", "sigma"):
-        _require(acq_sec, fld, errors, "acquisition")
-    numeric = {"grid.extents": extents, "grid.cells": cells,
-               "model.bounds": bounds, "frequencies_hz": freqs,
-               "scales.blocks": blocks,
-               **{f"acquisition.{fld}": acq_sec.get(fld)
-                  for fld in ("source_spacing", "receiver_spacing", "sigma")}}
-    errors += [f"{name}: a boolean is not a number, got {value!r}"
-               for name, value in numeric.items() if _holds_bool(value)]
-    # a string where a list of numbers belongs would be split into characters
-    lists = [("grid.extents", extents), ("grid.cells", cells),
-             ("model.bounds", bounds)]
-    if isinstance(blocks, list):
-        lists += [("scales.blocks", entry) for entry in blocks]
-    errors += [f"{name}: expected a list of numbers, got the string {value!r}"
-               for name, value in lists if isinstance(value, str)]
+    sections = {name: _section(raw, name, errors)
+                for name, keys in SCHEMA.items() if keys}
+    got = {}
+    for name, kind in REQUIRED.items():
+        section, _, key = name.rpartition(".")
+        value = got[name] = sections.get(section, raw).get(key)
+        if value is None:
+            errors.append(f"{name}: missing required field")
+            continue
+        if kind and _holds_bool(value):
+            errors.append(f"{name}: a boolean is not a number, got {value!r}")
+        entries = {"list": [value], "lists": value}.get(kind)
+        if isinstance(entries, list):
+            errors += [f"{name}: expected a list of numbers, got the string "
+                       f"{v!r}" for v in entries if isinstance(v, str)]
 
     if errors:
         return None, errors, warnings_
 
     try:
-        grid = build_grid(extents, cells)
+        grid = build_grid(got["grid.extents"], got["grid.cells"])
     except (TypeError, ValueError) as exc:
         errors.append(f"grid: {exc}")
         grid = None
 
     try:
-        b1, b2 = (float(b) for b in bounds)
-    except (TypeError, ValueError):
-        errors.append(f"model.bounds: expected [B1, B2], got {bounds!r}")
-    else:
-        if not (0 < b1 <= b2 < math.inf):
-            errors.append(f"model.bounds: need 0 < B1 <= B2 < inf, got {bounds}")
+        b1, b2 = mdl._bounds(got["model.bounds"])
+    except ValueError as exc:
+        errors.append(f"model.bounds: {exc}")
 
-    freq_list = []
+    omega2s = {}   # hz -> omega^2, in config order
+    freqs = got["frequencies_hz"]
     if not isinstance(freqs, (list, tuple)) or not freqs:
         errors.append("frequencies_hz: expected a non-empty list")
     else:
@@ -318,35 +306,34 @@ def load_config(path):
             if not 0 < f < math.inf:
                 errors.append("frequencies_hz: frequencies must be positive "
                               f"and finite, got {f}")
-            elif f in freq_list:
+            elif f in omega2s:
                 errors.append(f"frequencies_hz: {f:g} Hz is listed twice")
-            freq_list.append(f)
+            else:
+                # a float's ** raises OverflowError past about 2.1e153 Hz
+                try:
+                    omega2s[f] = _check_omega2((2.0 * np.pi * f) ** 2)
+                except (OverflowError, ValueError):
+                    errors.append("frequencies_hz: omega^2 = (2 pi f)^2 is "
+                                  f"not finite for f = {f:g} Hz")
 
     partitions = []
+    blocks = got["scales.blocks"]
     if not isinstance(blocks, (list, tuple)) or not blocks:
         errors.append("scales.blocks: expected a non-empty list of block counts")
-    else:
-        scale_list = []
+    elif grid is not None:
         for entry in blocks:
             try:
-                scale_list.append(_counts(entry, "block counts"))
+                partitions.append(build_partition(grid, entry))
             except TypeError:
                 errors.append(f"scales.blocks: bad entry {entry!r}")
             except ValueError as exc:
                 errors.append(f"scales.blocks: {exc}")
-        ns = [int(np.prod(s)) for s in scale_list]
+        ns = [p.n_subdomains for p in partitions]
         if any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
-            errors.append(
-                f"scales.blocks: subdomain counts must be strictly increasing, got {ns}"
-            )
-        if grid is not None:
-            for s in scale_list:
-                try:
-                    partitions.append(build_partition(grid, s))
-                except ValueError as exc:
-                    errors.append(f"scales.blocks: {exc}")
+            errors.append("scales.blocks: subdomain counts must be strictly "
+                          f"increasing, got {ns}")
 
-    modes = acq_sec.get("modes", ["full"])
+    modes = sections["acquisition"].get("modes", ["full"])
     if isinstance(modes, str):
         modes = [modes]
     if not isinstance(modes, list) or not modes:
@@ -361,33 +348,29 @@ def load_config(path):
 
     acquisitions = {}
     try:
-        sigma = float(acq_sec["sigma"])
-    except (TypeError, ValueError):
-        errors.append(
-            f"acquisition.sigma: expected a number, got {acq_sec['sigma']!r}")
+        sigma = fwd._positive_width(got["acquisition.sigma"],
+                                    "acquisition.sigma")
+    except ValueError as exc:
+        errors.append(str(exc))
     else:
-        if not 0 < sigma < math.inf:
-            errors.append("acquisition.sigma: must be positive and finite, "
-                          f"got {sigma:g}")
-        elif grid is not None:
+        if grid is not None:
             for m in modes:
                 if m not in (fwd.MODE_FULL, fwd.MODE_TOP) or m in acquisitions:
                     continue
                 try:
                     acquisitions[m] = fwd.make_acquisition(
-                        grid, m, acq_sec["source_spacing"],
-                        acq_sec["receiver_spacing"], sigma)
+                        grid, m, got["acquisition.source_spacing"],
+                        got["acquisition.receiver_spacing"], sigma)
                 except (TypeError, ValueError) as exc:
                     errors.append(f"acquisition ({m} mode): {exc}")
 
-    fit_sec = _section(raw, "fit", errors)
-    first_scales = fit_sec.get("first_scales")
+    first_scales = sections["fit"].get("first_scales")
     if first_scales is not None and (type(first_scales) is not int
                                      or first_scales < 1):
         errors.append("fit.first_scales: expected a positive integer, got "
                       f"{first_scales!r}")
 
-    out_dir = _section(raw, "output", errors).get("directory", "out")
+    out_dir = sections["output"].get("directory", "out")
     if not isinstance(out_dir, str):
         errors.append(f"output.directory: expected a path, got {out_dir!r}")
 
@@ -396,7 +379,7 @@ def load_config(path):
         base_dir = os.path.dirname(os.path.abspath(path))
         for name in ("c1", "c2"):
             try:
-                fields.append(_model_field(model_sec[name], grid, base_dir))
+                fields.append(_model_field(got[f"model.{name}"], grid, base_dir))
             except _MODEL_LOAD_ERRORS as exc:
                 errors.append(f"model.{name}: {exc}")
 
@@ -404,8 +387,7 @@ def load_config(path):
         return None, errors, warnings_
 
     frequencies = []
-    for f in freq_list:
-        omega2 = (2.0 * np.pi * f) ** 2
+    for f, omega2 in omega2s.items():
         windows = spectrum.windows_covering(grid, b1, b2, omega2)
         safety = spectrum.frequency_safety(omega2, windows)
         frequencies.append(Frequency(f, omega2, windows, safety))

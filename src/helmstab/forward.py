@@ -90,10 +90,16 @@ def clear_caches():
 
 
 def _positive_width(value, name: str) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless 0 < value < inf."""
-    value = float(value)
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    """``value`` as a float; ValueError naming ``name`` unless it is a number
+    with 0 < value and 0 < 2 value^2 < inf, so that a Gaussian of this width
+    is neither 0/0 at its centre nor flat."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected a number, got {value!r}") from None
+    if not (0.0 < value and 0.0 < 2.0 * value * value < np.inf):
+        raise ValueError(f"{name} must be finite and positive with a finite "
+                         f"nonzero square, got {value}")
     return value
 
 

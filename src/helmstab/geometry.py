@@ -115,10 +115,16 @@ class BoxGrid:
             raise ValueError(f"extents must be positive and finite, got {extents}")
         if any(c < 2 for c in cells):
             raise ValueError(f"need at least 2 cells per axis, got {cells}")
+        spacing = tuple(e / c for e, c in zip(extents, cells))
+        # the stencil divides by h^2 on every axis
+        if not all(h * h > 0.0 and 0.0 < 1.0 / (h * h) < np.inf
+                   for h in spacing):
+            raise ValueError("1/h^2 must be positive and finite on every axis, "
+                             f"got spacing {spacing}")
 
         self.extents = extents
         self.cells_per_axis = cells
-        self.spacing = tuple(e / c for e, c in zip(extents, cells))
+        self.spacing = spacing
         self.nodes_per_axis = tuple(c + 1 for c in cells)
         self.dim = len(extents)
         self.n_nodes = int(np.prod(self.nodes_per_axis))

@@ -38,18 +38,34 @@ QUANTITY_WAVESPEED = 0      # stored values are c in m/s
 QUANTITY_SQ_SLOWNESS = 1    # stored values are c**-2 in s^2/m^2
 
 
+def _positive(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``what`` unless every
+    value is positive and finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values > 0.0) & (values < np.inf)):
+        raise ValueError(f"{what} must be positive and finite")
+    return values
+
+
+def _bounds(bounds) -> tuple:
+    """The a priori bounds as floats (B1, B2); ValueError unless they are a
+    pair of numbers, positive, ordered and finite."""
+    try:
+        low, high = (float(b) for b in bounds)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected [B1, B2], got {bounds!r}") from None
+    if not 0.0 < low <= high < np.inf:
+        raise ValueError(f"need 0 < B1 <= B2 < inf, got {bounds}")
+    return low, high
+
+
 def wavespeed_to_squared_slowness(c):
-    c = np.asarray(c, dtype=float)
-    if np.any(c <= 0):
-        raise ValueError("wavespeed must be positive")
+    c = _positive(c, "wavespeed")
     return 1.0 / (c * c)
 
 
 def squared_slowness_to_wavespeed(m):
-    m = np.asarray(m, dtype=float)
-    if np.any(m <= 0):
-        raise ValueError("squared slowness must be positive")
-    return 1.0 / np.sqrt(m)
+    return 1.0 / np.sqrt(_positive(m, "squared slowness"))
 
 
 @dataclass(frozen=True)
@@ -67,10 +83,7 @@ class SquaredSlownessModel:
             raise ValueError(
                 f"expected {self.partition.n_subdomains} values, got {values.shape}"
             )
-        b1, b2 = (float(self.bounds[0]), float(self.bounds[1]))
-        if not (0.0 < b1 <= b2 < np.inf):
-            raise ValueError(
-                f"bounds must satisfy 0 < B1 <= B2 < inf, got ({b1}, {b2})")
+        b1, b2 = _bounds(self.bounds)
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficient values must be finite")
         if np.any(values < b1) or np.any(values > b2):
@@ -113,14 +126,12 @@ def from_gridded_field(field, partition: CubicalPartition, bounds) -> SquaredSlo
             f"field must have one value per cell ({partition.grid.n_cells}), "
             f"got shape {field.shape}"
         )
-    if not np.all(np.isfinite(field)) or np.any(field <= 0):
-        raise ValueError(
-            "squared slowness must be finite and positive (wavespeed is physical)")
+    _positive(field, "squared slowness")
     cellvol = partition.grid.cell_volume()
     sums = np.bincount(partition.cell_to_subdomain, weights=field,
                        minlength=partition.n_subdomains) * cellvol
     means = sums / partition.subdomain_volumes
-    b1, b2 = float(bounds[0]), float(bounds[1])
+    b1, b2 = _bounds(bounds)
     clamped = np.clip(means, b1, b2)
     n_clamped = int(np.count_nonzero(clamped != means))
     return SquaredSlownessModel(partition, clamped, (b1, b2), n_clamped=n_clamped)

@@ -111,6 +111,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import NumericalFailureError
 from .geometry import BoxGrid, _kron, _lattice, _trapezoid
+from .model import _positive
 
 __all__ = [
     "HelmholtzSystem",
@@ -191,8 +192,7 @@ class HelmholtzSystem:
 
     def __init__(self, grid: BoxGrid, coeff, omega2: float):
         coeff = np.ascontiguousarray(coeff, dtype=float)
-        if not np.all((coeff > 0) & (coeff < np.inf)):
-            raise ValueError("coefficient must be positive and finite")
+        _positive(coeff, "coefficient")
         omega2 = _check_omega2(omega2)
 
         self.grid = grid

@@ -35,6 +35,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NumericalFailureError, WindowViolationError
 from .geometry import BoxGrid, _lattice
+from .model import _bounds
 from .solver import HelmholtzSystem, _check_omega2, axis_eigenvalues
 
 __all__ = [
@@ -125,14 +126,6 @@ class FrequencyWindows:
                      if ok)
 
 
-def _bounds(b1, b2) -> tuple:
-    """(b1, b2) as floats; ValueError unless 0 < b1 <= b2 < inf."""
-    b1, b2 = float(b1), float(b2)
-    if not (0.0 < b1 <= b2 < np.inf):
-        raise ValueError(f"need 0 < b1 <= b2 < inf, got ({b1}, {b2})")
-    return b1, b2
-
-
 def windows_covering(grid: BoxGrid, b1: float, b2: float,
                      omega2: float) -> FrequencyWindows:
     """Admissible windows of the grid's discrete problem, up to the first
@@ -145,7 +138,7 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     n = 0 is [0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
     lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
-    b1, b2 = _bounds(b1, b2)
+    b1, b2 = _bounds((b1, b2))
     omega2 = _check_omega2(omega2)
     lam = _lattice(np.add, axis_eigenvalues(grid))
     count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)

@@ -452,7 +452,7 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
         assert f"error: {name}" in out
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "windows", "forward"])
 @pytest.mark.parametrize("section, field, value, message", [
     ("acquisition", "sigma", "wide",
      "acquisition.sigma: expected a number, got 'wide'"),
@@ -475,7 +475,8 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
     ("model", "bounds", [0.25, float("inf")],
      "model.bounds: need 0 < B1 <= B2 < inf, got [0.25, inf]"),
     ("acquisition", "sigma", float("inf"),
-     "acquisition.sigma: must be positive and finite, got inf"),
+     "acquisition.sigma must be finite and positive with a finite nonzero "
+     "square, got inf"),
     ("output", "directory", 5, "output.directory: expected a path, got 5"),
     ("grid", "extents", [1.0, float("nan")],
      "grid: extents must be positive and finite, got (1.0, nan)"),
@@ -537,6 +538,18 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "scales.blocks: expected a non-empty list of block counts"),
     ("scales", "blocks", [[2, 2], 4], "scales.blocks: bad entry 4"),
     ("acquisition", "modes", ["side"], "acquisition.modes: unknown mode 'side'"),
+    # (2 pi f)^2 overflows, 2 sigma^2 underflows or overflows, h^2 underflows
+    (None, "frequencies_hz", [1.0e200],
+     "frequencies_hz: omega^2 = (2 pi f)^2 is not finite for f = 1e+200 Hz"),
+    ("acquisition", "sigma", 1.0e-200,
+     "acquisition.sigma must be finite and positive with a finite nonzero "
+     "square, got 1e-200"),
+    ("acquisition", "sigma", 1.0e200,
+     "acquisition.sigma must be finite and positive with a finite nonzero "
+     "square, got 1e+200"),
+    ("grid", "extents", [1.0e-300, 1.0],
+     "grid: 1/h^2 must be positive and finite on every axis, got spacing "
+     "(6.25e-302, 0.0625)"),
 ], ids=["sigma", "receiver_spacing", "modes", "first_scales", "blocks",
         "duplicate_mode", "duplicate_frequency", "nan_frequency",
         "inf_frequency", "inf_bound", "inf_sigma", "directory", "nan_extent",
@@ -548,19 +561,24 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
         "string_cells", "string_bounds", "string_block", "string_extents",
         "model_not_a_mapping", "unknown_generator", "generator_field_missing",
         "bounds_not_a_pair", "frequencies_not_a_list", "non_numeric_frequency",
-        "blocks_not_a_list", "bad_block_entry", "unknown_mode"])
+        "blocks_not_a_list", "bad_block_entry", "unknown_mode",
+        "huge_frequency", "tiny_sigma", "huge_sigma", "tiny_extent"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")
     cfg["grid"]["cells"] = [16, 16]
     (cfg if section is None else cfg.setdefault(section, {}))[field] = value
     path = write_config(tmp_path, cfg)
-    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    argv = [command, "--config", str(path)]
+    if command == "forward":
+        argv += ["--out", str(tmp_path / "fwd")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     text = captured.out + captured.err
     assert message in text
     assert "Traceback" not in text
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "fwd").exists()
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -664,6 +682,67 @@ def test_docstring_schema_lists_every_setting():
                   for name, value in raw.items()}
     assert documented == {name: None if keys is None else set(keys)
                           for name, keys in cli.SCHEMA.items()}
+
+
+# another valid value of every setting of base_config
+OTHER_VALUES = {
+    "grid.extents": [1.0, 2.0],
+    "grid.cells": [16, 16],
+    "model.bounds": [0.2, 1.0],
+    "model.c1": {"generator": "constant", "v": 1.5},
+    "model.c2": {"generator": "constant", "v": 1.5},
+    "frequencies_hz": [0.3],
+    "scales.blocks": [[4, 4], [8, 8]],
+    "acquisition.modes": ["top", "full"],
+    "acquisition.source_spacing": 0.125,
+    "acquisition.receiver_spacing": 0.25,
+    "acquisition.sigma": 0.1,
+    "fit.first_scales": 1,
+    "output.directory": "elsewhere",
+}
+
+
+def fed_by_each_setting(cfg) -> dict:
+    """Setting name -> one item per place of the loaded config it feeds."""
+    grid = cfg.grid()
+    models = [m for pair in cfg.model_pairs for m in pair]
+    acqs = cfg.acquisitions.values()
+    return {
+        "grid.extents": [grid.extents],
+        "grid.cells": [grid.cells_per_axis],
+        "model.bounds": [cfg.bounds, *(m.bounds for m in models),
+                         *((f.windows.b1, f.windows.b2)
+                           for f in cfg.frequencies)],
+        "model.c1": [c1.content_hash() for c1, _ in cfg.model_pairs],
+        "model.c2": [c2.content_hash() for _, c2 in cfg.model_pairs],
+        "frequencies_hz": [f.omega2 for f in cfg.frequencies],
+        "scales.blocks": [c1.partition.blocks_per_axis
+                          for c1, _ in cfg.model_pairs],
+        "acquisition.modes": list(cfg.acquisitions),
+        "acquisition.source_spacing": [a.source_idx.tolist() for a in acqs],
+        "acquisition.receiver_spacing": [a.receiver_idx.tolist()
+                                         for a in acqs],
+        "acquisition.sigma": [a.source_sigma for a in acqs],
+        "fit.first_scales": [cfg.first_scales],
+        "output.directory": [cfg.out_dir],
+    }
+
+
+@pytest.mark.parametrize("name", [
+    section if keys is None else f"{section}.{key}"
+    for section, keys in cli.SCHEMA.items() for key in keys or [None]])
+def test_every_setting_changes_what_it_feeds(tmp_path, name):
+    # a setting that loads but changes nothing should be removed
+    cfg = base_config(tmp_path / "out")
+    base, _, _ = cli.load_config(write_config(tmp_path, cfg, "base.yaml"))
+    section, _, key = name.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[key] = OTHER_VALUES[name]
+    other, errors, _ = cli.load_config(write_config(tmp_path, cfg, "other.yaml"))
+    assert errors == []
+    before = fed_by_each_setting(base)[name]
+    after = fed_by_each_setting(other)[name]
+    assert len(before) == len(after)
+    assert all(a != b for a, b in zip(before, after))
 
 
 def test_unknown_keys_warn_and_are_ignored(tmp_path):

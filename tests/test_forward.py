@@ -87,10 +87,11 @@ def test_gaussian_center_must_be_on_boundary(square32):
         gaussian_source(build_grid((1.0, 1.0, 1.0), (4, 4, 4)), (0.5, 0.0), 0.3)
 
 
-@pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf, 1e-200, 1e200])
 def test_gaussian_rejects_bad_sigma(square32, sigma):
     # an infinite width used to give a flat unit source on the whole face and
-    # a NaN width a NaN source
+    # a NaN width a NaN source; so did widths whose 2 sigma^2 overflows or
+    # underflows (0/0 at the centre)
     with pytest.raises(ValueError, match="sigma must be finite and positive"):
         gaussian_source(square32, (0.5, 0.0), sigma)
 
@@ -161,7 +162,7 @@ def test_acquisition_rejects_unknown_mode_and_off_top_positions(square32):
             Acquisition(grid=square32, mode=MODE_TOP, source_sigma=0.08, **idx)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e200])
 def test_acquisition_rejects_bad_sigma(square32, sigma):
     # a bad width used to pass until the first forward map built a source
     with pytest.raises(ValueError, match="source_sigma must be finite and "

@@ -47,6 +47,11 @@ def test_invalid_grid_arguments():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             build_grid((1.0, bad), (4, 4))
+    # the stencil divides by h^2, which underflows to 0 at 1e-300 and gives
+    # an infinite 1/h^2 at 1e-160
+    for tiny in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match=r"1/h\^2 must be positive"):
+            build_grid((tiny, 1.0), (4, 4))
     # a string is not split into characters: "64" is not (6, 4)
     with pytest.raises(ValueError, match="list of numbers"):
         build_grid((1.0, 1.0), "64")

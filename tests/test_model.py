@@ -73,7 +73,7 @@ def test_nonpositive_field_rejected():
     (wavespeed_to_squared_slowness, "wavespeed"),
     (squared_slowness_to_wavespeed, "squared slowness"),
 ])
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_conversions_reject_nonpositive_values(convert, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         convert([1.0, bad])

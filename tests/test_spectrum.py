@@ -164,7 +164,7 @@ def test_wide_bounds_leave_only_first_window():
                                     (np.nan, 1.0), (0.0, 1.0), (1.0, 0.5)])
 def test_bounds_must_be_finite_and_ordered(b1, b2):
     # b2 = inf used to give the single window (0.0, 0.0)
-    with pytest.raises(ValueError, match="b2 < inf"):
+    with pytest.raises(ValueError, match="B2 < inf"):
         windows_covering(build_grid((1.0, 1.0), (8, 8)), b1, b2, omega2=8.0)
 
 
