@@ -91,13 +91,15 @@ def clear_caches():
 
 def _positive_width(value, name: str) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a number
-    with 0 < value and 0 < 2 value^2 < inf, so that a Gaussian of this width
-    is neither 0/0 at its centre nor flat."""
+    with 0 < value, 0 < 2 value^2 < inf and 1 / (2 value^2) < inf, so that a
+    Gaussian of this width is neither 0/0 at its centre nor flat, and its
+    exponent does not overflow next to the centre."""
     try:
         value = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name}: expected a number, got {value!r}") from None
-    if not (0.0 < value and 0.0 < 2.0 * value * value < np.inf):
+    square = 2.0 * value * value
+    if not (0.0 < value and 0.0 < square < np.inf and 1.0 / square < np.inf):
         raise ValueError(f"{name} must be finite and positive with a finite "
                          f"nonzero square, got {value}")
     return value
@@ -252,7 +254,10 @@ def gaussian_source(grid: BoxGrid, center, sigma: float) -> np.ndarray:
     g = np.zeros(grid.n_boundary)
     mask = grid.boundary_face == face
     d2 = np.sum((coords[mask] - snapped) ** 2, axis=1)
-    g[mask] = np.exp(-d2 / (2.0 * sigma * sigma))
+    # exp(-x) is 0 from x = 746 on, so capping the quotient at 1500 changes
+    # no value and keeps it finite however small sigma is
+    square = 2.0 * sigma * sigma
+    g[mask] = np.exp(-np.minimum(d2, 1500.0 * square) / square)
     return g
 
 

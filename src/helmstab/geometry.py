@@ -116,9 +116,10 @@ class BoxGrid:
         if any(c < 2 for c in cells):
             raise ValueError(f"need at least 2 cells per axis, got {cells}")
         spacing = tuple(e / c for e, c in zip(extents, cells))
-        # the stencil divides by h^2 on every axis
-        if not all(h * h > 0.0 and 0.0 < 1.0 / (h * h) < np.inf
-                   for h in spacing):
+        # the stencil divides by h^2 on every axis, and its largest
+        # eigenvalue is below sum_a 4 / h_a^2
+        if not (all(h * h > 0.0 and 1.0 / (h * h) > 0.0 for h in spacing)
+                and sum(4.0 / (h * h) for h in spacing) < np.inf):
             raise ValueError("1/h^2 must be positive and finite on every axis, "
                              f"got spacing {spacing}")
 

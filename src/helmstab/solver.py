@@ -10,15 +10,24 @@ a Kronecker sum of one small factor per axis b (:func:`geometry._kron`):
 inside), ``t`` their product over the axes, and ``S_a`` the 1-D stiffness
 ``[-1, 2, -1] / h_a^2`` with diagonal ``2 T_a / h_a^2``. The nodal coefficient
 is ``c = _node_averaging(grid) @ coeff``, at every node the mean of the cells
-that touch it. On an interior row every ``T_b`` is 1, so the interior rows are
-the second-order central differences of ``-Lap - omega^2 c^-2`` (5-point
-stencil in 2D, 7-point in 3D). :class:`HelmholtzSystem` builds the form once
-and reads all three of its blocks from it:
+that touch it (:func:`node_coefficients` sums the same terms in the same
+order without building the matrix). On an interior row every ``T_b`` is 1, so
+the interior rows are the second-order central differences of
+``-Lap - omega^2 c^-2`` (5-point stencil in 2D, 7-point in 3D).
 
-* ``interior_matrix`` and ``coupling``: the interior rows, split by column
-  into ``A_ii`` and ``A_ib`` of the Dirichlet problem
+Only the diagonal term depends on the coefficient. So each grid's stiffness
+is cut once, on the grid's first system, into three blocks: the interior
+block ``K_ii``, the interior-to-boundary block ``K_ib`` and the boundary rows
+``K_b.``, kept read-only with the positions of their diagonal entries.
+:class:`HelmholtzSystem` then reads its three blocks from them:
+
+* ``interior_matrix``: ``K_ii - omega^2 diag(t c)`` on the interior nodes, a
+  copy of ``K_ii``'s values with the diagonal lowered, on ``K_ii``'s own
+  index arrays; with ``coupling``, the grid's ``K_ib`` itself, it is
+  ``A_ii`` and ``A_ib`` of the Dirichlet problem
   ``A_ii u_i + A_ib u_b = f,  u_b = g``;
-* ``flux_rows``: the boundary rows of the form itself, the conormal flux.
+* ``flux_rows``: the boundary rows of the form, the conormal flux, built the
+  same way from ``K_b.`` on first read (the forward map never reads them).
 
 The omega = 0 system also gives the pencil of the discrete Dirichlet
 eigenproblem (:mod:`spectrum`), so solver and spectrum share one stencil.
@@ -43,7 +52,10 @@ one per system:
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed.
+  the iteration cap follows from that bound. No LU is computed. The
+  transforms and the updates of the iterate and the residual write into
+  work blocks allocated once per solve, so an iteration allocates only the
+  sparse product and, when a column leaves, the compacted blocks.
 * Sparse LU, for every other system: every 2D system, and every 3D system
   outside the certificate (where the matrix may be indefinite). The
   interior matrix is factorized once and reused across right-hand sides. It
@@ -94,8 +106,11 @@ Two boundary normal-derivative extractors are provided:
 No module keeps a system. :func:`assemble` builds a new one on every call,
 and the LU of a system, computed on its first direct solve, lives exactly as
 long as the system does: it is freed together with the system once its caller
-lets go of it. ``forward.forward_map`` keeps the DtN rows that a campaign
-reuses, not the systems that solved them. :data:`solve_counts` counts the LUs
+lets go of it. The grid keeps what does not depend on the coefficient: the
+stiffness blocks above, the trapezoid volumes and the normal-derivative
+stencil, built on first use and dropped together with the grid, with nothing
+to reset. ``forward.forward_map`` keeps the DtN rows that a campaign reuses,
+not the systems that solved them. :data:`solve_counts` counts the LUs
 computed (``factorizations``) and the columns solved by CG (``cg_columns``)
 with the iterations of their block solves (``cg_iterations``);
 ``forward.cache_info`` reports them and ``forward.clear_caches`` resets them.
@@ -103,7 +118,10 @@ with the iterations of their block solves (``cg_iterations``);
 
 from __future__ import annotations
 
+import itertools
 import warnings
+import weakref
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,22 +165,42 @@ def _check_omega2(omega2) -> float:
     return omega2
 
 
+def _averaging_weights(grid: BoxGrid) -> list:
+    """The per-axis rule of node averaging, for each axis with n cells, x
+    first: an end node touches one cell (weight 1) and an inner node two
+    (weight 1/2 each)."""
+    return [0.5 / _trapezoid(n + 1) for n in grid.cells_per_axis]
+
+
 def _node_averaging(grid: BoxGrid) -> sp.csr_matrix:
     """``(n_nodes, n_cells)`` averaging of cell values onto the nodes: row i
-    takes the mean of the cells that touch node i. On every axis an end node
-    touches one cell (weight 1) and an inner node two (weight 1/2 each)."""
-    weights = [0.5 / _trapezoid(n + 1) for n in grid.cells_per_axis]
+    takes the mean of the cells that touch node i, the Kronecker product of
+    one ``(n + 1, n)`` factor per axis with :func:`_averaging_weights` on its
+    two diagonals."""
     return _kron([w[:, None] * (np.eye(w.size, w.size - 1)
                                 + np.eye(w.size, w.size - 1, -1))
-                  for w in weights])
+                  for w in _averaging_weights(grid)])
 
 
 def node_coefficients(grid: BoxGrid, coeff) -> np.ndarray:
-    """Coefficient at every node: arithmetic mean of the adjacent cell values."""
+    """Coefficient at every node: arithmetic mean of the adjacent cell values.
+
+    The same numbers as ``_node_averaging(grid) @ coeff``, summed in its
+    order, without building the matrix: over the 2^dim corner offsets, the
+    last axis slowest and the low side first, add the weighted cell on that
+    side of every node, with a zero cell beyond each end of the box."""
     coeff = np.asarray(coeff, dtype=float)
     if coeff.shape != (grid.n_cells,):
         raise ValueError(f"coeff must have one value per cell ({grid.n_cells})")
-    return _node_averaging(grid) @ coeff
+    # lattices (n_z, .., n_x), slowest axis first
+    nodes = grid.nodes_per_axis[::-1]
+    padded = np.pad(coeff.reshape(grid.cells_per_axis[::-1]), 1)
+    weights = _lattice(np.multiply, _averaging_weights(grid)).reshape(nodes)
+    out = np.zeros(nodes)
+    for offset in itertools.product((0, 1), repeat=grid.dim):
+        out += weights * padded[tuple(slice(o, o + n)
+                                      for o, n in zip(offset, nodes))]
+    return out.ravel()
 
 
 def _form_stiffness(grid: BoxGrid) -> sp.csr_matrix:
@@ -187,6 +225,60 @@ def axis_eigenvalues(grid: BoxGrid) -> list:
             for h, n in zip(grid.spacing, grid.cells_per_axis)]
 
 
+def _diagonal_positions(block, diagonal) -> np.ndarray:
+    """Position in ``block.data`` of the entry of every row of a CSR block
+    (column of a CSC block) that lies in column (row) ``diagonal[i]``."""
+    return np.flatnonzero(
+        block.indices == np.repeat(diagonal, np.diff(block.indptr)))
+
+
+class _GridOperators:
+    """The coefficient-independent blocks of every system on one grid, all
+    read-only: the stiffness ``K`` split into the interior block
+    ``interior`` (CSC), the interior-to-boundary block ``coupling`` and the
+    boundary rows ``boundary_rows`` (CSR), with the positions of their
+    diagonal entries; the trapezoid volumes; and the normal-derivative
+    stencil of :func:`_normal_stencil`."""
+
+    def __init__(self, grid: BoxGrid):
+        stiffness = _form_stiffness(grid)
+        interior_rows = stiffness[grid.interior_nodes]
+        self.interior = interior_rows[:, grid.interior_nodes].tocsc()
+        self.coupling = interior_rows[:, grid.boundary_nodes].tocsr()
+        self.boundary_rows = stiffness[grid.boundary_nodes]
+        self.interior_diagonal = _diagonal_positions(
+            self.interior, np.arange(grid.n_interior))
+        self.boundary_diagonal = _diagonal_positions(
+            self.boundary_rows, grid.boundary_nodes)
+        # every interior node has the volume prod(h); the trapezoid factors
+        # scale it down at the boundary
+        self.relative_volumes = _lattice(
+            np.multiply, [_trapezoid(m) for m in grid.nodes_per_axis])
+        self.node_volumes = grid.cell_volume() * self.relative_volumes
+        self.normal_stencil, self.two_h = _normal_stencil(grid)
+
+        matrices = (self.interior, self.coupling, self.boundary_rows,
+                    self.normal_stencil)
+        for arr in (*(getattr(m, a) for m in matrices
+                      for a in ("data", "indices", "indptr")),
+                    self.interior_diagonal, self.boundary_diagonal,
+                    self.relative_volumes, self.node_volumes, self.two_h):
+            arr.setflags(write=False)
+
+
+# grid -> its _GridOperators, dropped together with the grid
+_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _grid_operators(grid: BoxGrid) -> _GridOperators:
+    """The grid's :class:`_GridOperators`, built on first use and kept
+    exactly as long as the grid."""
+    ops = _OPERATORS.get(grid)
+    if ops is None:
+        ops = _OPERATORS[grid] = _GridOperators(grid)
+    return ops
+
+
 class HelmholtzSystem:
     """Assembled discrete Helmholtz operator with a lazily computed LU."""
 
@@ -195,26 +287,38 @@ class HelmholtzSystem:
         _positive(coeff, "coefficient")
         omega2 = _check_omega2(omega2)
 
+        ops = _grid_operators(grid)
         self.grid = grid
         self.omega2 = omega2
         self.node_coeff = node_coefficients(grid, coeff)
-        # every interior node has the volume prod(h); the trapezoid factors
-        # scale it down at the boundary
-        interior_volume = grid.cell_volume()
-        relative_volumes = _lattice(
-            np.multiply, [_trapezoid(m) for m in grid.nodes_per_axis])
-        self.node_volumes = interior_volume * relative_volumes
-
-        # the form K - omega^2 diag(vol * c), divided by prod(h)
-        form = (_form_stiffness(grid)
-                - omega2 * sp.diags(relative_volumes * self.node_coeff)).tocsr()
-        interior_rows = form[grid.interior_nodes]
-        self.interior_matrix = interior_rows[:, grid.interior_nodes].tocsc()
-        self.coupling = interior_rows[:, grid.boundary_nodes].tocsr()
-        # boundary rows of the form itself: the conormal flux
-        self.flux_rows = (interior_volume * form[grid.boundary_nodes]).tocsr()
-
+        self.node_volumes = ops.node_volumes
+        # the interior rows of the form K - omega^2 diag(vol * c), divided by
+        # prod(h)
+        self.interior_matrix = self._lowered(
+            ops.interior, ops.interior_diagonal, grid.interior_nodes)
+        self.coupling = ops.coupling
         self._lu = None
+
+    def _lowered(self, block, diagonal, nodes):
+        """The grid's ``block`` with ``omega^2 t c`` at ``nodes`` subtracted
+        from its diagonal entries at ``diagonal``, the only entries the
+        coefficient touches: a new matrix with its own values on the block's
+        index arrays."""
+        t = _grid_operators(self.grid).relative_volumes[nodes]
+        data = block.data.copy()
+        data[diagonal] -= self.omega2 * (t * self.node_coeff[nodes])
+        return type(block)((data, block.indices, block.indptr),
+                           shape=block.shape)
+
+    @cached_property
+    def flux_rows(self) -> sp.csr_matrix:
+        """Boundary rows of the form itself, the conormal flux; built on
+        first read."""
+        ops = _grid_operators(self.grid)
+        rows = self._lowered(ops.boundary_rows, ops.boundary_diagonal,
+                             self.grid.boundary_nodes)
+        rows.data *= self.grid.cell_volume()
+        return rows
 
     @property
     def factorization(self):
@@ -366,7 +470,7 @@ def _sine_matrix(m: int) -> np.ndarray:
     return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * np.outer(k, k))
 
 
-def _sine_transform(v: np.ndarray, sines) -> np.ndarray:
+def _sine_transform(v: np.ndarray, sines, work) -> np.ndarray:
     """Orthonormal DST-I over the interior lattice of every column of the
     ``(n_interior, k)`` block ``v``.
 
@@ -374,29 +478,40 @@ def _sine_transform(v: np.ndarray, sines) -> np.ndarray:
     ``(n_z, .., n_x, k)``. ``sines`` holds one :func:`_sine_matrix` per axis in
     that order, slowest first, and each is applied by one matrix product
     over the lattice viewed as ``(lead, m_a, rest)``, without a transpose.
+    The products are written alternately into ``work``, a pair of flat
+    arrays of at least ``v.size`` entries, beginning with ``work[0]``; the
+    result is a view of one of them. If ``work[0]`` holds ``v``, numpy copies
+    ``v`` before the first product.
     """
-    z = v
-    lead = 1
-    for s in sines:
+    z, lead = v, 1
+    for i, s in enumerate(sines):
         m = s.shape[0]
-        z = np.matmul(s, z.reshape(lead, m, -1))
+        z = np.matmul(s, z.reshape(lead, m, -1),
+                      out=work[i % 2][:v.size].reshape(lead, m, -1))
         lead *= m
     return z.reshape(v.shape)
 
 
-def _fast_poisson(grid: BoxGrid, sigma: float):
+def _fast_poisson(grid: BoxGrid, sigma: float, work):
     """``(L_h - sigma I)^-1`` on ``(n_interior, k)`` blocks, applied exactly
-    by :func:`_sine_transform`, which diagonalizes ``L_h``; ``sigma`` must lie
-    below ``lambda_h,1``."""
+    by the orthonormal DST-I over the interior lattice, which diagonalizes
+    ``L_h``: one :func:`_sine_matrix` per axis, applied by
+    :func:`_sine_transform`. ``sigma`` must lie below ``lambda_h,1``. The
+    transforms run in ``work``, a pair of flat arrays that each hold a
+    block, and the result is a view of one of them, valid until the next
+    call."""
     sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
     # stencil eigenvalues on the lattice (n_z, .., n_x), one row per node
     inverse = 1.0 / (sum(np.ix_(*axis_eigenvalues(grid)[::-1])) - sigma)
     inverse = inverse.reshape(-1, 1)
+    # the first transform ends in work[(len(sines) - 1) % 2]; the second
+    # begins in the other block, so that numpy need not copy its input
+    second = work[::-1] if len(sines) % 2 else work
 
     def precondition(r):
-        z = _sine_transform(r, sines)
+        z = _sine_transform(r, sines, work)
         z *= inverse
-        return _sine_transform(z, sines)
+        return _sine_transform(z, sines, second)
 
     return precondition
 
@@ -409,9 +524,11 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     directions of the columns still in the loop are kept as compact blocks;
     a column leaves once its residual is within ``CG_RTOL`` (all leave after
     ``cap`` iterations), and only then is its solution written out and the
-    blocks compacted."""
+    blocks compacted. The transforms, and then the steps of the iterate and
+    the residual, run in two work blocks sized for the first iteration, so
+    an iteration allocates only the sparse product, and a compaction the
+    smaller blocks."""
     b = rhs.reshape(rhs.shape[0], -1)
-    precondition = _fast_poisson(sys_.grid, sigma)
 
     def column_dots(u, v):
         return np.einsum("ij,ij->j", u, v)
@@ -421,6 +538,8 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     active = np.flatnonzero(norms > CG_RTOL * norms)
     target = CG_RTOL * norms[active]
     r = b[:, active]
+    precondition = _fast_poisson(sys_.grid, sigma,
+                                 (np.empty(r.size), np.empty(r.size)))
     x = np.zeros_like(r)
     p = rz = None
     iterations = 0
@@ -428,18 +547,19 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
         z = precondition(r)
         rz_next = column_dots(r, z)
         if p is None:
-            p = z
+            p = z.copy()
         else:
             p *= rz_next / rz
             p += z
         rz = rz_next
         q = sys_.interior_matrix.dot(p)
         alpha = rz / column_dots(p, q)
-        x += alpha * p
-        r -= alpha * q
+        # z is spent; its work block takes the steps
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
         iterations += 1
         # a NaN residual leaves too, for the residual check to report
-        going = np.linalg.norm(r, axis=0) > target
+        going = np.sqrt(column_dots(r, r)) > target
         if not going.all():
             out[:, active[~going]] = x[:, ~going]
             active, target, rz = active[going], target[going], rz[going]
@@ -477,8 +597,9 @@ def normal_derivative(grid: BoxGrid, u) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[0] != grid.n_nodes:
         raise ValueError(f"u must be a full-grid field with {grid.n_nodes} values")
-    d, two_h = _normal_stencil(grid)
-    return d @ u / two_h.reshape((-1,) + (1,) * (u.ndim - 1))
+    ops = _grid_operators(grid)
+    two_h = ops.two_h.reshape((-1,) + (1,) * (u.ndim - 1))
+    return ops.normal_stencil @ u / two_h
 
 
 def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
@@ -494,9 +615,9 @@ def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     receiver samples.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    d, two_h = _normal_stencil(grid)
-    return (d[positions][:, grid.interior_nodes].toarray()
-            / two_h[positions, None]).T
+    ops = _grid_operators(grid)
+    return (ops.normal_stencil[positions][:, grid.interior_nodes].toarray()
+            / ops.two_h[positions, None]).T
 
 
 def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:

@@ -538,7 +538,8 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "scales.blocks: expected a non-empty list of block counts"),
     ("scales", "blocks", [[2, 2], 4], "scales.blocks: bad entry 4"),
     ("acquisition", "modes", ["side"], "acquisition.modes: unknown mode 'side'"),
-    # (2 pi f)^2 overflows, 2 sigma^2 underflows or overflows, h^2 underflows
+    # (2 pi f)^2 overflows, 2 sigma^2 underflows or overflows or is
+    # subnormal (1 / (2 sigma^2) overflows), h^2 underflows
     (None, "frequencies_hz", [1.0e200],
      "frequencies_hz: omega^2 = (2 pi f)^2 is not finite for f = 1e+200 Hz"),
     ("acquisition", "sigma", 1.0e-200,
@@ -547,6 +548,9 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
     ("acquisition", "sigma", 1.0e200,
      "acquisition.sigma must be finite and positive with a finite nonzero "
      "square, got 1e+200"),
+    ("acquisition", "sigma", 1.0e-160,
+     "acquisition.sigma must be finite and positive with a finite nonzero "
+     "square, got 1e-160"),
     ("grid", "extents", [1.0e-300, 1.0],
      "grid: 1/h^2 must be positive and finite on every axis, got spacing "
      "(6.25e-302, 0.0625)"),
@@ -562,7 +566,8 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
         "model_not_a_mapping", "unknown_generator", "generator_field_missing",
         "bounds_not_a_pair", "frequencies_not_a_list", "non_numeric_frequency",
         "blocks_not_a_list", "bad_block_entry", "unknown_mode",
-        "huge_frequency", "tiny_sigma", "huge_sigma", "tiny_extent"])
+        "huge_frequency", "tiny_sigma", "huge_sigma", "subnormal_sigma",
+        "tiny_extent"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):
     cfg = base_config(tmp_path / "out")

@@ -87,11 +87,13 @@ def test_gaussian_center_must_be_on_boundary(square32):
         gaussian_source(build_grid((1.0, 1.0, 1.0), (4, 4, 4)), (0.5, 0.0), 0.3)
 
 
-@pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf, 1e-200, 1e200])
+@pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf, 1e-200, 1e200,
+                                   1e-160])
 def test_gaussian_rejects_bad_sigma(square32, sigma):
     # an infinite width used to give a flat unit source on the whole face and
     # a NaN width a NaN source; so did widths whose 2 sigma^2 overflows or
-    # underflows (0/0 at the centre)
+    # underflows (0/0 at the centre). At 1e-160, 2 sigma^2 is subnormal and
+    # its reciprocal infinite, so the exponent overflowed off the centre
     with pytest.raises(ValueError, match="sigma must be finite and positive"):
         gaussian_source(square32, (0.5, 0.0), sigma)
 
@@ -99,6 +101,19 @@ def test_gaussian_rejects_bad_sigma(square32, sigma):
 def test_gaussian_under_resolved_warns(square32):
     with pytest.warns(UserWarning):
         gaussian_source(square32, (0.5, 0.0), 0.01)
+
+
+def test_narrowest_gaussian_is_a_unit_spike():
+    # 1 / (2 sigma^2) is finite at 6e-155, but a corner-to-corner distance
+    # of the unit cube's face divided by 2 sigma^2 is not; the source is the
+    # unit spike at the centre without an overflow
+    grid = build_grid((1.0, 1.0, 1.0), (4, 4, 4))
+    with pytest.warns(UserWarning, match="under-resolved"):
+        g = gaussian_source(grid, (0.0, 0.0, 0.0), 6e-155)
+    flat, _ = grid.nearest_boundary_node((0.0, 0.0, 0.0))
+    expected = np.zeros(grid.n_boundary)
+    expected[grid.boundary_position[flat]] = 1.0
+    assert np.array_equal(g, expected)
 
 
 def test_acquisition_counts(square32):
@@ -162,7 +177,8 @@ def test_acquisition_rejects_unknown_mode_and_off_top_positions(square32):
             Acquisition(grid=square32, mode=MODE_TOP, source_sigma=0.08, **idx)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e200])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e200,
+                                   1e-160])
 def test_acquisition_rejects_bad_sigma(square32, sigma):
     # a bad width used to pass until the first forward map built a source
     with pytest.raises(ValueError, match="source_sigma must be finite and "

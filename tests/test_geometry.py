@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmstab.geometry import CubicalPartition, build_grid, build_partition
+from helmstab.solver import axis_eigenvalues
 
 # 2D and 3D lattices with 2-9 cells per axis
 cell_shapes = st.lists(st.integers(2, 9), min_size=2, max_size=3)
@@ -52,6 +53,12 @@ def test_invalid_grid_arguments():
     for tiny in (1e-300, 1e-160):
         with pytest.raises(ValueError, match=r"1/h\^2 must be positive"):
             build_grid((tiny, 1.0), (4, 4))
+    # at h = 1.2e-154, 1/h^2 is finite but 4/h^2, which bounds the stencil's
+    # largest eigenvalue, is not; at twice that h both are
+    with pytest.raises(ValueError, match=r"1/h\^2 must be positive"):
+        build_grid((9.6e-154, 1.0), (8, 8))
+    assert np.isfinite(
+        axis_eigenvalues(build_grid((9.6e-154, 1.0), (4, 4)))[0]).all()
     # a string is not split into characters: "64" is not (6, 4)
     with pytest.raises(ValueError, match="list of numbers"):
         build_grid((1.0, 1.0), "64")

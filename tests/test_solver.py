@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 from helmstab import solver
 from helmstab.errors import NumericalFailureError
 from helmstab.forward import cache_info, clear_caches
-from helmstab.geometry import build_grid
+from helmstab.geometry import _lattice, _trapezoid, build_grid
 from helmstab.solver import (
     HelmholtzSystem,
     assemble,
@@ -258,6 +258,60 @@ def test_interior_matrix_is_exactly_symmetric(cells, omega2, seed):
     assert abs(a - a.T).max() == 0
 
 
+def form_blocks(g, coeff, omega2):
+    """interior_matrix, coupling, flux_rows, node_coeff and node_volumes cut
+    from the whole form ``K - omega^2 diag(t c)``, built for this system
+    alone."""
+    c = solver._node_averaging(g) @ coeff
+    t = _lattice(np.multiply, [_trapezoid(m) for m in g.nodes_per_axis])
+    form = (solver._form_stiffness(g) - omega2 * sp.diags(t * c)).tocsr()
+    rows = form[g.interior_nodes]
+    return (rows[:, g.interior_nodes], rows[:, g.boundary_nodes],
+            g.cell_volume() * form[g.boundary_nodes], c, g.cell_volume() * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes, st.just(0.0) | st.floats(0.0, 0.999), st.integers(0, 2**32 - 1))
+def test_systems_share_the_grid_blocks_and_own_their_diagonal(box, fraction,
+                                                              seed):
+    # omega^2 up to 0.999 lambda_h,1 with c <= 1 keeps every system definite
+    g = build_grid(*box)
+    omega2 = fraction * first_stencil_eigenvalue(g)
+    rng = np.random.default_rng(seed)
+    coeff, other_coeff = rng.uniform(0.25, 1.0, (2, g.n_cells))
+    G = rng.normal(size=(g.n_boundary, 2))
+    sys_ = HelmholtzSystem(g, coeff, omega2)
+    blocks = (sys_.interior_matrix, sys_.coupling, sys_.flux_rows)
+    expected = form_blocks(g, coeff, omega2)
+    for got, want in zip(blocks, expected):
+        assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(sys_.node_coeff, expected[3])
+    assert np.array_equal(sys_.node_volumes, expected[4])
+    dense = [m.toarray() for m in blocks]
+    u = solve_dirichlet(sys_, G)
+
+    # a second system on the grid shares its pattern, not its values, and
+    # leaves the first system's matrices and solutions as they were
+    other = HelmholtzSystem(g, other_coeff, 0.5 * omega2)
+    assert np.array_equal(other.flux_rows.toarray(),
+                          form_blocks(g, other_coeff, 0.5 * omega2)[2].toarray())
+    solve_dirichlet(other, G)
+    assert np.shares_memory(other.interior_matrix.indices,
+                            sys_.interior_matrix.indices)
+    assert not np.shares_memory(other.interior_matrix.data,
+                                sys_.interior_matrix.data)
+    for m, d in zip(blocks, dense):
+        assert np.array_equal(m.toarray(), d)
+    assert np.array_equal(solve_dirichlet(sys_, G), u)
+
+    # the grid's arrays are read-only, so no system can write into another
+    for arr in (sys_.coupling.data, sys_.interior_matrix.indices,
+                sys_.interior_matrix.indptr, sys_.flux_rows.indices,
+                sys_.node_volumes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 def kronecker_fd_laplacian(g):
     """-Lap on every node as a Kronecker sum of 1-D second differences
     [-1, 2, -1] / h_a^2, x-fastest; its interior rows are the FD stencil."""
@@ -474,11 +528,16 @@ def test_cg_block_solve_matches_lu(extents, cells, fraction, two_valued, seed):
     coeff = (rng.choice([0.25, 1.0], g.n_cells) if two_valued
              else rng.uniform(0.25, 1.0, g.n_cells))
     sys_ = HelmholtzSystem(g, coeff, fraction * first_stencil_eigenvalue(g))
-    G = rng.normal(size=(g.n_boundary, 5))
-    F = rng.normal(size=(g.n_interior, 5))
+    G = rng.normal(size=(g.n_boundary, 7))
+    F = rng.normal(size=(g.n_interior, 7))
     F[:, 1] = 0.0
     G[:, 2] = 0.0   # one column with a zero right-hand side
     F[:, 2] = 0.0
+    # a column scaled by 1e-8 and a repeated one: with the zero column and
+    # the one without a source, columns leave the loop at different
+    # iterations, and the work blocks of those still in it are reused
+    G[:, 5], F[:, 5] = 1e-8 * G[:, 0], 1e-8 * F[:, 0]
+    G[:, 6], F[:, 6] = G[:, 3], F[:, 3]
     clear_caches()
     u = solve_dirichlet(sys_, G, F)
     ref = splu(sys_.interior_matrix).solve(F - sys_.coupling.dot(G))
@@ -488,7 +547,7 @@ def test_cg_block_solve_matches_lu(extents, cells, fraction, two_valued, seed):
     assert np.array_equal(got[:, 2], np.zeros(g.n_interior))
     info = cache_info()
     assert info["factorizations"] == 0
-    assert info["cg_columns"] == 5 and info["cg_iterations"] >= 1
+    assert info["cg_columns"] == 7 and info["cg_iterations"] >= 1
     clear_caches()
 
 
@@ -510,11 +569,13 @@ def test_sine_transform_and_preconditioner_on_a_non_cubic_lattice():
     sines = [solver._sine_matrix(n - 1) for n in reversed(g.cells_per_axis)]
     rng = np.random.default_rng(11)
     v = rng.normal(size=(g.n_interior, 3))
-    got = solver._sine_transform(v, sines)
+    # work blocks larger than the block, each starting out as NaN
+    work = (np.full(v.size + 7, np.nan), np.full(v.size + 7, np.nan))
+    got = solver._sine_transform(v, sines, work).copy()
     ref = dstn(v.reshape(lattice + (3,), order="F"), type=1, norm="ortho",
                axes=(0, 1, 2)).reshape(v.shape, order="F")
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(solver._sine_transform(got, sines) - v)) \
+    assert np.max(np.abs(solver._sine_transform(got, sines, work) - v)) \
         <= 1e-13 * np.max(np.abs(v))
 
     # L_h - sigma I is the interior matrix of the coefficient-1 system at
@@ -522,7 +583,8 @@ def test_sine_transform_and_preconditioner_on_a_non_cubic_lattice():
     sigma = 0.7 * first_stencil_eigenvalue(g)
     shifted = HelmholtzSystem(g, np.ones(g.n_cells), sigma).interior_matrix
     ref = splu(shifted).solve(v)
-    got = solver._fast_poisson(g, sigma)(v)
+    work = (np.empty(v.size), np.empty(v.size))
+    got = solver._fast_poisson(g, sigma, work)(v)
     assert np.all(np.linalg.norm(got - ref, axis=0)
                   <= 1e-12 * np.linalg.norm(ref, axis=0))
 
