@@ -22,7 +22,6 @@ from .spectrum import (
 from .solver import (
     HelmholtzSystem,
     assemble,
-    flux_normal_derivative,
     normal_derivative,
     solve_dirichlet,
 )

@@ -160,6 +160,13 @@ class ExperimentConfig:
         return self.model_pairs[0][0].grid
 
 
+def _hz_name(hz: float) -> str:
+    """The name of frequency ``hz`` in files and messages: the shortest
+    ``%.{p}g``, p = 6 .. 17, that reads back as ``hz``, so none is shared."""
+    return next(text for text in (f"{hz:.{p}g}" for p in range(6, 18))
+                if float(text) == hz)
+
+
 def _section(raw: dict, name: str, errors: list) -> dict:
     """Config section ``name``; a missing or empty one reads as empty."""
     sec = raw.get(name)
@@ -521,7 +528,7 @@ def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
     for freq in cfg.frequencies:
         for m1, m2 in cfg.model_pairs:
             for mode, acq in cfg.acquisitions.items():
-                cell = f"f={freq.hz:g}Hz N={m1.n_subdomains} mode={mode}"
+                cell = f"f={_hz_name(freq.hz)}Hz N={m1.n_subdomains} mode={mode}"
                 t0 = time.perf_counter()
                 store0 = fwd.cache_info()
                 try:
@@ -557,8 +564,8 @@ def run_campaign(cfg: ExperimentConfig, override_window_check=False) -> int:
                                              b2=cfg.bounds[1],
                                              first_scale_count=cfg.first_scales)
         except ValueError as exc:
-            log.error("constant fit for f=%gHz mode=%s failed: %s",
-                      f_hz, mode, exc)
+            log.error("constant fit for f=%sHz mode=%s failed: %s",
+                      _hz_name(f_hz), mode, exc)
             continue
         constants_rows.append((f_hz, mode, records[idx[0]].omega2, consts))
         for i in idx:
@@ -611,12 +618,12 @@ def emit_plots(records_csv, out_dir) -> list:
 
     for (f_hz, mode), group in sorted(groups.items()):
         group = sorted(group, key=lambda r: r["N"])
-        path = os.path.join(out_dir, f"plot_f{f_hz:g}_{mode}.dat")
+        path = os.path.join(out_dir, f"plot_f{_hz_name(f_hz)}_{mode}.dat")
         with open(path, "w") as fh:
             fh.write("# columns: log_N loglog_omega2_c_est "
                      "loglog_omega2_c_est_sq loglog_omega2_lower "
                      "loglog_omega2_upper\n")
-            fh.write(f"# freq_hz={f_hz:g} mode={mode} "
+            fh.write(f"# freq_hz={_hz_name(f_hz)} mode={mode} "
                      "(ordinate: log(log(omega^2 * value)))\n")
             for r in group:
                 w2 = r["omega2"]
@@ -638,7 +645,7 @@ def emit_plots(records_csv, out_dir) -> list:
         shared = sorted(set(full) & set(top))
         if not shared:
             continue
-        path = os.path.join(out_dir, f"plot_f{f_hz:g}_modes.dat")
+        path = os.path.join(out_dir, f"plot_f{_hz_name(f_hz)}_modes.dat")
         diffs = []
         with open(path, "w") as fh:
             fh.write("# columns: log_N loglog_full loglog_top diff\n")
@@ -729,13 +736,14 @@ def main(argv=None) -> int:
         if args.out and not _make_out_dir(args.out):
             return EXIT_CONFIG
         for freq in cfg.frequencies:
+            hz = _hz_name(freq.hz)
             state = "inside" if freq.safety.inside else "OUTSIDE"
-            print(f"{freq.hz:g} Hz -> omega^2 = {freq.omega2:.6g} [{state}]")
+            print(f"{hz} Hz -> omega^2 = {freq.omega2:.6g} [{state}]")
             for lo, hi in freq.windows.windows:
                 mark = " <-- contains omega^2" if freq.safety.window == (lo, hi) else ""
                 print(f"    ({lo:.6g}, {hi:.6g}){mark}")
             if args.out and not _write_output(
-                    os.path.join(args.out, f"windows_f{freq.hz:g}.csv"),
+                    os.path.join(args.out, f"windows_f{hz}.csv"),
                     lambda tmp: spectrum.write_windows_csv(tmp, freq.windows)):
                 return EXIT_CONFIG
         return EXIT_OK
@@ -763,7 +771,8 @@ def main(argv=None) -> int:
         except HelmstabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOTAL
-        stem = os.path.join(args.out, f"forward_{args.model}_f{freq.hz:g}_{mode}")
+        stem = os.path.join(
+            args.out, f"forward_{args.model}_f{_hz_name(freq.hz)}_{mode}")
         outputs = {
             f"{stem}.hsdt": lambda tmp: fwd.write_dtn(tmp, data),
             f"{stem}_trace.csv": lambda tmp: fwd.export_trace_csv(

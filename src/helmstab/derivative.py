@@ -177,17 +177,28 @@ def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
             yield block, -omega2 * sys_.node_volumes[interior, None] * v
 
 
-def _adjoint_products(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
-                      weights: sp.csr_matrix, convention: str) -> np.ndarray:
-    """``(m, n_sources, n_receivers)`` derivative for the m weight rows.
+def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
+                cell_fields, convention: str) -> np.ndarray:
+    """``(m, n_sources, n_receivers)`` derivative along the m columns of the
+    ``(n_cells, m)`` array or sparse matrix ``cell_fields``.
 
     Entry (j, s, r) is ``sum_i weights[j, i] u_s,i z_r,i`` over the interior
     nodes, with u_s the source fields and z_r the adjoint fields of
-    :func:`_adjoint_blocks`. The source fields are kept on the interior
-    nodes; the adjoint side streams in blocks, and each receiver scales the
-    sparse weights by z_r instead of forming the dense products u_s z_r.
+    :func:`_adjoint_blocks`. The weight row of a column is its nodal
+    coefficient on the interior nodes, all rows from one product with the
+    averaging :func:`solver._node_averaging`. The source fields are kept on
+    the interior nodes; the adjoint side streams in blocks, and each
+    receiver scales the sparse weights by z_r instead of forming the dense
+    products u_s z_r.
     """
-    interior = sys_.grid.interior_nodes
+    omega2 = float(omega2)
+    if convention not in ("data", "pairing"):
+        raise ValueError(f"unknown convention {convention!r}")
+    _check_grid(base, acq)
+    grid = base.grid
+    interior = grid.interior_nodes
+    sys_ = assemble(grid, to_cell_field(base), omega2)
+    weights = sp.csr_matrix((_node_averaging(grid)[interior] @ cell_fields).T)
     u = np.empty((interior.size, acq.n_sources))
     for block, fields in _source_blocks(sys_, acq):
         u[:, block] = fields[interior]
@@ -199,23 +210,6 @@ def _adjoint_products(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
                                     weights.indptr), shape=weights.shape)
             out[:, :, r] = scaled @ u
     return out
-
-
-def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
-                cell_fields, convention: str) -> np.ndarray:
-    """``(m, n_sources, n_receivers)`` derivative along the m columns of the
-    ``(n_cells, m)`` array or sparse matrix ``cell_fields``. The weight row
-    of a column is its nodal coefficient on the interior nodes, all rows
-    from one product with the averaging :func:`solver._node_averaging`."""
-    omega2 = float(omega2)
-    if convention not in ("data", "pairing"):
-        raise ValueError(f"unknown convention {convention!r}")
-    _check_grid(base, acq)
-    grid = base.grid
-    sys_ = assemble(grid, to_cell_field(base), omega2)
-    weights = sp.csr_matrix(
-        (_node_averaging(grid)[grid.interior_nodes] @ cell_fields).T)
-    return _adjoint_products(sys_, acq, omega2, weights, convention)
 
 
 def frechet_jacobian(base: SquaredSlownessModel, omega2: float,
@@ -250,13 +244,6 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     return _derivative(base, omega2, acq, column, convention)[0]
 
 
-def _first_order_solve(sys_: HelmholtzSystem, dnode, u, omega2):
-    """First-order fields ``w`` (zero on the boundary) for a block ``u``."""
-    grid = sys_.grid
-    rhs = omega2 * (dnode[:, None] * u)[grid.interior_nodes]
-    return solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])), rhs)
-
-
 def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
                                 omega2: float,
                                 acq: Acquisition) -> np.ndarray:
@@ -276,7 +263,9 @@ def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
     sys_ = assemble(grid, to_cell_field(base), omega2)
     values = np.empty((acq.n_sources, acq.n_receivers))
     for block, u in _source_blocks(sys_, acq):
-        w = _first_order_solve(sys_, dnode, u, omega2)
+        # first-order fields, zero on the boundary
+        w = solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])),
+                            omega2 * (dnode[:, None] * u)[grid.interior_nodes])
         values[block] = sys_.flux_rows.dot(w).T @ acq.receivers
     return values
 

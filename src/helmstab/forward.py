@@ -75,10 +75,10 @@ _counts = {"hits": 0, "misses": 0, "evictions": 0, "row_hits": 0,
 def cache_info() -> dict:
     """Hits, misses and evictions of the DtN row store's entries, the rows
     read from an entry (``row_hits``) or solved into one (``row_misses``),
-    the LUs computed (``factorizations``) and the columns solved by CG
-    (``cg_columns``) with the CG iterations of their block solves
-    (``cg_iterations``), since the last :func:`clear_caches`; and the store's
-    live entry count."""
+    the LUs computed (``factorizations``, each eigensolve's pencil LU too)
+    and the columns solved by CG (``cg_columns``) with the CG iterations of
+    their block solves (``cg_iterations``), since the last
+    :func:`clear_caches`; and the store's live entry count."""
     return dict(_counts, **solve_counts, entries=len(_rows))
 
 

@@ -30,7 +30,8 @@ block ``K_ii``, the interior-to-boundary block ``K_ib`` and the boundary rows
   same way from ``K_b.`` on first read (the forward map never reads them).
 
 The omega = 0 system also gives the pencil of the discrete Dirichlet
-eigenproblem (:mod:`spectrum`), so solver and spectrum share one stencil.
+eigenproblem (:mod:`spectrum`), so solver and spectrum share one stencil and
+one LU path: the eigensolve's shift-invert solves with its ``factorization``.
 
 Two methods solve the interior system, and :func:`solve_dirichlet` picks
 one per system:
@@ -38,7 +39,7 @@ one per system:
 * Preconditioned conjugate gradients (CG), for a 3D grid whose system is
   certified symmetric positive definite: ``omega^2 max c < lambda_h,1``
   over the interior node coefficients, with ``lambda_h,1`` the smallest
-  analytic eigenvalue of the stencil (:func:`axis_eigenvalues`). In the
+  analytic eigenvalue of the stencil (:func:`stencil_eigenvalues`). In the
   first admissible window (:mod:`spectrum`) every admissible system passes.
   The preconditioner is the shifted constant-coefficient stencil
   ``L_h - sigma I``, ``sigma = omega^2 (c_min + c_max) / 2``, inverted exactly
@@ -89,7 +90,7 @@ method, every column must meet the relative residual target ``SOLVER_RTOL``
 on its own. :func:`normal_derivative` likewise acts column-wise on
 ``(n_nodes, k)`` fields.
 
-Two boundary normal-derivative extractors are provided:
+One boundary extractor serves each data convention:
 
 * :func:`normal_derivative` -- the pointwise one-sided stencil
   ``(3 u0 - 4 u1 + u2) / (2 h)`` along the outward normal, one sparse
@@ -97,11 +98,11 @@ Two boundary normal-derivative extractors are provided:
   measured DtN data. That matrix's transpose, restricted to the interior
   columns, is :func:`normal_derivative_adjoint`: the right-hand side of the
   adjoint solves of the data-convention derivative.
-* :func:`flux_normal_derivative` -- the flux rows applied to the field,
-  divided by the boundary quadrature weight. Consistent in the integrated
-  (weak) sense and *exactly* self-adjoint in the weighted boundary pairing,
-  which the pointwise stencil is not. Dual pairings ("<Lambda g, h>") must
-  use this extractor.
+* ``HelmholtzSystem.flux_rows`` -- the boundary rows of the form, the
+  conormal flux. Applied to a field and paired with boundary data, it is
+  consistent in the integrated (weak) sense and *exactly* symmetric in the
+  two data, which the pointwise stencil is not; every dual pairing
+  ("<Lambda g, h>") reads these rows.
 
 No module keeps a system. :func:`assemble` builds a new one on every call,
 and the LU of a system, computed on its first direct solve, lives exactly as
@@ -135,10 +136,10 @@ __all__ = [
     "HelmholtzSystem",
     "assemble",
     "axis_eigenvalues",
+    "stencil_eigenvalues",
     "solve_dirichlet",
     "normal_derivative",
     "normal_derivative_adjoint",
-    "flux_normal_derivative",
     "node_coefficients",
     "cell_average",
     "solve_counts",
@@ -223,6 +224,13 @@ def axis_eigenvalues(grid: BoxGrid) -> list:
     the sine lattice ``sin(j k pi / n_a)`` of every axis as eigenvectors."""
     return [4.0 / h**2 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
             for h, n in zip(grid.spacing, grid.cells_per_axis)]
+
+
+def stencil_eigenvalues(grid: BoxGrid) -> np.ndarray:
+    """Eigenvalues of the stencil ``L_h``: the sums of :func:`axis_eigenvalues`
+    over the interior lattice, x-fastest, so the first is the smallest,
+    ``lambda_h,1``, and the last the largest."""
+    return _lattice(np.add, axis_eigenvalues(grid))
 
 
 def _diagonal_positions(block, diagonal) -> np.ndarray:
@@ -444,15 +452,15 @@ def _cg_iteration_cap(delta: float, kappa: float) -> int:
 def _cg_plan(sys_: HelmholtzSystem):
     """``(sigma, cap)`` of the preconditioned CG solve of a 3D system whose
     interior matrix is certified positive definite,
-    ``omega^2 max c < lambda_h,1``; None for every other system."""
+    ``omega^2 max c < lambda_h,1``, the first of :func:`stencil_eigenvalues`;
+    None for every other system."""
     grid = sys_.grid
     if grid.dim != 3:
         return None
     c = sys_.node_coeff[grid.interior_nodes]
     c_min, c_max = float(c.min()), float(c.max())
-    per_axis = axis_eigenvalues(grid)
-    lam_min = sum(float(v[0]) for v in per_axis)
-    lam_max = sum(float(v[-1]) for v in per_axis)
+    lam = stencil_eigenvalues(grid)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
     w2 = sys_.omega2
     if not w2 * c_max < lam_min:
         return None
@@ -496,14 +504,13 @@ def _fast_poisson(grid: BoxGrid, sigma: float, work):
     """``(L_h - sigma I)^-1`` on ``(n_interior, k)`` blocks, applied exactly
     by the orthonormal DST-I over the interior lattice, which diagonalizes
     ``L_h``: one :func:`_sine_matrix` per axis, applied by
-    :func:`_sine_transform`. ``sigma`` must lie below ``lambda_h,1``. The
+    :func:`_sine_transform`, around a division by :func:`stencil_eigenvalues`
+    minus ``sigma``. ``sigma`` must lie below ``lambda_h,1``. The
     transforms run in ``work``, a pair of flat arrays that each hold a
     block, and the result is a view of one of them, valid until the next
     call."""
     sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
-    # stencil eigenvalues on the lattice (n_z, .., n_x), one row per node
-    inverse = 1.0 / (sum(np.ix_(*axis_eigenvalues(grid)[::-1])) - sigma)
-    inverse = inverse.reshape(-1, 1)
+    inverse = (1.0 / (stencil_eigenvalues(grid) - sigma))[:, None]
     # the first transform ends in work[(len(sines) - 1) % 2]; the second
     # begins in the other block, so that numpy need not copy its input
     second = work[::-1] if len(sines) % 2 else work
@@ -618,20 +625,6 @@ def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     ops = _grid_operators(grid)
     return (ops.normal_stencil[positions][:, grid.interior_nodes].toarray()
             / ops.two_h[positions, None]).T
-
-
-def flux_normal_derivative(sys: HelmholtzSystem, u) -> np.ndarray:
-    """Variational conormal derivative at every boundary node.
-
-    Boundary rows of the symmetric bilinear form applied to ``u``, divided by
-    the boundary quadrature weights. The weighted pairing
-    ``sum_b w_b * flux(g)_b * h_b`` is exactly symmetric in (g, h) whenever
-    both fields solve the homogeneous equation.
-    """
-    u = np.asarray(u)
-    if u.shape != (sys.grid.n_nodes,):
-        raise ValueError("u must be a full-grid field")
-    return sys.flux_rows.dot(u) / sys.grid.boundary_weights
 
 
 def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NumericalFailureError, WindowViolationError
-from .geometry import BoxGrid, _lattice
+from .geometry import BoxGrid
 from .model import _bounds
-from .solver import HelmholtzSystem, _check_omega2, axis_eigenvalues
+from .solver import HelmholtzSystem, _check_omega2, stencil_eigenvalues
 
 __all__ = [
     "FrequencyWindows",
@@ -64,7 +64,9 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
 
     Shift-invert Lanczos about zero from a fixed start vector, on the
     solver's own stencil and cell-to-node coefficient averaging, so equal
-    inputs give equal digits. The coefficient must be finite and
+    inputs give equal digits. The shift-invert solves with the pencil's own
+    LU (``HelmholtzSystem.factorization``), one factorization per call that
+    ``forward.cache_info`` counts. The coefficient must be finite and
     positive (ValueError otherwise).
     """
     count = int(count)
@@ -76,7 +78,8 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     n = lap.shape[0]
     if count > n - 1:
         raise ValueError(f"count={count} too large for {n} interior nodes")
-    m = sp.diags(pencil.node_coeff[grid.interior_nodes]).tocsc()
+    m = sp.diags(pencil.node_coeff[grid.interior_nodes])
+    op_inv = LinearOperator(lap.shape, pencil.factorization.solve, dtype=float)
     # a fixed start makes the digits repeat from call to call; a random one
     # has a part along every mode, where ones would have none along the
     # modes that are odd about a symmetry plane of the box
@@ -84,7 +87,7 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     try:
         vals = eigsh(lap, k=min(count + EIG_GUARD, n - 1), M=m, sigma=0.0,
                      which="LM", v0=v0, tol=EIG_TOL, maxiter=EIG_MAXITER,
-                     return_eigenvectors=False)
+                     OPinv=op_inv, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(
             "shift-invert eigensolver did not converge",
@@ -132,15 +135,14 @@ def windows_covering(grid: BoxGrid, b1: float, b2: float,
     one that reaches past omega2.
 
     Enumerates the analytic eigenvalues ``lambda_h`` of the grid's Dirichlet
-    stencil (module docstring), the sums over the axes of
-    :func:`solver.axis_eigenvalues`, and keeps every one with
-    ``lambda_h / b2 <= omega2`` and the next one, if there is one. Candidate
-    n = 0 is [0, lambda_1/b2); candidate n >= 1 is (lambda_n/b1,
-    lambda_{n+1}/b2); the nonempty candidates are the windows.
+    stencil (module docstring), :func:`solver.stencil_eigenvalues`, and
+    keeps every one with ``lambda_h / b2 <= omega2`` and the next one, if
+    there is one. Candidate n = 0 is [0, lambda_1/b2); candidate n >= 1 is
+    (lambda_n/b1, lambda_{n+1}/b2); the nonempty candidates are the windows.
     """
     b1, b2 = _bounds((b1, b2))
     omega2 = _check_omega2(omega2)
-    lam = _lattice(np.add, axis_eigenvalues(grid))
+    lam = stencil_eigenvalues(grid)
     count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
     lam = np.sort(np.partition(lam, count - 1)[:count])
     return FrequencyWindows(b1=b1, b2=b2, source_eigenvalues=lam)

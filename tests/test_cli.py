@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import textwrap
@@ -828,6 +829,53 @@ def test_windows_command(tmp_path, capsys):
     assert status == cli.EXIT_OK
     assert "inside" in out
     assert (tmp_path / "win" / "windows_f0.45.csv").exists()
+
+
+def test_nearby_frequencies_get_files_of_their_own(tmp_path, capsys):
+    # 0.45 and 0.4500001 Hz print alike at 6 significant digits; each keeps
+    # its own windows, forward and plot-data files, and a frequency that
+    # reads back from 6 digits keeps its short name
+    assert [cli._hz_name(f) for f in (2.0, 0.45, 0.4500001, 0.1 + 0.2)] == [
+        "2", "0.45", "0.4500001", "0.30000000000000004"]
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["cells"] = [16, 16]
+    cfg["scales"]["blocks"] = [[2, 2]]
+    cfg["frequencies_hz"] = [0.45, 0.4500001]
+    path = write_config(tmp_path, cfg)
+    names = ("0.45", "0.4500001")
+
+    assert cli.main(["windows", "--config", str(path),
+                     "--out", str(tmp_path / "win")]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert all(f"\n{n} Hz -> omega^2" in "\n" + out for n in names)
+    assert sorted(os.listdir(tmp_path / "win")) == sorted(
+        f"windows_f{n}.csv" for n in names)
+
+    for index in (0, 1):
+        assert cli.main(["forward", "--config", str(path),
+                         "--out", str(tmp_path / "fwd"),
+                         "--frequency-index", str(index)]) == cli.EXIT_OK
+    assert sorted(os.listdir(tmp_path / "fwd")) == sorted(
+        f"forward_c1_f{n}_full{end}" for n in names
+        for end in (".hsdt", "_trace.csv"))
+
+    recs = [dataclasses.replace(make_record(4, 20.0 + i, mode=mode),
+                                freq_hz=float(n))
+            for i, n in enumerate(names) for mode in ("full", "top")]
+    csv_path = tmp_path / "records.csv"
+    write_records_csv(csv_path, recs)
+    plots = tmp_path / "plots"
+    capsys.readouterr()
+    assert cli.main(["plot-data", "--records", str(csv_path),
+                     "--out", str(plots)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.split()
+    expected = [f"plot_f{n}_{kind}.dat" for n in names
+                for kind in ("full", "top", "modes")]
+    assert sorted(printed) == sorted(str(plots / e) for e in expected)
+    assert sorted(os.listdir(plots)) == sorted(expected)
+    for n in names:
+        header = (plots / f"plot_f{n}_full.dat").read_text().splitlines()[1]
+        assert header.startswith(f"# freq_hz={n} mode=full ")
 
 
 def test_windows_csv_lists_the_discrete_eigenvalues(tmp_path):

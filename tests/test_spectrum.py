@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helmstab import solver
+from helmstab.forward import cache_info, clear_caches
 from helmstab.geometry import build_grid
+from helmstab.solver import (
+    HelmholtzSystem,
+    axis_eigenvalues,
+    stencil_eigenvalues,
+)
 from helmstab.spectrum import (
+    FrequencyWindows,
     discrete_dirichlet_eigenvalues,
     frequency_safety,
     windows_covering,
@@ -77,6 +85,68 @@ def test_no_window_above_the_top_eigenvalue():
     assert not safety.inside
     assert safety.relative_edge_margin() == 0.0
     assert all(hi <= brute[-1] for _, hi in fw.windows)
+
+
+def lattice_windows(grid, b1, b2, omega2):
+    """Reference windows: every eigenvalue up to omega2 * b2 and the next,
+    enumerated from the per-axis eigenvalues over the x-fastest lattice and
+    added as ``z + (y + x)``, so that the windows agree bit for bit."""
+    per_axis = axis_eigenvalues(grid)
+    lam = per_axis[0]
+    for v in per_axis[1:]:
+        lam = np.add.outer(v, lam).ravel()
+    count = min(int(np.count_nonzero(lam <= omega2 * b2)) + 1, lam.size)
+    return FrequencyWindows(b1=b1, b2=b2,
+                            source_eigenvalues=np.sort(lam)[:count]).windows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(st.integers(2, 9), min_size=2, max_size=2),
+                 st.lists(st.integers(2, 9), min_size=3, max_size=3)),
+       st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+       st.floats(0.0, 1.2), st.floats(0.2, 1.0))
+def test_stencil_eigenvalues_are_the_interior_spectrum(cells, extents,
+                                                       fraction, b1):
+    # the analytic stencil spectrum is the spectrum of the assembled interior
+    # matrix at coefficient 1 and omega^2 = 0, its ends are its extremes,
+    # and the windows read from it are the lattice enumeration's
+    g = build_grid(extents[:len(cells)], cells)
+    lam = stencil_eigenvalues(g)
+    dense = HelmholtzSystem(g, np.ones(g.n_cells), 0.0).interior_matrix
+    exact = np.linalg.eigvalsh(dense.toarray())
+    assert lam.shape == (g.n_interior,)
+    assert np.allclose(np.sort(lam), exact, rtol=1e-10, atol=0.0)
+    assert lam[0] == lam.min() and lam[-1] == lam.max()
+    omega2 = fraction * lam[-1]
+    assert (windows_covering(g, b1, 1.0, omega2).windows
+            == lattice_windows(g, b1, 1.0, omega2))
+
+
+@pytest.mark.parametrize("extents, cells, c, count", [
+    ((1.3, 0.7), (13, 5), 0.6, 7),
+    ((1.0, 0.8, 0.6), (6, 5, 4), 0.4, 6),
+])
+def test_eigensolve_uses_the_pencil_factorization(monkeypatch, extents, cells,
+                                                   c, count):
+    # the shift-invert solves with the pencil's own LU: one factorization,
+    # counted and computed with the solver's symmetric ordering, and the
+    # analytic eigenvalues at a count that cuts no cluster
+    g = build_grid(extents, cells)
+    exact = np.sort(stencil_eigenvalues(g))[:count + 1] / c
+    assert exact[count] > exact[count - 1] * (1 + 1e-6)
+    calls = []
+    splu = solver.splu
+    monkeypatch.setattr(solver, "splu",
+                        lambda mat, **kw: calls.append(kw) or splu(mat, **kw))
+    clear_caches()
+    vals = discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, c), count)
+    assert cache_info()["factorizations"] == 1
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    assert np.allclose(vals, exact[:count], rtol=1e-9, atol=0.0)
+    again = discrete_dirichlet_eigenvalues(g, np.full(g.n_cells, c), count)
+    assert np.array_equal(again, vals)
+    assert cache_info()["factorizations"] == 2
+    clear_caches()
 
 
 def test_discrete_matches_closed_form_and_continuum():
