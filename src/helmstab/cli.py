@@ -162,9 +162,10 @@ class ExperimentConfig:
 
 def _hz_name(hz: float) -> str:
     """The name of frequency ``hz`` in files and messages: the shortest
-    ``%.{p}g``, p = 6 .. 17, that reads back as ``hz``, so none is shared."""
-    return next(text for text in (f"{hz:.{p}g}" for p in range(6, 18))
-                if float(text) == hz)
+    ``%.{p}g``, p = 6 .. 17, that reads back as ``hz``, so none is shared;
+    a NaN, which reads back as nothing, is named ``nan``."""
+    return next((text for text in (f"{hz:.{p}g}" for p in range(6, 18))
+                 if float(text) == hz), f"{hz:g}")
 
 
 def _section(raw: dict, name: str, errors: list) -> dict:

@@ -118,7 +118,8 @@ class BoxGrid:
         spacing = tuple(e / c for e, c in zip(extents, cells))
         # the stencil divides by h^2 on every axis, and its largest
         # eigenvalue is below sum_a 4 / h_a^2
-        if not all(h * h > 0.0 and 1.0 / (h * h) < np.inf for h in spacing):
+        if not all(h * h > 0.0 and 0.0 < 1.0 / (h * h) < np.inf
+                   for h in spacing):
             raise ValueError("1/h^2 must be positive and finite on every axis, "
                              f"got spacing {spacing}")
         if not sum(4.0 / (h * h) for h in spacing) < np.inf:

@@ -878,6 +878,19 @@ def test_nearby_frequencies_get_files_of_their_own(tmp_path, capsys):
         assert header.startswith(f"# freq_hz={n} mode=full ")
 
 
+def test_plot_data_names_a_nan_frequency(tmp_path, capsys):
+    # a records file is user input: a 'nan' freq_hz has no float that reads
+    # back equal, and its plot file is still written, as plot_fnan_...
+    csv_path = tmp_path / "records.csv"
+    write_records_csv(csv_path, [dataclasses.replace(make_record(4, 20.0),
+                                                     freq_hz=float("nan"))])
+    plots = tmp_path / "plots"
+    assert cli.main(["plot-data", "--records", str(csv_path),
+                     "--out", str(plots)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.split() == [str(plots / "plot_fnan_full.dat")]
+    assert os.listdir(plots) == ["plot_fnan_full.dat"]
+
+
 def test_windows_csv_lists_the_discrete_eigenvalues(tmp_path):
     # the windows come from the grid's own stencil: lambda_h = sum_a
     # (4 / h_a^2) sin^2(k_a pi / (2 n_a)), k_a = 1 .. n_a - 1

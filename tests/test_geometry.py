@@ -48,11 +48,12 @@ def test_invalid_grid_arguments():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             build_grid((1.0, bad), (4, 4))
-    # the stencil divides by h^2, which underflows to 0 at 1e-300 and gives
-    # an infinite 1/h^2 at 1e-160
-    for tiny in (1e-300, 1e-160):
+    # the stencil divides by h^2, which underflows to 0 at 1e-300, gives
+    # an infinite 1/h^2 at 1e-160, and overflows to inf (so 1/h^2 = 0) at
+    # 1e160
+    for extent in (1e-300, 1e-160, 1e160):
         with pytest.raises(ValueError, match=r"1/h\^2 must be positive"):
-            build_grid((tiny, 1.0), (4, 4))
+            build_grid((extent, 1.0), (4, 4))
     # at h = 1.2e-154, 1/h^2 is finite but 4/h^2, which bounds the stencil's
     # largest eigenvalue, is not; at twice that h both are
     with pytest.raises(ValueError, match=r"sum_a 4/h_a\^2, which bounds"):
