@@ -77,8 +77,10 @@ def cache_info() -> dict:
     read from an entry (``row_hits``) or solved into one (``row_misses``),
     the LUs computed (``factorizations``, each eigensolve's pencil LU too)
     and the columns solved by CG (``cg_columns``) with the CG iterations of
-    their block solves (``cg_iterations``), since the last
-    :func:`clear_caches`; and the store's live entry count."""
+    their block solves (``cg_iterations``), and the largest relative
+    residual of a column that ``solver.solve_dirichlet`` accepted
+    (``worst_residual``), since the last :func:`clear_caches`; and the
+    store's live entry count."""
     return dict(_counts, **solve_counts, entries=len(_rows))
 
 

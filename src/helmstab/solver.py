@@ -54,9 +54,13 @@ one per system:
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
   the iteration cap follows from that bound. No LU is computed. The
-  transforms and the updates of the iterate and the residual write into
-  work blocks allocated once per solve, so an iteration allocates only the
-  sparse product and, when a column leaves, the compacted blocks.
+  iterates, residuals, directions and transforms live in one set of work
+  blocks that each grid keeps in a pool for as long as it lives: a solve
+  borrows a set and returns it, and a nested or concurrent solve on the same
+  grid borrows a set of its own. So once a grid has solved, a solve
+  allocates only its result and one sparse product per iteration, and the
+  memory of the blocks is not handed back to the system and faulted in
+  again on the next solve.
 * Sparse LU, for every other system: every 2D system, and every 3D system
   outside the certificate (where the matrix may be indefinite). The
   interior matrix is factorized once and reused across right-hand sides. It
@@ -113,7 +117,9 @@ stencil, built on first use and dropped together with the grid, with nothing
 to reset. ``forward.forward_map`` keeps the DtN rows that a campaign reuses,
 not the systems that solved them. :data:`solve_counts` counts the LUs
 computed (``factorizations``) and the columns solved by CG (``cg_columns``)
-with the iterations of their block solves (``cg_iterations``);
+with the iterations of their block solves (``cg_iterations``), and keeps the
+largest residual, relative to its right-hand side, of any column that
+:func:`solve_dirichlet` accepted (``worst_residual``);
 ``forward.cache_info`` reports them and ``forward.clear_caches`` resets them.
 """
 
@@ -153,8 +159,10 @@ CG_RTOL = 1e-14
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
 # LUs computed and columns solved by CG, with the iterations of their block
-# solves; read by forward.cache_info and reset by forward.clear_caches
-solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0}
+# solves, and the largest relative residual of a column that solve_dirichlet
+# accepted; read by forward.cache_info and reset by forward.clear_caches
+solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0,
+                "worst_residual": 0.0}
 
 
 def _check_omega2(omega2) -> float:
@@ -246,7 +254,9 @@ class _GridOperators:
     ``interior`` (CSC), the interior-to-boundary block ``coupling`` and the
     boundary rows ``boundary_rows`` (CSR), with the positions of their
     diagonal entries; the trapezoid volumes; and the normal-derivative
-    stencil of :func:`_normal_stencil`."""
+    stencil of :func:`_normal_stencil`. The CG path adds the factors of its
+    preconditioner (:meth:`fast_poisson_factors`) and a pool of work blocks
+    (``cg_blocks``, see :func:`_cg_solve`)."""
 
     def __init__(self, grid: BoxGrid):
         stiffness = _form_stiffness(grid)
@@ -264,6 +274,9 @@ class _GridOperators:
             np.multiply, [_trapezoid(m) for m in grid.nodes_per_axis])
         self.node_volumes = grid.cell_volume() * self.relative_volumes
         self.normal_stencil, self.two_h = _normal_stencil(grid)
+        self._fast_poisson_factors = None
+        # sets of CG work blocks that _cg_solve lends out and takes back
+        self.cg_blocks = []
 
         matrices = (self.interior, self.coupling, self.boundary_rows,
                     self.normal_stencil)
@@ -272,6 +285,19 @@ class _GridOperators:
                     self.interior_diagonal, self.boundary_diagonal,
                     self.relative_volumes, self.node_volumes, self.two_h):
             arr.setflags(write=False)
+
+    def fast_poisson_factors(self, grid: BoxGrid):
+        """``(sines, eigenvalues)`` of :func:`_fast_poisson` on ``grid``, the
+        grid of these operators: one :func:`_sine_matrix` per axis, slowest
+        first, and :func:`stencil_eigenvalues`, read-only and built on first
+        call (only the CG path of a 3D grid asks)."""
+        if self._fast_poisson_factors is None:
+            sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
+            eigenvalues = stencil_eigenvalues(grid)
+            for arr in (*sines, eigenvalues):
+                arr.setflags(write=False)
+            self._fast_poisson_factors = sines, eigenvalues
+        return self._fast_poisson_factors
 
 
 # grid -> its _GridOperators, dropped together with the grid
@@ -409,13 +435,15 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     else:
         u_i = _cg_solve(sys, rhs, *plan)
         method = "preconditioned CG solve"
-    rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
-    residual = np.atleast_1d(
-        np.linalg.norm(sys.interior_matrix.dot(u_i) - rhs, axis=0))
+    b = rhs.reshape(grid.n_interior, -1)
+    rhs_norm = np.sqrt(_column_dots(b, b))
+    residual = sys.interior_matrix.dot(u_i).reshape(b.shape)
+    residual -= b
+    residual = np.sqrt(_column_dots(residual, residual))
     # a zero right-hand side has the zero solution; no relative target applies.
     # Written as "not within target" so that a NaN residual fails too.
-    failing = np.flatnonzero((rhs_norm > 0)
-                             & ~(residual <= SOLVER_RTOL * rhs_norm))
+    solved = rhs_norm > 0
+    failing = np.flatnonzero(solved & ~(residual <= SOLVER_RTOL * rhs_norm))
     if failing.size:
         j = int(failing[np.argmax(residual[failing] / rhs_norm[failing])])
         details = {"residual": float(residual[j]),
@@ -425,11 +453,20 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
             details["column"] = j
         raise NumericalFailureError(f"{method} missed the residual target",
                                     details)
+    solve_counts["worst_residual"] = float(np.max(
+        residual[solved] / rhs_norm[solved],
+        initial=solve_counts["worst_residual"]))
 
     u = np.empty((grid.n_nodes,) + g.shape[1:])
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
+
+
+def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_i u[i, j] v[i, j]`` for every column j of two ``(n, k)`` blocks,
+    without a temporary block."""
+    return np.einsum("ij,ij->j", u, v)
 
 
 def _cg_iteration_cap(delta: float, kappa: float) -> int:
@@ -459,7 +496,7 @@ def _cg_plan(sys_: HelmholtzSystem):
         return None
     c = sys_.node_coeff[grid.interior_nodes]
     c_min, c_max = float(c.min()), float(c.max())
-    lam = stencil_eigenvalues(grid)
+    _, lam = _grid_operators(grid).fast_poisson_factors(grid)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     w2 = sys_.omega2
     if not w2 * c_max < lam_min:
@@ -505,12 +542,13 @@ def _fast_poisson(grid: BoxGrid, sigma: float, work):
     by the orthonormal DST-I over the interior lattice, which diagonalizes
     ``L_h``: one :func:`_sine_matrix` per axis, applied by
     :func:`_sine_transform`, around a division by :func:`stencil_eigenvalues`
-    minus ``sigma``. ``sigma`` must lie below ``lambda_h,1``. The
-    transforms run in ``work``, a pair of flat arrays that each hold a
-    block, and the result is a view of one of them, valid until the next
-    call."""
-    sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
-    inverse = (1.0 / (stencil_eigenvalues(grid) - sigma))[:, None]
+    minus ``sigma``, both read from the grid's
+    :meth:`_GridOperators.fast_poisson_factors`. ``sigma`` must lie below
+    ``lambda_h,1``. The transforms run in ``work``, a pair of flat arrays
+    that each hold a block, and the result is a view of one of them, valid
+    until the next call."""
+    sines, eigenvalues = _grid_operators(grid).fast_poisson_factors(grid)
+    inverse = (1.0 / (eigenvalues - sigma))[:, None]
     # the first transform ends in work[(len(sines) - 1) % 2]; the second
     # begins in the other block, so that numpy need not copy its input
     second = work[::-1] if len(sines) % 2 else work
@@ -531,47 +569,82 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     directions of the columns still in the loop are kept as compact blocks;
     a column leaves once its residual is within ``CG_RTOL`` (all leave after
     ``cap`` iterations), and only then is its solution written out and the
-    blocks compacted. The transforms, and then the steps of the iterate and
-    the residual, run in two work blocks sized for the first iteration, so
-    an iteration allocates only the sparse product, and a compaction the
-    smaller blocks."""
+    blocks compacted.
+
+    Those three blocks and the two work blocks of the transforms, which then
+    take the steps of the iterate and the residual, are one set of flat
+    arrays from the grid's pool, ``_GridOperators.cg_blocks``: the call
+    takes a set out (a new one when the pool is empty or the set has too few
+    columns) and puts it back on return, so the pool keeps one solve's blocks
+    for as long as the grid lives, and a nested or concurrent solve on the
+    same grid works in a set of its own. A compaction moves the remaining
+    columns to the front of the same arrays, by way of a spent work block.
+    So after the grid's first solve, a call allocates only its result, which
+    shares no memory with the pool, and one sparse product per iteration."""
     b = rhs.reshape(rhs.shape[0], -1)
-
-    def column_dots(u, v):
-        return np.einsum("ij,ij->j", u, v)
-
+    n = b.shape[0]
     out = np.zeros_like(b)
     norms = np.linalg.norm(b, axis=0)
     active = np.flatnonzero(norms > CG_RTOL * norms)
     target = CG_RTOL * norms[active]
-    r = b[:, active]
-    precondition = _fast_poisson(sys_.grid, sigma,
-                                 (np.empty(r.size), np.empty(r.size)))
-    x = np.zeros_like(r)
+    pool = _grid_operators(sys_.grid).cg_blocks
+    try:
+        blocks = pool.pop()
+    except IndexError:  # first solve, or the set is out on loan
+        blocks = None
+    if blocks is None or blocks[0].size < n * active.size:
+        blocks = tuple(np.empty(n * active.size) for _ in range(5))
+    r_buf, x_buf, p_buf, *work = blocks
+
+    def front(buf, k):
+        return buf[:n * k].reshape(n, k)
+
+    def columns(v, keep, buf):
+        # take() buffers its out block unless mode is "clip"
+        return np.take(v, keep, axis=1, mode="clip",
+                       out=front(buf, keep.size))
+
+    def compacted(v, keep, buf):
+        # by way of work[0], as the front of buf overlaps v
+        kept = front(buf, keep.size)
+        kept[...] = columns(v, keep, work[0])
+        return kept
+
+    precondition = _fast_poisson(sys_.grid, sigma, work)
+    r = columns(b, active, r_buf)
+    x = front(x_buf, active.size)
+    x.fill(0.0)
     p = rz = None
     iterations = 0
     while active.size and iterations < cap:
         z = precondition(r)
-        rz_next = column_dots(r, z)
+        rz_next = _column_dots(r, z)
         if p is None:
-            p = z.copy()
+            p = front(p_buf, active.size)
+            p[...] = z
         else:
             p *= rz_next / rz
             p += z
         rz = rz_next
         q = sys_.interior_matrix.dot(p)
-        alpha = rz / column_dots(p, q)
+        alpha = rz / _column_dots(p, q)
         # z is spent; its work block takes the steps
         x += np.multiply(alpha, p, out=z)
         r -= np.multiply(alpha, q, out=z)
+        del q  # before the next product is allocated
         iterations += 1
         # a NaN residual leaves too, for the residual check to report
-        going = np.sqrt(column_dots(r, r)) > target
+        going = np.sqrt(_column_dots(r, r)) > target
         if not going.all():
-            out[:, active[~going]] = x[:, ~going]
-            active, target, rz = active[going], target[going], rz[going]
-            x, r, p = x[:, going], r[:, going], p[:, going]
+            # both work blocks are spent until the next transform
+            out[:, active[~going]] = columns(x, np.flatnonzero(~going),
+                                             work[0])
+            keep = np.flatnonzero(going)
+            active, target, rz = active[keep], target[keep], rz[keep]
+            x, r, p = [compacted(v, keep, buf) for v, buf in
+                       ((x, x_buf), (r, r_buf), (p, p_buf))]
     out[:, active] = x
+    pool.append(blocks)
     solve_counts["cg_columns"] += b.shape[1]
     solve_counts["cg_iterations"] += iterations
     return out.reshape(rhs.shape)

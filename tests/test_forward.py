@@ -26,6 +26,7 @@ from helmstab.forward import (
 )
 from helmstab.geometry import build_grid, build_partition
 from helmstab.model import SquaredSlownessModel, to_cell_field
+from helmstab.solver import SOLVER_RTOL
 from helmstab.spectrum import (
     discrete_dirichlet_eigenvalues,
     frequency_safety,
@@ -581,21 +582,26 @@ def test_row_store_keeps_the_4_most_recent_entries():
     # equal content is the same entry
     forward_map(SquaredSlownessModel(part, m.values.copy(), BOUNDS), 1.0, acq)
     forward_map(m, 5.0, acq)
-    assert forward.cache_info() == {"hits": 1, "misses": 5, "evictions": 1,
-                                    "factorizations": 5, "row_hits": n,
-                                    "row_misses": 5 * n, "cg_columns": 0,
-                                    "cg_iterations": 0, "entries": 4}
+    info = forward.cache_info()
+    assert 0 < info.pop("worst_residual") <= SOLVER_RTOL
+    assert info == {"hits": 1, "misses": 5, "evictions": 1,
+                    "factorizations": 5, "row_hits": n,
+                    "row_misses": 5 * n, "cg_columns": 0,
+                    "cg_iterations": 0, "entries": 4}
     forward_map(m, 1.0, acq)
     forward_map(m, 2.0, acq)   # evicted: solved again
-    assert forward.cache_info() == {"hits": 2, "misses": 6, "evictions": 2,
-                                    "factorizations": 6, "row_hits": 2 * n,
-                                    "row_misses": 6 * n, "cg_columns": 0,
-                                    "cg_iterations": 0, "entries": 4}
+    info = forward.cache_info()
+    assert 0 < info.pop("worst_residual") <= SOLVER_RTOL
+    assert info == {"hits": 2, "misses": 6, "evictions": 2,
+                    "factorizations": 6, "row_hits": 2 * n,
+                    "row_misses": 6 * n, "cg_columns": 0,
+                    "cg_iterations": 0, "entries": 4}
     forward.clear_caches()
     assert forward.cache_info() == {"hits": 0, "misses": 0, "evictions": 0,
                                     "factorizations": 0, "row_hits": 0,
                                     "row_misses": 0, "cg_columns": 0,
-                                    "cg_iterations": 0, "entries": 0}
+                                    "cg_iterations": 0, "worst_residual": 0,
+                                    "entries": 0}
 
 
 def _store_case():

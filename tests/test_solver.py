@@ -1,4 +1,8 @@
+import gc
 import itertools
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from helmstab.errors import NumericalFailureError
 from helmstab.forward import cache_info, clear_caches
 from helmstab.geometry import _lattice, _trapezoid, build_grid
 from helmstab.solver import (
+    SOLVER_RTOL,
     HelmholtzSystem,
     assemble,
     axis_eigenvalues,
@@ -650,4 +655,123 @@ def test_cg_residual_guard_names_the_worst_column(monkeypatch):
     assert diag["residual"] > diag["target"]
     assert cache_info()["cg_iterations"] == 1
     assert cache_info()["factorizations"] == 0
+    clear_caches()
+
+
+def test_worst_residual_is_the_largest_accepted_relative_residual(
+        monkeypatch):
+    # 0 after a reset; after an LU and after a CG solve the largest residual
+    # of a column relative to its right-hand side; a failed solve leaves it
+    clear_caches()
+    assert cache_info()["worst_residual"] == 0
+    g, sys_ = unit_square(12, 0.5, 8.0)
+    G = np.random.default_rng(2).normal(size=(g.n_boundary, 3))
+    u = solve_dirichlet(sys_, G)
+    rhs = -sys_.coupling.dot(G)
+    worst = max(np.linalg.norm(sys_.interior_matrix.dot(u[g.interior_nodes])
+                               - rhs, axis=0) / np.linalg.norm(rhs, axis=0))
+    info = cache_info()
+    assert info["factorizations"] == 1
+    assert 0 < info["worst_residual"] <= SOLVER_RTOL
+    assert np.isclose(info["worst_residual"], worst, rtol=1e-10)
+
+    clear_caches()
+    sys_, G = first_window_block(5)
+    solve_dirichlet(sys_, G)
+    info = cache_info()
+    assert info["cg_columns"] == 4 and info["factorizations"] == 0
+    assert 0 < info["worst_residual"] <= SOLVER_RTOL
+    monkeypatch.setattr(solver, "_cg_iteration_cap", lambda *args: 1)
+    with pytest.raises(NumericalFailureError):
+        solve_dirichlet(sys_, G)
+    assert cache_info()["worst_residual"] == info["worst_residual"]
+    clear_caches()
+    assert cache_info()["worst_residual"] == 0
+
+
+def cg(sys_, rhs):
+    return solver._cg_solve(sys_, rhs, *solver._cg_plan(sys_))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3, unique=True),
+       st.lists(st.integers(3, 6), min_size=3, max_size=3),
+       st.floats(0.0, 0.95), st.permutations([1, 9, 17, 0]),
+       st.integers(0, 2**32 - 1))
+def test_pooled_cg_blocks_give_the_results_of_fresh_ones(extents, cells,
+                                                         fraction, order,
+                                                         seed):
+    # blocks of 1, 9, 17 and 0 columns, solved in random order on one grid,
+    # so that the grid's pooled work blocks are reused, outgrown and
+    # compacted: every result is bitwise that of the same block solved first
+    # on a fresh grid, is left alone by later solves, shares no memory with
+    # the pool and matches LU; two threads solving at once get the same
+    rng = np.random.default_rng(seed)
+    coeff = rng.uniform(0.25, 1.0, int(np.prod(cells)))
+
+    def system():
+        g = build_grid(extents, cells)
+        return HelmholtzSystem(
+            g, coeff, fraction * first_stencil_eigenvalue(g) / coeff.max())
+
+    sys_ = system()
+    blocks = {k: rng.normal(size=(sys_.grid.n_interior, k)) for k in order}
+    fresh = {k: cg(system(), rhs) for k, rhs in blocks.items()}
+    pool = solver._OPERATORS[sys_.grid].cg_blocks
+    results = []
+    for k in order:
+        results.append((k, cg(sys_, blocks[k])))
+        for j, u in results:
+            assert np.array_equal(u, fresh[j])
+            assert not any(np.shares_memory(u, buf)
+                           for pooled in pool for buf in pooled)
+    lu = splu(sys_.interior_matrix)
+    for k, u in results:
+        if k:
+            ref = lu.solve(blocks[k])
+            assert np.all(np.linalg.norm(u - ref, axis=0)
+                          <= 1e-12 * np.linalg.norm(ref, axis=0))
+        else:
+            assert u.shape == (sys_.grid.n_interior, 0)
+
+    start = threading.Barrier(2)
+    runs = [None, None]
+
+    def run(i):
+        start.wait()
+        runs[i] = [cg(sys_, blocks[k]) for k in order]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for run_results in runs:
+        for k, u in zip(order, run_results):
+            assert np.array_equal(u, fresh[k])
+    clear_caches()
+
+
+def test_warm_cg_solve_allocates_little_and_the_pool_dies_with_the_grid():
+    # once the grid's pool holds a set, a solve of 8 columns on 16^3 peaks
+    # at its result, the norms of its right-hand side and one sparse product,
+    # about 2.5 blocks (a solve that allocates its set peaks near 10); the
+    # pool goes with the grid
+    g = build_grid((1.0, 1.0, 1.0), (16, 16, 16))
+    rng = np.random.default_rng(4)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells),
+                           0.9 * first_stencil_eigenvalue(g))
+    rhs = rng.normal(size=(g.n_interior, 8))
+    cg(sys_, rhs)
+    tracemalloc.start()
+    try:
+        cg(sys_, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rhs.nbytes
+    grid, operators = weakref.ref(g), weakref.ref(solver._OPERATORS[g])
+    del g, sys_
+    gc.collect()
+    assert grid() is None and operators() is None
     clear_caches()
