@@ -34,7 +34,6 @@ from .forward import (
     make_acquisition,
 )
 from .derivative import (
-    alessandrini_pairing,
     frechet_directional,
     frechet_jacobian,
     frechet_norm_bounds_report,

@@ -319,10 +319,18 @@ def load_config(path):
             else:
                 # a float's ** raises OverflowError past about 2.1e153 Hz
                 try:
-                    omega2s[f] = _check_omega2((2.0 * np.pi * f) ** 2)
+                    omega2 = _check_omega2((2.0 * np.pi * f) ** 2)
                 except (OverflowError, ValueError):
                     errors.append("frequencies_hz: omega^2 = (2 pi f)^2 is "
                                   f"not finite for f = {f:g} Hz")
+                    continue
+                # below about 2.5e-163 Hz it underflows to 0, and every
+                # cell's data difference with it
+                if omega2 == 0.0:
+                    errors.append("frequencies_hz: omega^2 = (2 pi f)^2 "
+                                  f"underflows to 0 for f = {f:g} Hz")
+                else:
+                    omega2s[f] = omega2
 
     partitions = []
     blocks = got["scales.blocks"]

@@ -1,4 +1,4 @@
-"""Frechet derivative of the forward map and the Alessandrini identity.
+"""Frechet derivative of the forward map.
 
 Sign convention: with the outward normal fixed throughout the package, the
 exact identity for two coefficients reads
@@ -43,10 +43,6 @@ solves. A directional
 derivative is returned as the data-shaped ``(n_sources, n_receivers)``
 array, the same shape as one slice of the Jacobian.
 
-The pairing form has an exactly equivalent second implementation -- the
-variational boundary flux of the first-order solution paired with the
-receiver Gaussian -- used as the built-in cross-check.
-
 omega^2 is taken as given; :func:`spectrum.frequency_safety` says whether it
 is admissible.
 """
@@ -63,7 +59,6 @@ from .forward import (
     Acquisition,
     _blocks,
     _check_grid,
-    forward_map,
     gaussian_source,  # unused here; benchmarks/spans.py traces this binding
     weighted_operator_norm,
 )
@@ -72,72 +67,16 @@ from .solver import (
     HelmholtzSystem,
     _node_averaging,
     assemble,
-    cell_average,
-    node_coefficients,
-    normal_derivative,
+    normal_derivative,  # unused here; benchmarks/spans.py traces this binding
     normal_derivative_adjoint,
     solve_dirichlet,
 )
 
 __all__ = [
-    "PairingResult",
-    "alessandrini_pairing",
     "frechet_directional",
     "frechet_jacobian",
-    "frechet_pairing_first_order",
-    "taylor_remainder",
-    "central_difference_matrix",
     "frechet_norm_bounds_report",
 ]
-
-@dataclass(frozen=True)
-class PairingResult:
-    """Both sides of the discrete Alessandrini identity."""
-
-    volume_side: float
-    boundary_side: float
-
-    @property
-    def relative_mismatch(self) -> float:
-        scale = max(abs(self.volume_side), abs(self.boundary_side))
-        if scale == 0.0:
-            return 0.0
-        return abs(self.volume_side - self.boundary_side) / scale
-
-
-def alessandrini_pairing(m1: SquaredSlownessModel, m2: SquaredSlownessModel,
-                         g, h, omega2: float) -> PairingResult:
-    """Evaluate both sides of the Alessandrini identity for two models.
-
-    Volume side: ``omega^2 * sum_cells (c1 - c2) avg(u) avg(v) vol`` with u
-    the model-1 solve for data g, v the model-2 solve for data h, and avg the
-    mean of a cell's 2^dim corner nodes (:func:`solver.cell_average`); the
-    product of the averages is taken per cell, not the average of ``u v``.
-    Boundary side: ``sum_b w_b ((Lambda_2 - Lambda_1) g)_b h_b``
-    from the pointwise normal-derivative data (outward-normal convention; see
-    the module docstring for why Lambda_2 - Lambda_1 matches this volume
-    side). The sides agree up to discretization error only.
-    """
-    if m1.grid.key != m2.grid.key:
-        raise ValueError("models live on different grids")
-    grid = m1.grid
-    omega2 = float(omega2)
-    f1 = to_cell_field(m1)
-    f2 = to_cell_field(m2)
-    s1 = assemble(grid, f1, omega2)
-    s2 = assemble(grid, f2, omega2)
-
-    u = solve_dirichlet(s1, g)
-    v = solve_dirichlet(s2, h)
-    volume = omega2 * float(
-        np.sum((f1 - f2) * cell_average(grid, u) * cell_average(grid, v))
-    ) * grid.cell_volume()
-
-    u2 = solve_dirichlet(s2, g)
-    lam1 = normal_derivative(grid, u)
-    lam2 = normal_derivative(grid, u2)
-    boundary = float(np.sum(grid.boundary_weights * (lam2 - lam1) * np.asarray(h)))
-    return PairingResult(volume_side=volume, boundary_side=boundary)
 
 
 def _check_direction(base: SquaredSlownessModel, direction) -> np.ndarray:
@@ -244,65 +183,7 @@ def frechet_directional(base: SquaredSlownessModel, direction, omega2: float,
     return _derivative(base, omega2, acq, column, convention)[0]
 
 
-def frechet_pairing_first_order(base: SquaredSlownessModel, direction,
-                                omega2: float,
-                                acq: Acquisition) -> np.ndarray:
-    """Pairing-convention derivative via the first-order boundary flux, as an
-    ``(n_sources, n_receivers)`` array.
-
-    Solves ``(-Lap - omega^2 c^-2) w_s = omega^2 dc u~_s`` per source and
-    pairs the variational flux of w_s against each receiver Gaussian. Agrees
-    with the adjoint-product pairing to solver tolerance (exact discrete
-    duality); it is the independent cross-check of that path.
-    """
-    omega2 = float(omega2)
-    _check_grid(base, acq)
-    direction = _check_direction(base, direction)
-    grid = base.grid
-    dnode = node_coefficients(grid, direction[base.partition.cell_to_subdomain])
-    sys_ = assemble(grid, to_cell_field(base), omega2)
-    values = np.empty((acq.n_sources, acq.n_receivers))
-    for block, u in _source_blocks(sys_, acq):
-        # first-order fields, zero on the boundary
-        w = solve_dirichlet(sys_, np.zeros((grid.n_boundary, u.shape[1])),
-                            omega2 * (dnode[:, None] * u)[grid.interior_nodes])
-        values[block] = sys_.flux_rows.dot(w).T @ acq.receivers
-    return values
-
-
-def default_step(base: SquaredSlownessModel) -> float:
-    """Finite-difference step: 1e-3 of the coefficient's sup norm."""
-    return 1e-3 * float(np.max(np.abs(base.values)))
-
-
-def taylor_remainder(base: SquaredSlownessModel, direction, omega2: float,
-                     acq: Acquisition, eps: float,
-                     derivative: np.ndarray) -> float:
-    """|| F(c + eps*dc) - F(c) - eps*DF(dc) || in the weighted operator norm.
-
-    ``derivative`` is DF(dc) as returned by :func:`frechet_directional`.
-    Second-order in eps when DF is the data-convention derivative. The
-    perturbed model must stay within bounds (no clamping, which would
-    destroy differentiability).
-    """
-    direction = np.asarray(direction, dtype=float)
-    d0 = forward_map(base, omega2, acq)
-    d1 = forward_map(base.perturbed(eps * direction), omega2, acq)
-    resid = d1.values - d0.values - eps * derivative
-    return weighted_operator_norm(resid, acq)
-
-
-def central_difference_matrix(base: SquaredSlownessModel, direction,
-                              omega2: float, acq: Acquisition,
-                              eps: float) -> np.ndarray:
-    """Central finite-difference slope of the data matrix along ``direction``."""
-    direction = np.asarray(direction, dtype=float)
-    dp = forward_map(base.perturbed(eps * direction), omega2, acq)
-    dm = forward_map(base.perturbed(-eps * direction), omega2, acq)
-    return (dp.values - dm.values) / (2.0 * eps)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundShapeReport:
     """Operator norms of DF along all N canonical directions (``norms[j]``
     for subdomain j), with the analytic bound shapes evaluated at fitted

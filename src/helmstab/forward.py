@@ -113,7 +113,7 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Acquisition:
     """Boundary source/receiver layout with quadrature weights.
 
@@ -210,7 +210,7 @@ class Acquisition:
                 self.receiver_idx.tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DtnData:
     """Per-source boundary normal-derivative samples (discrete DtN data)."""
 

@@ -68,7 +68,7 @@ def squared_slowness_to_wavespeed(m):
     return 1.0 / np.sqrt(_positive(m, "squared slowness"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquaredSlownessModel:
     """Coefficient vector over a partition with a priori bounds (B1, B2)."""
 

@@ -53,14 +53,16 @@ one per system:
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed. The
-  iterates, residuals, directions and transforms live in one set of work
-  blocks that each grid keeps in a pool for as long as it lives: a solve
-  borrows a set and returns it, and a nested or concurrent solve on the same
-  grid borrows a set of its own. So once a grid has solved, a solve
-  allocates only its result and one sparse product per iteration, and the
-  memory of the blocks is not handed back to the system and faulted in
-  again on the next solve.
+  the iteration cap follows from that bound. No LU is computed. All
+  nonzero columns of a block iterate together, and the loop has one exit:
+  the last column within ``CG_RTOL``, or the cap. The iterates, residuals,
+  directions and transforms live in one set of work blocks that each grid
+  keeps in a pool for as long as it lives: a solve borrows a set and
+  returns it, and a nested or concurrent solve on the same grid borrows a
+  set of its own. So once a grid has solved, a solve allocates only its
+  result and one sparse product per iteration, and the memory of the
+  blocks is not handed back to the system and faulted in again on the next
+  solve.
 * Sparse LU, for every other system: every 2D system, and every 3D system
   outside the certificate (where the matrix may be indefinite). The
   interior matrix is factorized once and reused across right-hand sides. It
@@ -147,7 +149,6 @@ __all__ = [
     "normal_derivative",
     "normal_derivative_adjoint",
     "node_coefficients",
-    "cell_average",
     "solve_counts",
 ]
 
@@ -565,62 +566,49 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
               cap: int) -> np.ndarray:
     """Interior solution of every column of ``rhs`` by CG preconditioned with
     :func:`_fast_poisson`. The columns share each sparse product and
-    transform but keep their own step lengths. The iterates, residuals and
-    directions of the columns still in the loop are kept as compact blocks;
-    a column leaves once its residual is within ``CG_RTOL`` (all leave after
-    ``cap`` iterations), and only then is its solution written out and the
-    blocks compacted.
+    transform but keep their own step lengths. A zero column is left out and
+    solved by zero; all other columns iterate together until the last of
+    them is within ``CG_RTOL`` of its right-hand side, or for ``cap``
+    iterations. A NaN residual ends the loop as well, for the residual check
+    of :func:`solve_dirichlet` to report.
 
-    Those three blocks and the two work blocks of the transforms, which then
-    take the steps of the iterate and the residual, are one set of flat
-    arrays from the grid's pool, ``_GridOperators.cg_blocks``: the call
-    takes a set out (a new one when the pool is empty or the set has too few
-    columns) and puts it back on return, so the pool keeps one solve's blocks
-    for as long as the grid lives, and a nested or concurrent solve on the
-    same grid works in a set of its own. A compaction moves the remaining
-    columns to the front of the same arrays, by way of a spent work block.
-    So after the grid's first solve, a call allocates only its result, which
-    shares no memory with the pool, and one sparse product per iteration."""
+    The iterates, residuals and directions, and the two work blocks of the
+    transforms, which then take the steps of the iterate and the residual,
+    are one set of flat arrays from the grid's pool,
+    ``_GridOperators.cg_blocks``: the call takes a set out (a new one when
+    the pool is empty or the set has too few columns) and puts it back on
+    return, so the pool keeps one solve's blocks for as long as the grid
+    lives, and a nested or concurrent solve on the same grid works in a set
+    of its own. So after the grid's first solve, a call allocates only its
+    result, which shares no memory with the pool, and one sparse product per
+    iteration."""
     b = rhs.reshape(rhs.shape[0], -1)
     n = b.shape[0]
     out = np.zeros_like(b)
     norms = np.linalg.norm(b, axis=0)
     active = np.flatnonzero(norms > CG_RTOL * norms)
     target = CG_RTOL * norms[active]
+    k = active.size
     pool = _grid_operators(sys_.grid).cg_blocks
     try:
         blocks = pool.pop()
     except IndexError:  # first solve, or the set is out on loan
         blocks = None
-    if blocks is None or blocks[0].size < n * active.size:
-        blocks = tuple(np.empty(n * active.size) for _ in range(5))
-    r_buf, x_buf, p_buf, *work = blocks
-
-    def front(buf, k):
-        return buf[:n * k].reshape(n, k)
-
-    def columns(v, keep, buf):
-        # take() buffers its out block unless mode is "clip"
-        return np.take(v, keep, axis=1, mode="clip",
-                       out=front(buf, keep.size))
-
-    def compacted(v, keep, buf):
-        # by way of work[0], as the front of buf overlaps v
-        kept = front(buf, keep.size)
-        kept[...] = columns(v, keep, work[0])
-        return kept
+    if blocks is None or blocks[0].size < n * k:
+        blocks = tuple(np.empty(n * k) for _ in range(5))
+    r, x, p = (buf[:n * k].reshape(n, k) for buf in blocks[:3])
+    work = blocks[3:]
 
     precondition = _fast_poisson(sys_.grid, sigma, work)
-    r = columns(b, active, r_buf)
-    x = front(x_buf, active.size)
+    # take() buffers its out block unless mode is "clip"
+    np.take(b, active, axis=1, mode="clip", out=r)
     x.fill(0.0)
-    p = rz = None
+    rz = None
     iterations = 0
-    while active.size and iterations < cap:
+    while k and iterations < cap:
         z = precondition(r)
         rz_next = _column_dots(r, z)
-        if p is None:
-            p = front(p_buf, active.size)
+        if rz is None:
             p[...] = z
         else:
             p *= rz_next / rz
@@ -633,16 +621,9 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
         r -= np.multiply(alpha, q, out=z)
         del q  # before the next product is allocated
         iterations += 1
-        # a NaN residual leaves too, for the residual check to report
-        going = np.sqrt(_column_dots(r, r)) > target
-        if not going.all():
-            # both work blocks are spent until the next transform
-            out[:, active[~going]] = columns(x, np.flatnonzero(~going),
-                                             work[0])
-            keep = np.flatnonzero(going)
-            active, target, rz = active[keep], target[keep], rz[keep]
-            x, r, p = [compacted(v, keep, buf) for v, buf in
-                       ((x, x_buf), (r, r_buf), (p, p_buf))]
+        residual = np.sqrt(_column_dots(r, r))
+        if np.isnan(residual).any() or np.all(residual <= target):
+            break
     out[:, active] = x
     pool.append(blocks)
     solve_counts["cg_columns"] += b.shape[1]
@@ -699,8 +680,3 @@ def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     return (ops.normal_stencil[positions][:, grid.interior_nodes].toarray()
             / ops.two_h[positions, None]).T
 
-
-def cell_average(grid: BoxGrid, u: np.ndarray) -> np.ndarray:
-    """Mean of the 2^dim corner nodes per cell, x-fastest order."""
-    return _kron([0.5 * (np.eye(n, n + 1) + np.eye(n, n + 1, 1))
-                  for n in grid.cells_per_axis]) @ np.asarray(u)

@@ -97,7 +97,7 @@ def discrete_dirichlet_eigenvalues(grid: BoxGrid, coeff,
     return np.sort(np.real(vals))[:count]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyWindows:
     """Admissible omega^2 intervals for coefficient bounds (b1, b2), built
     from the ascending discrete box eigenvalues ``source_eigenvalues``."""

@@ -209,7 +209,7 @@ def fit_constants(records, b2: float, first_scale_count: int | None = None
 
 # -- fractional-Sobolev inequality -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSobolevReport:
     """Monte-Carlo check of ||f||^2_{H^s'} <= 2 sum_j c_j^2 ||chi_j||^2_{H^s'}."""
 

@@ -11,13 +11,7 @@ import pytest
 import yaml
 
 from helmstab import cli, forward, spectrum, stability
-from helmstab.derivative import (
-    alessandrini_pairing,
-    default_step,
-    frechet_directional,
-    frechet_pairing_first_order,
-    taylor_remainder,
-)
+from helmstab.derivative import frechet_directional
 from helmstab.forward import (
     MODE_FULL,
     MODE_TOP,
@@ -40,6 +34,12 @@ from helmstab.stability import (
     evaluate_bounds,
     fit_constants,
     fractional_sobolev_check,
+)
+from tests.oracles import (
+    alessandrini_pairing,
+    default_step,
+    frechet_pairing_first_order,
+    taylor_remainder,
 )
 
 BOUNDS = (0.25, 1.0)

@@ -539,10 +539,12 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
      "scales.blocks: expected a non-empty list of block counts"),
     ("scales", "blocks", [[2, 2], 4], "scales.blocks: bad entry 4"),
     ("acquisition", "modes", ["side"], "acquisition.modes: unknown mode 'side'"),
-    # (2 pi f)^2 overflows, 2 sigma^2 underflows or overflows or is
-    # subnormal (1 / (2 sigma^2) overflows), h^2 underflows
+    # (2 pi f)^2 overflows or underflows, 2 sigma^2 underflows or overflows
+    # or is subnormal (1 / (2 sigma^2) overflows), h^2 underflows
     (None, "frequencies_hz", [1.0e200],
      "frequencies_hz: omega^2 = (2 pi f)^2 is not finite for f = 1e+200 Hz"),
+    (None, "frequencies_hz", [1.0e-200],
+     "frequencies_hz: omega^2 = (2 pi f)^2 underflows to 0 for f = 1e-200 Hz"),
     ("acquisition", "sigma", 1.0e-200,
      "acquisition.sigma must be finite and positive with a finite nonzero "
      "square, got 1e-200"),
@@ -567,7 +569,7 @@ def test_empty_or_scalar_section(tmp_path, capsys, section, status):
         "model_not_a_mapping", "unknown_generator", "generator_field_missing",
         "bounds_not_a_pair", "frequencies_not_a_list", "non_numeric_frequency",
         "blocks_not_a_list", "bad_block_entry", "unknown_mode",
-        "huge_frequency", "tiny_sigma", "huge_sigma", "subnormal_sigma",
+        "huge_frequency", "tiny_frequency", "tiny_sigma", "huge_sigma", "subnormal_sigma",
         "tiny_extent"])
 def test_bad_setting_is_a_config_error(tmp_path, capsys, command, section,
                                        field, value, message):

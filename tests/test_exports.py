@@ -1,6 +1,7 @@
 """Every public name a helmstab module declares must exist, and importing
 the package stays light."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -20,6 +21,19 @@ def test_all_names_resolve_and_star_import_works(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
     exec(f"from helmstab.{name} import *", {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_frozen_dataclasses_with_array_fields_compare_by_identity(name):
+    # a generated __eq__ or __hash__ over an ndarray field raises
+    module = importlib.import_module(f"helmstab.{name}")
+    for cls in vars(module).values():
+        if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                and cls.__module__ == module.__name__
+                and any("ndarray" in str(f.type)
+                        for f in dataclasses.fields(cls))):
+            assert not cls.__dataclass_params__.eq, cls.__name__
+            assert cls.__hash__ is object.__hash__, cls.__name__
 
 
 CERTIFIED_3D_SOLVE = """

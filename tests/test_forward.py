@@ -240,6 +240,25 @@ def test_forward_map_deterministic(model_pair):
     assert np.array_equal(d1.values, d2.values)
 
 
+def test_array_holding_records_compare_and_hash_by_identity(model_pair):
+    # == and hash() would reach the arrays and raise; content comparison is
+    # content_hash and compat_key
+    m1, _ = model_pair
+    twin = SquaredSlownessModel(m1.partition, m1.values.copy(), BOUNDS)
+    acq = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    acq_twin = make_acquisition(m1.grid, MODE_FULL, 0.25, 0.125, 0.08)
+    pairs = [(m1, twin), (acq, acq_twin),
+             (forward_map(m1, 8.0, acq), forward_map(twin, 8.0, acq_twin))]
+    for obj, other in pairs:
+        assert (obj == obj) is True
+        assert (obj == other) is (obj is other)
+        assert (obj != other) is (obj is not other)
+        assert {obj} == {obj}
+        assert len({obj, other}) == 2 - (obj is other)
+    assert twin.content_hash() == m1.content_hash()
+    assert acq_twin.compat_key() == acq.compat_key()
+
+
 def test_forward_map_rows_match_per_source_solves(model_pair):
     # 12 sources: one full block of 8 and a partial block of 4
     m1, _ = model_pair

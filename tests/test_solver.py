@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 
 from helmstab import solver
 from helmstab.errors import NumericalFailureError
-from helmstab.forward import cache_info, clear_caches
+from helmstab.forward import cache_info, clear_caches, make_acquisition
 from helmstab.geometry import _lattice, _trapezoid, build_grid
 from helmstab.solver import (
     SOLVER_RTOL,
@@ -28,6 +28,7 @@ from helmstab.solver import (
     solve_dirichlet,
     stencil_eigenvalues,
 )
+from tests.oracles import cell_average
 
 
 def unit_square(n, coeff=1.0, omega2=0.0):
@@ -95,7 +96,7 @@ def test_node_coefficient_is_the_mean_of_the_touching_cells(box, values):
 def test_cell_average_is_the_mean_of_the_corners(box, seed):
     g = build_grid(*box)
     u = np.random.default_rng(seed).normal(size=g.n_nodes)
-    got = solver.cell_average(g, u)
+    got = cell_average(g, u)
     assert got.shape == (g.n_cells,)
     for ci in itertools.product(*(range(n) for n in g.cells_per_axis)):
         corners = itertools.product(*((i, i + 1) for i in ci))
@@ -582,9 +583,9 @@ def test_cg_columns_keep_their_own_step_lengths():
     # right-hand sides A w for one and for two eigenvectors w of the
     # preconditioned pencil converge in one and in two iterations, a random
     # one takes more and a zero one none. The block shares one loop but not
-    # its steps: it leaves each column at that column's own count, so it
-    # takes as many iterations as its slowest column alone, and every column
-    # matches its single-column solve whatever its scale
+    # its steps: it runs until its slowest column is done, so it takes as
+    # many iterations as that column alone, and every column matches its
+    # single-column solve whatever its scale
     g = build_grid((1.0, 0.9, 1.1), (5, 7, 6))
     rng = np.random.default_rng(3)
     sys_ = HelmholtzSystem(g, rng.choice([0.25, 1.0], g.n_cells),
@@ -609,6 +610,40 @@ def test_cg_columns_keep_their_own_step_lengths():
     for j, col in enumerate(single):
         assert np.linalg.norm(block[:, j] - col) <= 1e-12 * np.linalg.norm(col)
     assert np.array_equal(block[:, 1], np.zeros(g.n_nodes))
+    clear_caches()
+
+
+def test_cg_block_runs_until_its_slowest_column_is_done():
+    # the columns of a derivative's solves: adjoint right-hand sides of the
+    # data convention, smooth Gaussian sources, a zero column and a copy of
+    # a source scaled by 1e-8. Alone they take different iteration counts;
+    # in one block every nonzero column iterates until the slowest is
+    # within CG_RTOL, and each lands where the LU puts it
+    g = build_grid((1.0, 0.9, 1.1), (10, 9, 11))
+    rng = np.random.default_rng(4)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells),
+                           0.95 * first_stencil_eigenvalue(g))
+    acq = make_acquisition(g, "full", 0.3, 0.3, 0.15)
+    E = normal_derivative_adjoint(g, acq.receiver_idx[::7][:4])
+    S = acq.sources[:, :3]
+    F = np.column_stack([E, np.zeros((g.n_interior, 5))])
+    G = np.column_stack([np.zeros((g.n_boundary, 4)), S,
+                         np.zeros(g.n_boundary), 1e-8 * S[:, 0]])
+    iterations = []
+    for j in range(F.shape[1]):
+        clear_caches()
+        solve_dirichlet(sys_, G[:, j], F[:, j])
+        iterations.append(cache_info()["cg_iterations"])
+    assert iterations[7] == 0
+    assert len(set(iterations) - {0}) > 1
+    clear_caches()
+    u = solve_dirichlet(sys_, G, F)  # passes the residual check
+    assert cache_info()["cg_iterations"] == max(iterations)
+    assert np.all(np.isfinite(u))
+    assert np.array_equal(u[:, 7], np.zeros(g.n_nodes))
+    ref = splu(sys_.interior_matrix).solve(F - sys_.coupling.dot(G))
+    err = np.linalg.norm(u[g.interior_nodes] - ref, axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=0))
     clear_caches()
 
 
