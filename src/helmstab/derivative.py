@@ -33,13 +33,24 @@ and z_r an adjoint field of receiver r:
 
 Every direction shares the same u_s and z_r, so the derivative along all N
 canonical directions (:func:`frechet_jacobian`) costs n_sources +
-n_receivers solves, not N * n_sources. The source fields are kept on the
-interior nodes (n_interior x n_sources floats) and the adjoint fields stream
-in blocks of 8 receivers, each contracted with a sparse direction-by-node
-weight matrix: one product of the averaging :func:`solver._node_averaging`
-with the directions as cell-field columns. Solving all receivers at once, or
-contracting against a dense weight matrix, costs more memory for no fewer
-solves. A directional
+n_receivers solves, not N * n_sources. The weights dnode of the directions
+are the rows of a sparse direction-by-node matrix W on the interior nodes,
+all from one product of the averaging :func:`solver._node_averaging` with
+the directions as cell-field columns. The source fields u are kept on the
+interior nodes (n_interior x n_sources floats) and the adjoint fields
+stream in blocks of 8 receivers. For a block z and a direction j, with s_j
+the nodes of row j of W and w_j its values, slice j of the block is one
+dense matrix product,
+
+    out[j, :, block]  =  u[s_j].T @ (w_j[:, None] * z[s_j]),
+
+nnz(W) * n_sources * n_receivers multiply-adds in all, as many as a sparse
+product per receiver takes, but run as BLAS level-3 products. Besides the
+result, memory holds the source fields, one adjoint block with its weighted
+rows (nnz(W) x 8 floats) and the source rows of one product; a row of W
+longer than an adjoint block's worth of source rows (a dense direction) is
+taken in pieces, so no second n_interior x n_sources array is made. Solving
+all receivers at once costs more memory for no fewer solves. A directional
 derivative is returned as the data-shaped ``(n_sources, n_receivers)``
 array, the same shape as one slice of the Jacobian.
 
@@ -56,6 +67,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .forward import (
+    _BLOCK,
     Acquisition,
     _blocks,
     _check_grid,
@@ -99,21 +111,49 @@ def _source_blocks(sys_: HelmholtzSystem, acq: Acquisition):
         yield block, solve_dirichlet(sys_, acq.sources[:, block])
 
 
-def _adjoint_blocks(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
-                    convention: str):
-    """(slice, adjoint-field block on the interior nodes) per block of
-    receivers, scaled so that an entry of the derivative is the plain nodal
-    sum ``sum_i dnode_i u_s,i z_r,i``."""
+def _adjoint_fields(sys_: HelmholtzSystem, acq: Acquisition, omega2: float,
+                    convention: str, block: slice) -> np.ndarray:
+    """Adjoint-field block of the receivers in ``block`` on the interior
+    nodes, scaled so that an entry of the derivative is the plain nodal sum
+    ``sum_i dnode_i u_s,i z_r,i``."""
     grid = sys_.grid
     interior = grid.interior_nodes
-    for block in _blocks(acq.n_receivers):
-        if convention == "data":
-            e = normal_derivative_adjoint(grid, acq.receiver_idx[block])
-            z = solve_dirichlet(sys_, np.zeros((grid.n_boundary, e.shape[1])), e)
-            yield block, omega2 * z[interior]
+    if convention == "data":
+        e = normal_derivative_adjoint(grid, acq.receiver_idx[block])
+        z = solve_dirichlet(sys_, np.zeros((grid.n_boundary, e.shape[1])),
+                            e)[interior]
+        z *= omega2
+    else:
+        z = solve_dirichlet(sys_, acq.receivers[:, block])[interior]
+        z *= -omega2 * sys_.node_volumes[interior, None]
+    return z
+
+
+def _row_pieces(indptr: np.ndarray, length: int) -> list:
+    """``(row, slice)`` over the stored entries of every CSR row, a row
+    longer than ``length`` entries cut into consecutive pieces of at most
+    ``length``."""
+    return [(j, slice(start, min(start + length, stop)))
+            for j, (first, stop) in enumerate(zip(indptr[:-1], indptr[1:]))
+            for start in range(first, stop, length)]
+
+
+def _contract(out: np.ndarray, u: np.ndarray, weights: sp.csr_matrix,
+              pieces: list, z: np.ndarray):
+    """Write the adjoint block ``z`` into ``out``, the ``(m, n_sources, k)``
+    slices of its receivers: ``out[j] = u[s_j].T @ (w_j z[s_j])`` per row j of
+    ``weights``, one dense product per piece of :func:`_row_pieces`."""
+    nodes = weights.indices
+    weighted = z.take(nodes, axis=0)
+    weighted *= weights.data[:, None]
+    previous = None
+    for j, piece in pieces:
+        rows = u.take(nodes[piece], axis=0).T
+        if j == previous:
+            out[j] += rows @ weighted[piece]
         else:
-            v = solve_dirichlet(sys_, acq.receivers[:, block])[interior]
-            yield block, -omega2 * sys_.node_volumes[interior, None] * v
+            np.matmul(rows, weighted[piece], out=out[j])
+            previous = j
 
 
 def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
@@ -123,12 +163,16 @@ def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
 
     Entry (j, s, r) is ``sum_i weights[j, i] u_s,i z_r,i`` over the interior
     nodes, with u_s the source fields and z_r the adjoint fields of
-    :func:`_adjoint_blocks`. The weight row of a column is its nodal
+    :func:`_adjoint_fields`. The weight row of a column is its nodal
     coefficient on the interior nodes, all rows from one product with the
     averaging :func:`solver._node_averaging`. The source fields are kept on
-    the interior nodes; the adjoint side streams in blocks, and each
-    receiver scales the sparse weights by z_r instead of forming the dense
-    products u_s z_r.
+    the interior nodes; the adjoint fields stream in blocks of ``_BLOCK``
+    receivers, and :func:`_contract` turns each block into one dense product
+    per row of the weights, ``u[s_j].T @ (w_j z[s_j])`` with s_j the row's
+    nodes and w_j its values: nnz(weights) * n_sources * n_receivers
+    multiply-adds in all. A row is taken in pieces of at most
+    ``n_interior * _BLOCK // n_sources`` nodes, so the source rows that one
+    product gathers never exceed an adjoint block.
     """
     omega2 = float(omega2)
     if convention not in ("data", "pairing"):
@@ -141,13 +185,14 @@ def _derivative(base: SquaredSlownessModel, omega2: float, acq: Acquisition,
     u = np.empty((interior.size, acq.n_sources))
     for block, fields in _source_blocks(sys_, acq):
         u[:, block] = fields[interior]
-    out = np.empty((weights.shape[0], acq.n_sources, acq.n_receivers))
-    nodes = weights.indices
-    for block, z in _adjoint_blocks(sys_, acq, omega2, convention):
-        for k, r in enumerate(range(block.start, block.stop)):
-            scaled = sp.csr_matrix((weights.data * z[nodes, k], nodes,
-                                    weights.indptr), shape=weights.shape)
-            out[:, :, r] = scaled @ u
+    del fields  # the last full-grid block is not needed by the adjoint solves
+    pieces = _row_pieces(weights.indptr,
+                         max(1, interior.size * _BLOCK // acq.n_sources))
+    # a row without entries (a zero direction) keeps its zeros
+    out = np.zeros((weights.shape[0], acq.n_sources, acq.n_receivers))
+    for block in _blocks(acq.n_receivers):
+        _contract(out[:, :, block], u, weights, pieces,
+                  _adjoint_fields(sys_, acq, omega2, convention, block))
     return out
 
 

@@ -198,12 +198,15 @@ class Acquisition:
         (m^(dim-1)); see :attr:`source_weights`."""
         return self.grid.boundary_weights[self.receiver_idx]
 
-    @property
+    @cached_property
     def data_weights(self) -> np.ndarray:
         """``sqrt(w_s w_r)`` per (source, receiver) entry: the data norms and
         the Jacobian's smallest singular value act on the data matrix scaled
-        entrywise by these weights."""
-        return np.sqrt(np.outer(self.source_weights, self.receiver_weights))
+        entrywise by these weights. Built on first use and kept, read-only,
+        like :attr:`sources`."""
+        weights = np.sqrt(np.outer(self.source_weights, self.receiver_weights))
+        weights.setflags(write=False)
+        return weights
 
     def compat_key(self):
         return (self.grid.key, self.mode, self.source_idx.tobytes(),

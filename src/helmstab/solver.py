@@ -53,7 +53,10 @@ one per system:
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed. All
+  the iteration cap follows from that bound. No LU is computed. A column
+  whose norm nears over- or underflow iterates at the power-of-two scale
+  that puts its largest entry in [0.5, 1), which is exact, so any finite
+  data scale solves alike. All
   nonzero columns of a block iterate together, and the loop has one exit:
   the last column within ``CG_RTOL``, or the cap. The iterates, residuals,
   directions and transforms live in one set of work blocks that each grid
@@ -93,8 +96,9 @@ path needs only numpy and the sparse product, so it loads no further module.
 them (``(n_boundary, k)`` and ``(n_interior, k)``), which it solves with one
 call into the factorization or one CG loop over all columns. Whatever the
 method, every column must meet the relative residual target ``SOLVER_RTOL``
-on its own. :func:`normal_derivative` likewise acts column-wise on
-``(n_nodes, k)`` fields.
+on its own; a column whose norms would near over- or underflow is judged
+at the same power-of-two scale as in CG. :func:`normal_derivative`
+likewise acts column-wise on ``(n_nodes, k)`` fields.
 
 One boundary extractor serves each data convention:
 
@@ -431,7 +435,9 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
 
     plan = _cg_plan(sys)
     if plan is None:
-        u_i = sys.factorization.solve(rhs)
+        # the LU solve returns Fortran order; the sparse product below would
+        # copy it to C order, so copy it once here and keep only that copy
+        u_i = np.ascontiguousarray(sys.factorization.solve(rhs))
         method = "direct solve"
     else:
         u_i = _cg_solve(sys, rhs, *plan)
@@ -440,16 +446,26 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     rhs_norm = np.sqrt(_column_dots(b, b))
     residual = sys.interior_matrix.dot(u_i).reshape(b.shape)
     residual -= b
-    residual = np.sqrt(_column_dots(residual, residual))
+    # a right-hand side whose norm is near over- or underflow is judged at
+    # its power-of-two scale (exact), both norms alike
+    scale = _far_column_exponents(b, rhs_norm)
+    scaled = np.flatnonzero(scale)
+    residual_norm = np.sqrt(_column_dots(residual, residual))
+    if scaled.size:
+        residual_norm[scaled] = np.linalg.norm(
+            np.ldexp(residual[:, scaled], -scale[scaled]), axis=0)
+    residual = residual_norm
     # a zero right-hand side has the zero solution; no relative target applies.
-    # Written as "not within target" so that a NaN residual fails too.
-    solved = rhs_norm > 0
-    failing = np.flatnonzero(solved & ~(residual <= SOLVER_RTOL * rhs_norm))
+    # Written as "not within target" so that a NaN residual fails too, and an
+    # infinite one (a right-hand side that overflowed) as well.
+    solved = rhs_norm != 0
+    failing = np.flatnonzero(solved & ~((residual <= SOLVER_RTOL * rhs_norm)
+                                        & np.isfinite(residual)))
     if failing.size:
         j = int(failing[np.argmax(residual[failing] / rhs_norm[failing])])
-        details = {"residual": float(residual[j]),
-                   "rhs_norm": float(rhs_norm[j]),
-                   "target": SOLVER_RTOL * float(rhs_norm[j])}
+        rhs_j = float(np.ldexp(rhs_norm[j], scale[j]))
+        details = {"residual": float(np.ldexp(residual[j], scale[j])),
+                   "rhs_norm": rhs_j, "target": SOLVER_RTOL * rhs_j}
         if g.ndim == 2:
             details["column"] = j
         raise NumericalFailureError(f"{method} missed the residual target",
@@ -462,6 +478,30 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
+
+
+# A column whose norm lies in this range keeps every sum of squares of its CG
+# iteration and of the residual check inside the range of doubles, with room
+# to spare for the scales of the matrix and the preconditioner
+_NORM_RANGE = (2.0**-400, 2.0**400)
+
+
+def _far_column_exponents(b: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Exponent e per column of the ``(n, k)`` block ``b`` with column norms
+    ``norms``: 0 where the norm lies in ``_NORM_RANGE``, otherwise the one
+    that puts the column's largest magnitude in [0.5, 1) when the column is
+    scaled by ``2^-e``. Such a scaling is exact, so work on the scaled
+    column is the unscaled work scaled, and its sums of squares neither
+    overflow nor underflow. ``norms`` of those columns is overwritten with
+    the norm of the scaled column. A zero or non-finite column keeps e = 0."""
+    exponents = np.zeros(norms.shape, dtype=int)
+    far = np.flatnonzero(~((norms >= _NORM_RANGE[0])
+                           & (norms <= _NORM_RANGE[1])))
+    if far.size:  # a zero column, or data far from 1
+        columns = b[:, far]
+        exponents[far] = np.frexp(np.abs(columns).max(axis=0, initial=0.0))[1]
+        norms[far] = np.linalg.norm(np.ldexp(columns, -exponents[far]), axis=0)
+    return exponents
 
 
 def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -567,10 +607,14 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     """Interior solution of every column of ``rhs`` by CG preconditioned with
     :func:`_fast_poisson`. The columns share each sparse product and
     transform but keep their own step lengths. A zero column is left out and
-    solved by zero; all other columns iterate together until the last of
-    them is within ``CG_RTOL`` of its right-hand side, or for ``cap``
-    iterations. A NaN residual ends the loop as well, for the residual check
-    of :func:`solve_dirichlet` to report.
+    solved by zero, and so is a non-finite one, for the residual check of
+    :func:`solve_dirichlet` to fail; all other columns iterate together until
+    the last of them is within ``CG_RTOL`` of its right-hand side, or for
+    ``cap`` iterations. A NaN residual ends the loop as well, for the
+    residual check to report. A column whose norm lies outside
+    ``_NORM_RANGE`` iterates at the power-of-two scale of
+    :func:`_far_column_exponents`, which is exact, so any finite data scale
+    solves as the same data near 1 would.
 
     The iterates, residuals and directions, and the two work blocks of the
     transforms, which then take the steps of the iterate and the residual,
@@ -585,9 +629,13 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     b = rhs.reshape(rhs.shape[0], -1)
     n = b.shape[0]
     out = np.zeros_like(b)
-    norms = np.linalg.norm(b, axis=0)
+    with np.errstate(over="ignore"):  # such a column is rescaled next
+        norms = np.linalg.norm(b, axis=0)
+    exponents = _far_column_exponents(b, norms)
     active = np.flatnonzero(norms > CG_RTOL * norms)
     target = CG_RTOL * norms[active]
+    exponents = exponents[active]
+    scaled = np.flatnonzero(exponents)
     k = active.size
     pool = _grid_operators(sys_.grid).cg_blocks
     try:
@@ -602,6 +650,7 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     precondition = _fast_poisson(sys_.grid, sigma, work)
     # take() buffers its out block unless mode is "clip"
     np.take(b, active, axis=1, mode="clip", out=r)
+    r[:, scaled] = np.ldexp(r[:, scaled], -exponents[scaled])
     x.fill(0.0)
     rz = None
     iterations = 0
@@ -624,6 +673,7 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
         residual = np.sqrt(_column_dots(r, r))
         if np.isnan(residual).any() or np.all(residual <= target):
             break
+    x[:, scaled] = np.ldexp(x[:, scaled], exponents[scaled])
     out[:, active] = x
     pool.append(blocks)
     solve_counts["cg_columns"] += b.shape[1]

@@ -15,6 +15,10 @@ that the library's results must satisfy.
 * :func:`taylor_remainder` and :func:`central_difference_matrix` -- finite
   differences of ``forward.forward_map`` against the data-convention
   derivative, with the step :func:`default_step`.
+* :func:`dense_derivative` -- the adjoint nodal products of
+  ``derivative.frechet_jacobian`` by dense linear algebra: every field by
+  ``np.linalg.solve`` on the dense interior matrix, the weights by
+  :func:`solver.node_coefficients` and the contraction by one ``einsum``.
 
 Sign convention: with the outward normal, the exact identity for two
 coefficients reads
@@ -159,3 +163,36 @@ def central_difference_matrix(base: SquaredSlownessModel, direction,
     dp = forward_map(base.perturbed(eps * direction), omega2, acq)
     dm = forward_map(base.perturbed(-eps * direction), omega2, acq)
     return (dp.values - dm.values) / (2.0 * eps)
+
+
+def dense_derivative(base: SquaredSlownessModel, directions, omega2: float,
+                     acq: Acquisition, convention: str) -> np.ndarray:
+    """``(m, n_sources, n_receivers)`` derivative along the m rows of the
+    ``(m, n_subdomains)`` array ``directions``, for small grids.
+
+    Entry (j, s, r) is ``sum_i dnode_j,i u_s,i z_r,i`` over the interior
+    nodes (``derivative`` module docstring): u_s solves the source data, z_r
+    is ``omega^2 A^-1 e_r`` with e_r the receiver's row of
+    ``normal_derivative`` (data) or ``-omega^2 vol v_r`` with v_r the solve
+    for the receiver Gaussian (pairing), each by a dense solve with the
+    interior matrix A, and dnode_j is :func:`solver.node_coefficients` of
+    direction j.
+    """
+    grid = base.grid
+    interior = grid.interior_nodes
+    sys_ = assemble(grid, to_cell_field(base), omega2)
+    a = sys_.interior_matrix.toarray()
+    coupling = sys_.coupling.toarray()
+    u = np.linalg.solve(a, -coupling @ acq.sources)
+    if convention == "data":
+        embed = np.zeros((grid.n_nodes, grid.n_interior))
+        embed[interior, np.arange(grid.n_interior)] = 1.0
+        stencil = normal_derivative(grid, embed)[acq.receiver_idx].T
+        z = omega2 * np.linalg.solve(a, stencil)
+    else:
+        v = np.linalg.solve(a, -coupling @ acq.receivers)
+        z = -omega2 * sys_.node_volumes[interior, None] * v
+    weights = np.array([
+        node_coefficients(grid, d[base.partition.cell_to_subdomain])[interior]
+        for d in np.asarray(directions, dtype=float)])
+    return np.einsum("ji,is,ir->jsr", weights, u, z)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from helmstab.solver import (
     axis_eigenvalues,
     node_coefficients,
     normal_derivative,
+    normal_derivative_adjoint,
     solve_dirichlet,
 )
 from tests.oracles import (
@@ -24,6 +27,7 @@ from tests.oracles import (
     cell_average,
     central_difference_matrix,
     default_step,
+    dense_derivative,
     frechet_pairing_first_order,
     taylor_remainder,
 )
@@ -446,3 +450,80 @@ def test_jacobian_slices_are_the_canonical_directional_derivatives(
                                      convention=convention)
             assert np.max(np.abs(df - jac[j])) <= \
                 1e-13 * np.max(np.abs(jac[j]))
+
+
+@pytest.mark.filterwarnings("ignore:grid resolves only")
+@settings(max_examples=25, deadline=None)
+@given(boxes, st.floats(0.1, 0.8), st.integers(1, 20), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_derivatives_match_the_dense_einsum(box, fraction, n_src, n_rec, seed):
+    # 2D and 3D boxes of unequal extents and random block counts per axis,
+    # so blocks of unequal widths; omega^2 max c below lambda_h,1 keeps the
+    # systems far from resonance (3D ones solve by CG, 2D ones by LU).
+    # More sources than _BLOCK cut the dense direction's row into pieces
+    rng = np.random.default_rng(seed)
+    grid = build_grid(*box)
+    partition = build_partition(
+        grid, [int(rng.integers(1, c + 1)) for c in box[1]])
+    n = partition.n_subdomains
+    base = SquaredSlownessModel(partition, rng.uniform(0.25, 1.0, n),
+                                (0.2, 1.2))
+    omega2 = fraction * sum(v[0] for v in axis_eigenvalues(grid))
+    acq = Acquisition(grid=grid, mode="full",
+                      source_idx=rng.choice(grid.n_boundary, size=n_src),
+                      receiver_idx=rng.choice(grid.n_boundary, size=n_rec),
+                      source_sigma=2 * max(grid.spacing))
+    d = rng.normal(size=n)
+    for convention in ("data", "pairing"):
+        jac = frechet_jacobian(base, omega2, acq, convention=convention)
+        assert close_in_norm(
+            jac, dense_derivative(base, np.eye(n), omega2, acq, convention),
+            1e-12)
+        df = frechet_directional(base, d, omega2, acq, convention=convention)
+        assert close_in_norm(
+            df, dense_derivative(base, d[None], omega2, acq, convention)[0],
+            1e-12)
+
+
+def test_derivatives_hold_their_result_the_source_fields_and_one_adjoint_solve():
+    # the jacobian_2d benchmark's inputs: 64^2 cells in 8 x 8 blocks, 60
+    # sources and 124 receivers. Besides its result and the source fields on
+    # the interior nodes, a derivative may hold what one adjoint block's
+    # solve takes on its own (its system, stencil block, right-hand side,
+    # solution and residual product) and two more adjoint blocks: no second
+    # copy of the source fields, and no receivers collected. A dense
+    # direction's weight row spans every interior node, so its products
+    # gather the source rows piece by piece
+    grid = build_grid((1.0, 1.0), (64, 64))
+    partition = build_partition(grid, (8, 8))
+    rng = np.random.default_rng(0)
+    base = SquaredSlownessModel(partition, rng.uniform(0.25, 1.0, 64),
+                                (0.25, 1.0))
+    acq = make_acquisition(grid, "full", 0.0625, 0.03125, 0.08)
+    omega2 = (2 * np.pi * 0.45) ** 2
+    frechet_jacobian(base, omega2, acq)
+    peaks, results = [], []
+    tracemalloc.start()
+    try:
+        sys_ = assemble(grid, to_cell_field(base), omega2)
+        e = normal_derivative_adjoint(grid, acq.receiver_idx[:8])
+        solve_dirichlet(sys_, np.zeros((grid.n_boundary, 8)), e)
+        del sys_, e
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        for derivative in (
+                lambda: frechet_jacobian(base, omega2, acq),
+                lambda: frechet_directional(base, rng.normal(size=64),
+                                            omega2, acq)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = derivative()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            results.append(result.nbytes)
+            del result
+    finally:
+        tracemalloc.stop()
+    assert results[0] == 64 * 60 * 124 * 8
+    fields = grid.n_interior * acq.n_sources * 8
+    block = grid.n_interior * 8 * 8
+    for peak, nbytes in zip(peaks, results):
+        assert peak <= nbytes + fields + solve_peak + 2 * block

@@ -205,6 +205,15 @@ def test_boundary_columns_are_the_gaussian_sources(extents, cells, sigma,
             assert np.array_equal(column, gaussian_source(grid, pos, sigma))
 
 
+def test_data_weights_are_built_once_and_kept_read_only(square32):
+    acq = make_acquisition(square32, MODE_FULL, 0.25, 0.125, 0.08)
+    weights = acq.data_weights
+    assert weights is acq.data_weights
+    assert not weights.flags.writeable
+    assert np.array_equal(weights, np.sqrt(np.outer(acq.source_weights,
+                                                    acq.receiver_weights)))
+
+
 def test_sources_are_built_once_per_acquisition(model_pair, monkeypatch):
     from helmstab import forward
 

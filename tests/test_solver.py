@@ -647,6 +647,78 @@ def test_cg_block_runs_until_its_slowest_column_is_done():
     clear_caches()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_data_of_1e200_solve_like_unit_data():
+    # a certified 6^3 system (CG) and a 2D one (LU): sums of squares of
+    # 1e200 data overflow, so unscaled norms would call the CG column zero
+    # and make worst_residual inf / inf. A power-of-two scale is exact, so
+    # its solution is the unit one scaled, bit for bit
+    g3 = build_grid((1.0, 1.0, 1.0), (6, 6, 6))
+    g2 = build_grid((1.0, 0.8), (12, 10))
+    rng = np.random.default_rng(11)
+    cases = [(HelmholtzSystem(g3, rng.uniform(0.25, 1.0, g3.n_cells),
+                              0.9 * first_stencil_eigenvalue(g3)), 1),
+             (HelmholtzSystem(g2, rng.uniform(0.25, 1.0, g2.n_cells), 8.0), 0)]
+    for sys_, cg_solved in cases:
+        grid = sys_.grid
+        G = make_acquisition(grid, "full", 0.5, 0.5, 0.2).sources[:, :2]
+        clear_caches()
+        unit = solve_dirichlet(sys_, G)
+        for scale in (1e200, 2.0**664):
+            clear_caches()
+            u = solve_dirichlet(sys_, scale * G)
+            info = cache_info()
+            assert (info["cg_columns"] > 0) == cg_solved
+            assert 0 < info["worst_residual"] <= SOLVER_RTOL
+            ref = unit[grid.interior_nodes]
+            assert np.all(np.linalg.norm(u[grid.interior_nodes] / scale - ref,
+                                         axis=0)
+                          <= 1e-12 * np.linalg.norm(ref, axis=0))
+        if cg_solved:
+            assert np.array_equal(u, np.ldexp(unit, 664))
+    clear_caches()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.3, 0.99), st.integers(0, 2**32 - 1))
+def test_cg_solves_a_source_of_1e_minus_150_next_to_an_unscaled_one(
+        fraction, seed):
+    # r.z of the tiny column underflows to 0 at its own scale, which made
+    # its step lengths 0 / 0; at its power-of-two scale it iterates like
+    # the unscaled copy, bit for bit when the scale is a power of two
+    g = build_grid((1.0, 1.0, 1.0), (10, 9, 11))
+    rng = np.random.default_rng(seed)
+    sys_ = HelmholtzSystem(g, rng.uniform(0.25, 1.0, g.n_cells),
+                           fraction * first_stencil_eigenvalue(g))
+    s = make_acquisition(g, "full", 0.5, 0.5, 0.2).sources[:, 0]
+    clear_caches()
+    u = solve_dirichlet(sys_, np.column_stack([s, 1e-150 * s, 2.0**-500 * s]))
+    assert cache_info()["factorizations"] == 0
+    assert np.array_equal(u[:, 2], np.ldexp(u[:, 0], -500))
+    inner = u[g.interior_nodes]
+    assert (np.linalg.norm(inner[:, 1] - 1e-150 * inner[:, 0])
+            <= 1e-12 * np.linalg.norm(1e-150 * inner[:, 0]))
+    clear_caches()
+
+
+def test_an_overflowed_right_hand_side_fails():
+    # finite boundary data whose coupling to the interior overflows: CG
+    # leaves the column out, LU returns no finite solution, and both fail
+    # the residual check instead of accepting inf <= SOLVER_RTOL * inf
+    g3 = build_grid((1.0, 1.0, 1.0), (6, 6, 6))
+    g2 = build_grid((1.0, 0.8), (12, 10))
+    for sys_ in (HelmholtzSystem(g3, np.full(g3.n_cells, 0.5), 10.0),
+                 HelmholtzSystem(g2, np.full(g2.n_cells, 0.5), 8.0)):
+        G = np.ones((sys_.grid.n_boundary, 2))
+        G[:, 1] = 1e307
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError) as err:
+                solve_dirichlet(sys_, G)
+        assert err.value.diagnostics["column"] == 1
+    clear_caches()
+
+
 def test_systems_outside_the_certificate_are_factorized():
     # a 2D system, and a 3D one with omega^2 max c > lambda_h,1 (indefinite:
     # between the first two eigenvalues of the constant-coefficient stencil)
