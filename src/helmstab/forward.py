@@ -12,6 +12,7 @@ this norm; it does not compute the paper's H^{1/2} -> H^{-1/2} operator norm.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 import warnings
 from collections import OrderedDict
@@ -396,11 +397,16 @@ def _check_compatible(d1: DtnData, d2: DtnData):
 
 
 def weighted_operator_norm(values: np.ndarray, acq: Acquisition) -> float:
-    """Largest singular value of a data-shaped matrix under quadrature weights."""
+    """Largest singular value of a data-shaped matrix under quadrature weights.
+
+    A matrix of another shape, or whose weighted entries are not all finite,
+    raises ValueError."""
     values = np.asarray(values)
     if values.shape != (acq.n_sources, acq.n_receivers):
         raise ValueError("matrix shape does not match the acquisition")
     b = values * acq.data_weights
+    if not np.all(np.isfinite(b)):
+        raise ValueError("weighted matrix contains non-finite entries")
     if not np.any(b):
         return 0.0
     return float(np.linalg.svd(b, compute_uv=False)[0])
@@ -447,10 +453,11 @@ def read_dtn(path) -> DtnData:
     A file of another version (version 1 also stored the quadrature
     weights), a truncated file, an unknown mode code, a nonzero flags byte,
     an ``omega2`` that is not finite and nonnegative, a ``sigma`` that is not
-    finite and positive, a grid that ``BoxGrid`` rejects and a source or
-    receiver position that is not finite or lies off the box raise
-    ValueError. ``omega2 = 0`` (the Laplace map, which :func:`forward_map`
-    computes) is read back.
+    finite and positive, a grid that ``BoxGrid`` rejects, a source or
+    receiver position that is not finite or lies off the box and a value
+    matrix with a NaN or infinite entry raise ValueError, naming the file.
+    ``omega2 = 0`` (the Laplace map, which :func:`forward_map` computes) is
+    read back.
     """
     with open(path, "rb") as fh:
         def read(size, what="header"):
@@ -494,16 +501,25 @@ def read_dtn(path) -> DtnData:
             receiver_idx=receiver_idx,
             source_sigma=sigma,
         )
+        meta = {"model_hash": model_hash, "grid_hash": grid_hash,
+                "norm": NORM_KIND}
+        return DtnData(acquisition=acq, omega2=omega2, values=values,
+                       metadata=meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    meta = {"model_hash": model_hash, "grid_hash": grid_hash,
-            "norm": NORM_KIND}
-    return DtnData(acquisition=acq, omega2=omega2, values=values, metadata=meta)
 
 
 def export_trace_csv(data: DtnData, source_index: int, path):
-    """One source's trace: receiver index, coordinates and value."""
+    """One source's trace: receiver index, coordinates and value.
+
+    ``source_index`` must be an integer in ``[0, n_sources)`` (ValueError
+    otherwise)."""
     acq = data.acquisition
+    try:
+        source_index = operator.index(source_index)
+    except TypeError:
+        raise ValueError(
+            f"source index {source_index!r} is not an integer") from None
     if not (0 <= source_index < acq.n_sources):
         raise ValueError(f"source index {source_index} out of range")
     pos = acq.receiver_positions

@@ -53,10 +53,7 @@ one per system:
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed. A column
-  whose norm nears over- or underflow iterates at the power-of-two scale
-  that puts its largest entry in [0.5, 1), which is exact, so any finite
-  data scale solves alike. All
+  the iteration cap follows from that bound. No LU is computed. All
   nonzero columns of a block iterate together, and the loop has one exit:
   the last column within ``CG_RTOL``, or the cap. The iterates, residuals,
   directions and transforms live in one set of work blocks that each grid
@@ -96,9 +93,11 @@ path needs only numpy and the sparse product, so it loads no further module.
 them (``(n_boundary, k)`` and ``(n_interior, k)``), which it solves with one
 call into the factorization or one CG loop over all columns. Whatever the
 method, every column must meet the relative residual target ``SOLVER_RTOL``
-on its own; a column whose norms would near over- or underflow is judged
-at the same power-of-two scale as in CG. :func:`normal_derivative`
-likewise acts column-wise on ``(n_nodes, k)`` fields.
+on its own. Before either method runs, a column whose norm nears over- or
+underflow is scaled by the power of two that puts its largest entry in
+[0.5, 1), solved and judged at that exact scale and scaled back, so any
+finite data scale solves alike. :func:`normal_derivative` likewise acts
+column-wise on ``(n_nodes, k)`` fields.
 
 One boundary extractor serves each data convention:
 
@@ -409,11 +408,15 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     system certified positive definite (module docstring) is solved by
     preconditioned CG, one loop over all columns; any other system by its LU,
     one call into the factorization per block. ``g`` and ``f`` must be
-    finite (ValueError otherwise). Every column must reach a residual of
+    finite (ValueError otherwise). A right-hand side column whose norm lies
+    outside ``_NORM_RANGE`` is scaled once, before the method is chosen, by
+    the power of two of :func:`_far_column_exponents`; either method solves
+    the scaled block, the residual check judges it, and only then are those
+    solution columns scaled back. Every column must reach a residual of
     ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
-    :class:`NumericalFailureError` reports the worst column; a non-finite
-    residual always fails. The boundary trace of the result equals ``g``
-    exactly.
+    :class:`NumericalFailureError` reports the worst column at the caller's
+    scale; a non-finite residual always fails. The boundary trace of the
+    result equals ``g`` exactly.
     """
     grid = sys.grid
     g = np.asarray(g, dtype=float)
@@ -422,8 +425,9 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
             f"g must have {grid.n_boundary} boundary values per column")
     if not np.all(np.isfinite(g)):
         raise ValueError("g contains non-finite boundary values")
+    rhs = sys.coupling.dot(g)
     if f is None:
-        rhs = -sys.coupling.dot(g)
+        np.negative(rhs, out=rhs)
     else:
         f = np.asarray(f, dtype=float)
         if f.shape != (grid.n_interior,) + g.shape[1:]:
@@ -431,7 +435,10 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
                 f"f must have {grid.n_interior} interior values per column of g")
         if not np.all(np.isfinite(f)):
             raise ValueError("f contains non-finite interior values")
-        rhs = f - sys.coupling.dot(g)
+        np.subtract(f, rhs, out=rhs)
+    b = rhs.reshape(grid.n_interior, -1)
+    rhs_norm = np.sqrt(_column_dots(b, b))
+    scale = _far_column_exponents(b, rhs_norm)
 
     plan = _cg_plan(sys)
     if plan is None:
@@ -442,19 +449,9 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     else:
         u_i = _cg_solve(sys, rhs, *plan)
         method = "preconditioned CG solve"
-    b = rhs.reshape(grid.n_interior, -1)
-    rhs_norm = np.sqrt(_column_dots(b, b))
     residual = sys.interior_matrix.dot(u_i).reshape(b.shape)
     residual -= b
-    # a right-hand side whose norm is near over- or underflow is judged at
-    # its power-of-two scale (exact), both norms alike
-    scale = _far_column_exponents(b, rhs_norm)
-    scaled = np.flatnonzero(scale)
-    residual_norm = np.sqrt(_column_dots(residual, residual))
-    if scaled.size:
-        residual_norm[scaled] = np.linalg.norm(
-            np.ldexp(residual[:, scaled], -scale[scaled]), axis=0)
-    residual = residual_norm
+    residual = np.sqrt(_column_dots(residual, residual))
     # a zero right-hand side has the zero solution; no relative target applies.
     # Written as "not within target" so that a NaN residual fails too, and an
     # infinite one (a right-hand side that overflowed) as well.
@@ -473,6 +470,10 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     solve_counts["worst_residual"] = float(np.max(
         residual[solved] / rhs_norm[solved],
         initial=solve_counts["worst_residual"]))
+    scaled = np.flatnonzero(scale)
+    if scaled.size:
+        x = u_i.reshape(b.shape)  # a view: u_i is C-ordered
+        x[:, scaled] = np.ldexp(x[:, scaled], scale[scaled])
 
     u = np.empty((grid.n_nodes,) + g.shape[1:])
     u[grid.interior_nodes] = u_i
@@ -490,17 +491,20 @@ def _far_column_exponents(b: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Exponent e per column of the ``(n, k)`` block ``b`` with column norms
     ``norms``: 0 where the norm lies in ``_NORM_RANGE``, otherwise the one
     that puts the column's largest magnitude in [0.5, 1) when the column is
-    scaled by ``2^-e``. Such a scaling is exact, so work on the scaled
-    column is the unscaled work scaled, and its sums of squares neither
-    overflow nor underflow. ``norms`` of those columns is overwritten with
-    the norm of the scaled column. A zero or non-finite column keeps e = 0."""
+    scaled by ``2^-e``. Those columns of ``b`` are scaled so in place, and
+    their ``norms`` are overwritten with the norms of the scaled columns.
+    Such a scaling is exact, so work on a scaled column is the unscaled work
+    scaled, and its sums of squares neither overflow nor underflow. A zero
+    or non-finite column keeps e = 0."""
     exponents = np.zeros(norms.shape, dtype=int)
     far = np.flatnonzero(~((norms >= _NORM_RANGE[0])
                            & (norms <= _NORM_RANGE[1])))
     if far.size:  # a zero column, or data far from 1
         columns = b[:, far]
         exponents[far] = np.frexp(np.abs(columns).max(axis=0, initial=0.0))[1]
-        norms[far] = np.linalg.norm(np.ldexp(columns, -exponents[far]), axis=0)
+        np.ldexp(columns, -exponents[far], out=columns)
+        b[:, far] = columns
+        norms[far] = np.sqrt(_column_dots(columns, columns))
     return exponents
 
 
@@ -605,16 +609,14 @@ def _fast_poisson(grid: BoxGrid, sigma: float, work):
 def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
               cap: int) -> np.ndarray:
     """Interior solution of every column of ``rhs`` by CG preconditioned with
-    :func:`_fast_poisson`. The columns share each sparse product and
-    transform but keep their own step lengths. A zero column is left out and
-    solved by zero, and so is a non-finite one, for the residual check of
-    :func:`solve_dirichlet` to fail; all other columns iterate together until
-    the last of them is within ``CG_RTOL`` of its right-hand side, or for
-    ``cap`` iterations. A NaN residual ends the loop as well, for the
-    residual check to report. A column whose norm lies outside
-    ``_NORM_RANGE`` iterates at the power-of-two scale of
-    :func:`_far_column_exponents`, which is exact, so any finite data scale
-    solves as the same data near 1 would.
+    :func:`_fast_poisson`; :func:`solve_dirichlet` hands it every nonzero
+    finite column with its norm inside ``_NORM_RANGE``. The columns share
+    each sparse product and transform but keep their own step lengths. A zero
+    column is left out and solved by zero, and so is a non-finite one, for
+    the residual check of :func:`solve_dirichlet` to fail; all other columns
+    iterate together until the last of them is within ``CG_RTOL`` of its
+    right-hand side, or for ``cap`` iterations. A NaN residual ends the loop
+    as well, for the residual check to report.
 
     The iterates, residuals and directions, and the two work blocks of the
     transforms, which then take the steps of the iterate and the residual,
@@ -629,13 +631,9 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     b = rhs.reshape(rhs.shape[0], -1)
     n = b.shape[0]
     out = np.zeros_like(b)
-    with np.errstate(over="ignore"):  # such a column is rescaled next
-        norms = np.linalg.norm(b, axis=0)
-    exponents = _far_column_exponents(b, norms)
+    norms = np.sqrt(_column_dots(b, b))
     active = np.flatnonzero(norms > CG_RTOL * norms)
     target = CG_RTOL * norms[active]
-    exponents = exponents[active]
-    scaled = np.flatnonzero(exponents)
     k = active.size
     pool = _grid_operators(sys_.grid).cg_blocks
     try:
@@ -650,7 +648,6 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     precondition = _fast_poisson(sys_.grid, sigma, work)
     # take() buffers its out block unless mode is "clip"
     np.take(b, active, axis=1, mode="clip", out=r)
-    r[:, scaled] = np.ldexp(r[:, scaled], -exponents[scaled])
     x.fill(0.0)
     rz = None
     iterations = 0
@@ -673,7 +670,6 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
         residual = np.sqrt(_column_dots(r, r))
         if np.isnan(residual).any() or np.all(residual <= target):
             break
-    x[:, scaled] = np.ldexp(x[:, scaled], exponents[scaled])
     out[:, active] = x
     pool.append(blocks)
     solve_counts["cg_columns"] += b.shape[1]

@@ -382,6 +382,11 @@ def test_opnorm_rank_one_and_dense_oracle():
     rank1 = np.outer(u, v)
     with pytest.raises(ValueError, match="does not match the acquisition"):
         weighted_operator_norm(rank1[:, :-1], acq)
+    for entry in (np.nan, np.inf, -np.inf):  # not LinAlgError from the SVD
+        bad = rank1.copy()
+        bad[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_operator_norm(bad, acq)
     sw = np.sqrt(acq.source_weights)
     rw = np.sqrt(acq.receiver_weights)
     expect = np.linalg.norm(u * sw) * np.linalg.norm(v * rw)
@@ -490,6 +495,11 @@ def test_trace_csv(tmp_path, model_pair):
     for bad in (-1, acq.n_sources):
         with pytest.raises(ValueError, match=f"source index {bad} out of range"):
             export_trace_csv(data, bad, tmp_path / "bad.csv")
+    for bad in (1.5, "a", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            export_trace_csv(data, bad, tmp_path / "bad.csv")
+    export_trace_csv(data, np.int64(0), tmp_path / "numpy.csv")
+    assert (tmp_path / "numpy.csv").read_text() == path.read_text()
 
 
 def test_rebuilt_system_gives_identical_data(model_pair):
@@ -728,9 +738,10 @@ def test_truncated_dtn_file_raises_value_error(tmp_path, model_pair, keep):
 
 # 2D header offsets: omega2 f64 at 9, sigma f64 at 17, first source position
 # at 81 (after the cell counts, extents and hashes), first receiver position
-# at 81 + 16 * n_sources
+# at 81 + 16 * n_sources, first value at that + 16 * n_receivers
 _SOURCE_AT = 81
 _RECEIVER_AT = _SOURCE_AT + 16 * 4
+_VALUES_AT = _RECEIVER_AT + 16 * 12
 
 
 @pytest.mark.parametrize("offset, byte", [
@@ -739,6 +750,7 @@ _RECEIVER_AT = _SOURCE_AT + 16 * 4
     (17, np.nan), (17, -np.inf), (17, 0.0),
     (_SOURCE_AT, np.inf), (_SOURCE_AT + 8, np.nan), (_RECEIVER_AT, -np.inf),
     (_SOURCE_AT, 50.0), (_RECEIVER_AT + 8, -0.5), (41, np.nan), (49, -1.0),
+    (_VALUES_AT, np.nan),
 ])
 def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
                                                 byte):
@@ -747,10 +759,11 @@ def test_bad_dtn_header_byte_raises_value_error(tmp_path, model_pair, offset,
     # complex files of earlier versions. A float replaces the f64 at the
     # offset: omega2 must be finite and nonnegative, sigma and the extents
     # (at 41 and 49) finite and positive, positions finite and on the box (a
-    # source at x = 50 used to load as a node of the 1 x 1 box)
+    # source at x = 50 used to load as a node of the 1 x 1 box), and the
+    # values finite
     m1, _ = model_pair
     acq = make_acquisition(m1.grid, MODE_FULL, 0.5, 0.25, 0.08)
-    assert acq.n_sources == 4
+    assert (acq.n_sources, acq.n_receivers) == (4, 12)
     path = tmp_path / "data.hsdt"
     write_dtn(path, forward_map(m1, 8.0, acq))
     raw = bytearray(path.read_bytes())

@@ -651,8 +651,9 @@ def test_cg_block_runs_until_its_slowest_column_is_done():
 def test_boundary_data_of_1e200_solve_like_unit_data():
     # a certified 6^3 system (CG) and a 2D one (LU): sums of squares of
     # 1e200 data overflow, so unscaled norms would call the CG column zero
-    # and make worst_residual inf / inf. A power-of-two scale is exact, so
-    # its solution is the unit one scaled, bit for bit
+    # and make worst_residual inf / inf, and an LU solve of 1e306 data
+    # overflows to a NaN residual. A power-of-two scale is exact, so on
+    # either path the solution is the unit one scaled, bit for bit
     g3 = build_grid((1.0, 1.0, 1.0), (6, 6, 6))
     g2 = build_grid((1.0, 0.8), (12, 10))
     rng = np.random.default_rng(11)
@@ -664,7 +665,7 @@ def test_boundary_data_of_1e200_solve_like_unit_data():
         G = make_acquisition(grid, "full", 0.5, 0.5, 0.2).sources[:, :2]
         clear_caches()
         unit = solve_dirichlet(sys_, G)
-        for scale in (1e200, 2.0**664):
+        for scale in (1e306, 1e200, 2.0**664):
             clear_caches()
             u = solve_dirichlet(sys_, scale * G)
             info = cache_info()
@@ -674,8 +675,7 @@ def test_boundary_data_of_1e200_solve_like_unit_data():
             assert np.all(np.linalg.norm(u[grid.interior_nodes] / scale - ref,
                                          axis=0)
                           <= 1e-12 * np.linalg.norm(ref, axis=0))
-        if cg_solved:
-            assert np.array_equal(u, np.ldexp(unit, 664))
+        assert np.array_equal(u, np.ldexp(unit, 664))
     clear_caches()
 
 
