@@ -47,22 +47,31 @@ one per system:
   diagonalizes ``L_h`` (fast-Poisson preconditioning, Concus & Golub 1973).
   The DST-I of length m is the symmetric, involutory matrix
   ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))``; the transform applies one such
-  matrix per axis by one BLAS matrix product over the block viewed in place,
+  matrix per axis by BLAS matrix products over the block viewed in place,
   which at these sizes (m up to about 100) beats an FFT. The interior
   matrix differs from the preconditioner by a diagonal of norm at most
   ``omega^2 (c_max - c_min) / 2``, so with
   ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
   preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed. All
-  nonzero columns of a block iterate together, and the loop has one exit:
-  the last column within ``CG_RTOL``, or the cap. The iterates, residuals,
-  directions and transforms live in one set of work blocks that each grid
-  keeps in a pool for as long as it lives: a solve borrows a set and
-  returns it, and a nested or concurrent solve on the same grid borrows a
-  set of its own. So once a grid has solved, a solve allocates only its
-  result and one sparse product per iteration, and the memory of the
-  blocks is not handed back to the system and faulted in again on the next
-  solve.
+  the iteration cap follows from that bound. No LU is computed, and the
+  loop applies no sparse matrix. On interior rows every trapezoid factor is
+  1, so the interior matrix splits exactly as ``(L_h - sigma I) + diag(d)``,
+  ``d = sigma - omega^2 c``. The preconditioner solves with the first term,
+  so the product ``w`` of that term with the search direction ``p`` follows
+  from the residual ``r`` by the recurrence ``w <- r + beta w`` (the idea of
+  Eisenstat 1981 for SSOR), and the matrix times ``p`` is ``w + d p``. The
+  residual check of :func:`solve_dirichlet` still applies the interior
+  matrix, once per solve. All nonzero columns of a block iterate together,
+  each as one C-ordered row of a ``(k, n_interior)`` block, so that every
+  per-column scalar broadcasts along a row of length ``n_interior``. The
+  loop has one exit: the last column within ``CG_RTOL``, or the cap. The
+  residuals, the directions, ``w`` and the two blocks of the transforms
+  are one set of five work blocks that each grid keeps in a pool for as
+  long as it lives: a solve borrows a set and returns it, and a nested or
+  concurrent solve on the same grid borrows a set of its own. So once a
+  grid has solved, the CG loop allocates only its result, which is the
+  iterate itself, and the memory of the blocks is not handed back to the
+  system and faulted in again on the next solve.
 * Sparse LU, for every other system: every 2D system, and every 3D system
   outside the certificate (where the matrix may be indefinite). The
   interior matrix is factorized once and reused across right-hand sides. It
@@ -74,19 +83,20 @@ one per system:
 
 CPU time on a 2-vCPU Xeon VM with one BLAS thread, unit box, coefficients
 uniform in [0.25, 1] with largest value B2, omega = 2 pi 0.45 unless given,
-4 random draws each in two runs (the 128^2 CG row calls the CG loop
-directly):
+random boundary data, 4 random draws each in two runs (the CG column is
+the whole CG solve of :func:`solve_dirichlet`, residual check included;
+the 128^2 CG row calls the CG loop directly):
 
     problem                            CG                       LU factor + solve
-    24^3, 9 columns                    0.02-0.04 s, 5-6 iter.   0.38-0.42 + 0.02-0.03 s
+    24^3, 9 columns                    0.010-0.013 s, 5-6 iter. 0.38-0.42 + 0.02-0.03 s
     24^3, 9 columns, omega^2 B2
-      = 0.999 lambda_h,1               0.03-0.05 s, 7 iter.     0.37-0.47 + 0.03 s
-    32^3, 9 columns                    0.06-0.09 s, 5 iter.     3.8 + 0.13 s
-    128^2, 60 columns                  0.30-0.44 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
+      = 0.999 lambda_h,1               0.012-0.013 s, 7 iter.   0.37-0.47 + 0.03 s
+    32^3, 9 columns                    0.028-0.029 s, 5 iter.   3.8 + 0.13 s
+    128^2, 60 columns                  0.16-0.18 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
 
 In 2D the LU has little fill (0.65 M nonzeros at 128^2, against 3.3 M at
 24^3 and 13 M at 32^3), so LU stays faster there and 2D keeps LU. The CG
-path needs only numpy and the sparse product, so it loads no further module.
+path needs only numpy, so it loads no further module.
 
 :func:`solve_dirichlet` takes one right-hand side (``g`` of shape
 ``(n_boundary,)``, ``f`` of shape ``(n_interior,)``) or a block of ``k`` of
@@ -412,11 +422,13 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     outside ``_NORM_RANGE`` is scaled once, before the method is chosen, by
     the power of two of :func:`_far_column_exponents`; either method solves
     the scaled block, the residual check judges it, and only then are those
-    solution columns scaled back. Every column must reach a residual of
-    ``SOLVER_RTOL`` relative to its own right-hand side, otherwise
-    :class:`NumericalFailureError` reports the worst column at the caller's
-    scale; a non-finite residual always fails. The boundary trace of the
-    result equals ``g`` exactly.
+    solution columns scaled back. A column whose right-hand side overflows
+    although ``g`` and ``f`` are finite is refused before either method
+    runs, with a :class:`NumericalFailureError` that names it. Every column
+    must reach a residual of ``SOLVER_RTOL`` relative to its own right-hand
+    side, otherwise :class:`NumericalFailureError` reports the worst column
+    at the caller's scale; a non-finite residual always fails. The boundary
+    trace of the result equals ``g`` exactly.
     """
     grid = sys.grid
     g = np.asarray(g, dtype=float)
@@ -439,22 +451,30 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     b = rhs.reshape(grid.n_interior, -1)
     rhs_norm = np.sqrt(_column_dots(b, b))
     scale = _far_column_exponents(b, rhs_norm)
+    # finite data whose right-hand side overflowed: no scale helps
+    overflowed = np.flatnonzero(~np.isfinite(rhs_norm))
+    if overflowed.size:
+        details = {"rhs_norm": float(rhs_norm[overflowed[0]])}
+        if g.ndim == 2:
+            details["column"] = int(overflowed[0])
+        raise NumericalFailureError("right-hand side is not finite", details)
 
     plan = _cg_plan(sys)
     if plan is None:
-        # the LU solve returns Fortran order; the sparse product below would
-        # copy it to C order, so copy it once here and keep only that copy
-        u_i = np.ascontiguousarray(sys.factorization.solve(rhs))
+        u_i = sys.factorization.solve(rhs)
         method = "direct solve"
     else:
         u_i = _cg_solve(sys, rhs, *plan)
         method = "preconditioned CG solve"
+    # both methods return Fortran order; the sparse product below would copy
+    # it to C order, so copy it once here and keep only that copy
+    u_i = np.ascontiguousarray(u_i)
     residual = sys.interior_matrix.dot(u_i).reshape(b.shape)
     residual -= b
     residual = np.sqrt(_column_dots(residual, residual))
     # a zero right-hand side has the zero solution; no relative target applies.
     # Written as "not within target" so that a NaN residual fails too, and an
-    # infinite one (a right-hand side that overflowed) as well.
+    # infinite one as well.
     solved = rhs_norm != 0
     failing = np.flatnonzero(solved & ~((residual <= SOLVER_RTOL * rhs_norm)
                                         & np.isfinite(residual)))
@@ -561,41 +581,53 @@ def _sine_matrix(m: int) -> np.ndarray:
 
 
 def _sine_transform(v: np.ndarray, sines, work) -> np.ndarray:
-    """Orthonormal DST-I over the interior lattice of every column of the
-    ``(n_interior, k)`` block ``v``.
+    """Orthonormal DST-I over the interior lattice of every row of the
+    ``(k, n_interior)`` block ``v``.
 
     The nodes run x-fastest, so the C-ordered block is the lattice
-    ``(n_z, .., n_x, k)``. ``sines`` holds one :func:`_sine_matrix` per axis in
-    that order, slowest first, and each is applied by one matrix product
-    over the lattice viewed as ``(lead, m_a, rest)``, without a transpose.
-    The products are written alternately into ``work``, a pair of flat
-    arrays of at least ``v.size`` entries, beginning with ``work[0]``; the
-    result is a view of one of them. If ``work[0]`` holds ``v``, numpy copies
+    ``(k, n_z, .., n_x)``. ``sines`` holds one :func:`_sine_matrix` per axis
+    in that order, slowest first. Every axis but the fastest is applied by
+    one batched matrix product over the block viewed as ``(lead, m_a,
+    rest)``: one product per row for the slowest axis, one per row and
+    slower index for a middle one. The fastest axis is one product per row
+    from the right, over the block viewed as ``(k, rest, m_x)``, since the
+    sine matrices are symmetric; at these sizes OpenBLAS runs that faster
+    than one product over all rows. No product needs a transpose. The
+    products are written alternately into ``work``, a pair of flat arrays
+    of at least ``v.size`` entries, beginning with ``work[0]``; the result
+    is a view of one of them. If ``work[0]`` holds ``v``, numpy copies
     ``v`` before the first product.
     """
-    z, lead = v, 1
+    rows = v.shape[0]
+    z, lead = v, rows
     for i, s in enumerate(sines):
         m = s.shape[0]
-        z = np.matmul(s, z.reshape(lead, m, -1),
-                      out=work[i % 2][:v.size].reshape(lead, m, -1))
-        lead *= m
+        out = work[i % 2][:v.size]
+        if i < len(sines) - 1:
+            z = np.matmul(s, z.reshape(lead, m, -1),
+                          out=out.reshape(lead, m, -1))
+            lead *= m
+        else:
+            z = np.matmul(z.reshape(rows, -1, m), s,
+                          out=out.reshape(rows, -1, m))
     return z.reshape(v.shape)
 
 
 def _fast_poisson(grid: BoxGrid, sigma: float, work):
-    """``(L_h - sigma I)^-1`` on ``(n_interior, k)`` blocks, applied exactly
-    by the orthonormal DST-I over the interior lattice, which diagonalizes
-    ``L_h``: one :func:`_sine_matrix` per axis, applied by
-    :func:`_sine_transform`, around a division by :func:`stencil_eigenvalues`
-    minus ``sigma``, both read from the grid's
+    """``(L_h - sigma I)^-1`` on ``(k, n_interior)`` blocks, one right-hand
+    side per row, applied exactly by the orthonormal DST-I over the interior
+    lattice, which diagonalizes ``L_h``: one :func:`_sine_matrix` per axis,
+    applied by :func:`_sine_transform`, around a division of every row by
+    :func:`stencil_eigenvalues` minus ``sigma``, both read from the grid's
     :meth:`_GridOperators.fast_poisson_factors`. ``sigma`` must lie below
     ``lambda_h,1``. The transforms run in ``work``, a pair of flat arrays
-    that each hold a block, and the result is a view of one of them, valid
-    until the next call."""
+    that each hold a block. The result is a view of ``work[1]``, valid until
+    the next call, and ``work[0]`` is free again on return."""
     sines, eigenvalues = _grid_operators(grid).fast_poisson_factors(grid)
-    inverse = (1.0 / (eigenvalues - sigma))[:, None]
+    inverse = 1.0 / (eigenvalues - sigma)
     # the first transform ends in work[(len(sines) - 1) % 2]; the second
-    # begins in the other block, so that numpy need not copy its input
+    # begins in the other block, so that numpy need not copy its input, and
+    # so ends in work[1]
     second = work[::-1] if len(sines) % 2 else work
 
     def precondition(r):
@@ -606,75 +638,99 @@ def _fast_poisson(grid: BoxGrid, sigma: float, work):
     return precondition
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_j u[i, j] v[i, j]`` for every row i of two ``(k, n)`` blocks, one
+    BLAS dot product per row, without a temporary block."""
+    return np.matmul(u[:, None, :], v[:, :, None]).reshape(u.shape[0])
+
+
 def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
               cap: int) -> np.ndarray:
     """Interior solution of every column of ``rhs`` by CG preconditioned with
     :func:`_fast_poisson`; :func:`solve_dirichlet` hands it every nonzero
     finite column with its norm inside ``_NORM_RANGE``. The columns share
-    each sparse product and transform but keep their own step lengths. A zero
-    column is left out and solved by zero, and so is a non-finite one, for
-    the residual check of :func:`solve_dirichlet` to fail; all other columns
-    iterate together until the last of them is within ``CG_RTOL`` of its
-    right-hand side, or for ``cap`` iterations. A NaN residual ends the loop
-    as well, for the residual check to report.
+    each transform but keep their own step lengths. A zero column is left
+    out and solved by zero; all other columns iterate together until the
+    last of them is within ``CG_RTOL`` of its right-hand side, or for ``cap``
+    iterations. A NaN residual ends the loop as well, for the residual check
+    of :func:`solve_dirichlet` to report.
 
-    The iterates, residuals and directions, and the two work blocks of the
-    transforms, which then take the steps of the iterate and the residual,
-    are one set of flat arrays from the grid's pool,
+    The loop applies no sparse matrix: with the splitting of the module
+    docstring, ``w = (L_h - sigma I) p`` follows ``w <- r + beta w`` and the
+    matrix times ``p`` is ``w + d p``, ``d = sigma - omega^2 c``. The
+    recurrence drifts from the true product by rounding only, and the
+    residual check of :func:`solve_dirichlet` applies the true matrix.
+
+    The blocks run transposed, one right-hand side per C-ordered row. The
+    residuals, directions and ``w``, and the two work blocks of the
+    transforms, are one set of five flat arrays from the grid's pool,
     ``_GridOperators.cg_blocks``: the call takes a set out (a new one when
     the pool is empty or the set has too few columns) and puts it back on
     return, so the pool keeps one solve's blocks for as long as the grid
     lives, and a nested or concurrent solve on the same grid works in a set
-    of its own. So after the grid's first solve, a call allocates only its
-    result, which shares no memory with the pool, and one sparse product per
-    iteration."""
+    of its own. The spent preconditioned residual takes ``A p`` and the
+    other work block the steps. The iterate is the call's own result block,
+    returned transposed (Fortran-ordered) and sharing no memory with the
+    pool. So after the grid's first solve, a call allocates that block and a
+    few vectors of ``n_interior`` entries, and one more block only when some
+    columns are zero."""
     b = rhs.reshape(rhs.shape[0], -1)
-    n = b.shape[0]
-    out = np.zeros_like(b)
-    norms = np.sqrt(_column_dots(b, b))
-    active = np.flatnonzero(norms > CG_RTOL * norms)
-    target = CG_RTOL * norms[active]
-    k = active.size
+    n, columns = b.shape
     pool = _grid_operators(sys_.grid).cg_blocks
     try:
         blocks = pool.pop()
     except IndexError:  # first solve, or the set is out on loan
         blocks = None
-    if blocks is None or blocks[0].size < n * k:
-        blocks = tuple(np.empty(n * k) for _ in range(5))
-    r, x, p = (buf[:n * k].reshape(n, k) for buf in blocks[:3])
+    if blocks is None or blocks[0].size < n * columns:
+        blocks = tuple(np.empty(n * columns) for _ in range(5))
+    r = blocks[0][:n * columns].reshape(columns, n)
+    r[...] = b.T
+    norms = np.sqrt(_row_dots(r, r))
+    active = np.flatnonzero(norms > CG_RTOL * norms)
+    target = CG_RTOL * norms[active]
+    k = active.size
+    if k < columns:  # the active rows move up, through a copy
+        r[:k] = r[active]
+        r = r[:k]
+    p, w = (buf[:n * k].reshape(k, n) for buf in blocks[1:3])
     work = blocks[3:]
+    spare = work[0][:n * k].reshape(k, n)
+    out = np.zeros((columns, n))
+    x = out if k == columns else np.zeros((k, n))
 
     precondition = _fast_poisson(sys_.grid, sigma, work)
-    # take() buffers its out block unless mode is "clip"
-    np.take(b, active, axis=1, mode="clip", out=r)
-    x.fill(0.0)
+    d = sigma - sys_.omega2 * sys_.node_coeff[sys_.grid.interior_nodes]
     rz = None
     iterations = 0
     while k and iterations < cap:
         z = precondition(r)
-        rz_next = _column_dots(r, z)
+        rz_next = _row_dots(r, z)
         if rz is None:
             p[...] = z
+            w[...] = r
         else:
-            p *= rz_next / rz
+            beta = (rz_next / rz)[:, None]
+            p *= beta
             p += z
+            w *= beta
+            w += r
         rz = rz_next
-        q = sys_.interior_matrix.dot(p)
-        alpha = rz / _column_dots(p, q)
-        # z is spent; its work block takes the steps
-        x += np.multiply(alpha, p, out=z)
-        r -= np.multiply(alpha, q, out=z)
-        del q  # before the next product is allocated
+        # z is spent; its block takes A p
+        q = np.multiply(d, p, out=z)
+        q += w
+        alpha = (rz / _row_dots(p, q))[:, None]
+        x += np.multiply(alpha, p, out=spare)
+        r -= np.multiply(alpha, q, out=spare)
         iterations += 1
-        residual = np.sqrt(_column_dots(r, r))
+        residual = np.sqrt(_row_dots(r, r))
         if np.isnan(residual).any() or np.all(residual <= target):
             break
-    out[:, active] = x
+    if x is not out:
+        out[active] = x
     pool.append(blocks)
-    solve_counts["cg_columns"] += b.shape[1]
+    solve_counts["cg_columns"] += columns
     solve_counts["cg_iterations"] += iterations
-    return out.reshape(rhs.shape)
+    return out.T.reshape(rhs.shape)
 
 
 def _normal_stencil(grid: BoxGrid):
