@@ -41,27 +41,44 @@ one per system:
   over the interior node coefficients, with ``lambda_h,1`` the smallest
   analytic eigenvalue of the stencil (:func:`stencil_eigenvalues`). In the
   first admissible window (:mod:`spectrum`) every admissible system passes.
-  The preconditioner is the shifted constant-coefficient stencil
-  ``L_h - sigma I``, ``sigma = omega^2 (c_min + c_max) / 2``, inverted exactly
-  by the orthonormal type-I discrete sine transform (DST-I), which
-  diagonalizes ``L_h`` (fast-Poisson preconditioning, Concus & Golub 1973).
-  The DST-I of length m is the symmetric, involutory matrix
-  ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))``; the transform applies one such
+  The preconditioner is the stencil shifted by one value per interior depth
+  layer (the depth axis is the last), ``P = L_h - diag(s)``, with
+  ``s = omega^2 (min + max) / 2`` over the layer's node coefficients: a
+  depth-dependent reference medium, inverted exactly by separation of
+  variables (Plessix & Mulder 2003; fast-Poisson preconditioning, Concus &
+  Golub 1973, is the case of one shift). The orthonormal type-I discrete
+  sine transform (DST-I) diagonalizes the second difference of each
+  lateral axis, and the eigenvectors ``Q`` of the depth factor
+  ``D_zz - diag(s)``, from one small ``eigh`` per system, diagonalize the
+  depth axis. So ``P^-1`` applies ``Q^T`` and the DST-I, divides by the
+  eigenvalue lattice ``theta + lambda_y + lambda_x`` and applies ``Q`` and
+  the DST-I back. The DST-I of length m is the symmetric, involutory matrix
+  ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))``; the transform applies one
   matrix per axis by BLAS matrix products over the block viewed in place,
   which at these sizes (m up to about 100) beats an FFT. The interior
-  matrix differs from the preconditioner by a diagonal of norm at most
-  ``omega^2 (c_max - c_min) / 2``, so with
-  ``delta = omega^2 (c_max - c_min) / 2 / (lambda_h,1 - sigma) < 1`` the
-  preconditioned condition number is at most ``(1 + delta) / (1 - delta)``;
-  the iteration cap follows from that bound. No LU is computed, and the
-  loop applies no sparse matrix. On interior rows every trapezoid factor is
-  1, so the interior matrix splits exactly as ``(L_h - sigma I) + diag(d)``,
-  ``d = sigma - omega^2 c``. The preconditioner solves with the first term,
-  so the product ``w`` of that term with the search direction ``p`` follows
-  from the residual ``r`` by the recurrence ``w <- r + beta w`` (the idea of
-  Eisenstat 1981 for SSOR), and the matrix times ``p`` is ``w + d p``. The
-  residual check of :func:`solve_dirichlet` still applies the interior
-  matrix, once per solve. All nonzero columns of a block iterate together,
+  matrix differs from ``P`` by the diagonal ``d = s - omega^2 c``, of norm
+  at most the largest layer spread ``omega^2 (max - min) / 2``, and
+  ``lambda_min(P) = theta_1 + lambda_y,1 + lambda_x,1`` exactly; with
+  ``delta`` the spread over ``lambda_min(P)``, the preconditioned condition
+  number is at most ``(1 + delta) / (1 - delta)``, and the iteration cap
+  follows from that bound. The plan of a system (:func:`_cg_plan`, built on
+  its first solve) also tries the constant shift ``omega^2 (c_min + c_max)
+  / 2`` over all nodes, the case of equal layer shifts in the same code,
+  and keeps the profile with the smaller ``delta``. So no system gets a
+  larger cap than the constant shift would give it, and a coefficient that
+  depends on depth only, as both model generators and their projections
+  onto cubical blocks do, has ``delta = 0`` and takes one iteration. No LU
+  is computed, and the loop applies no sparse matrix. On interior rows
+  every trapezoid factor is 1, so the interior matrix splits exactly as
+  ``P + diag(d)``. The preconditioner solves with ``P``, so the product
+  ``w`` of ``P`` with the search direction ``p`` follows from the residual
+  ``r`` by the recurrence ``w <- r + beta w`` (the idea of Eisenstat 1981
+  for SSOR), and the matrix times ``p`` is ``w + d p``. The residual check
+  of :func:`solve_dirichlet` still applies the interior matrix, once per
+  solve; the columns that miss ``SOLVER_RTOL`` get one more CG solve on
+  their true residual, and a second product. Near the window edge that
+  pass is what one exact step needs: its rounding is amplified by the
+  nearly singular matrix. All nonzero columns of a block iterate together,
   each as one C-ordered row of a ``(k, n_interior)`` block, so that every
   per-column scalar broadcasts along a row of length ``n_interior``. The
   loop has one exit: the last column within ``CG_RTOL``, or the cap. The
@@ -82,16 +99,21 @@ one per system:
   factorization and solve time.
 
 CPU time on a 2-vCPU Xeon VM with one BLAS thread, unit box, coefficients
-uniform in [0.25, 1] with largest value B2, omega = 2 pi 0.45 unless given,
-random boundary data, 4 random draws each in two runs (the CG column is
-the whole CG solve of :func:`solve_dirichlet`, residual check included;
-the 128^2 CG row calls the CG loop directly):
+uniform in [0.25, 1] with largest value B2 or the two-layer model (1 and
+2 m/s, interface at depth 0.5), omega = 2 pi 0.45 unless given, random
+boundary data, 4 random draws each in two runs (the CG column is the whole
+CG solve of :func:`solve_dirichlet` on a system that has its plan,
+residual check included; building a plan takes 0.1-0.5 ms at these sizes.
+The 128^2 CG row, measured before the layered preconditioner, ran the CG
+loop directly with a constant shift):
 
     problem                            CG                       LU factor + solve
-    24^3, 9 columns                    0.010-0.013 s, 5-6 iter. 0.38-0.42 + 0.02-0.03 s
+    24^3, 9 columns                    0.008-0.012 s, 5 iter.   0.38-0.42 + 0.02-0.03 s
     24^3, 9 columns, omega^2 B2
-      = 0.999 lambda_h,1               0.012-0.013 s, 7 iter.   0.37-0.47 + 0.03 s
-    32^3, 9 columns                    0.028-0.029 s, 5 iter.   3.8 + 0.13 s
+      = 0.999 lambda_h,1               0.010-0.014 s, 7 iter.   0.37-0.47 + 0.03 s
+    32^3, 9 columns                    0.025-0.037 s, 5 iter.   3.8 + 0.13 s
+    24^3, 9 columns, two-layer         0.003-0.006 s, 1 iter.
+    32^3, 9 columns, two-layer         0.007-0.020 s, 1 iter.
     128^2, 60 columns                  0.16-0.18 s, 5 iter.     0.05-0.06 + 0.09-0.11 s
 
 In 2D the LU has little fill (0.65 M nonzeros at 128^2, against 3.3 M at
@@ -126,13 +148,15 @@ One boundary extractor serves each data convention:
 No module keeps a system. :func:`assemble` builds a new one on every call,
 and the LU of a system, computed on its first direct solve, lives exactly as
 long as the system does: it is freed together with the system once its caller
-lets go of it. The grid keeps what does not depend on the coefficient: the
-stiffness blocks above, the trapezoid volumes and the normal-derivative
-stencil, built on first use and dropped together with the grid, with nothing
-to reset. ``forward.forward_map`` keeps the DtN rows that a campaign reuses,
-not the systems that solved them. :data:`solve_counts` counts the LUs
+lets go of it. So does the CG plan of a 3D system, built on its first solve.
+The grid keeps what does not depend on the coefficient: the stiffness blocks
+above, the trapezoid volumes and the normal-derivative stencil, built on
+first use and dropped together with the grid, with nothing to reset.
+``forward.forward_map`` keeps the DtN rows that a campaign reuses, not the
+systems that solved them. :data:`solve_counts` counts the LUs
 computed (``factorizations``) and the columns solved by CG (``cg_columns``)
-with the iterations of their block solves (``cg_iterations``), and keeps the
+with the iterations of their block solves and refinement passes
+(``cg_iterations``), and keeps the
 largest residual, relative to its right-hand side, of any column that
 :func:`solve_dirichlet` accepted (``worst_residual``);
 ``forward.cache_info`` reports them and ``forward.clear_caches`` resets them.
@@ -144,6 +168,7 @@ import itertools
 import warnings
 import weakref
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,8 +198,9 @@ CG_RTOL = 1e-14
 POINTS_PER_WAVELENGTH_MIN = 8.0
 
 # LUs computed and columns solved by CG, with the iterations of their block
-# solves, and the largest relative residual of a column that solve_dirichlet
-# accepted; read by forward.cache_info and reset by forward.clear_caches
+# solves and refinement passes, and the largest relative residual of a
+# column that solve_dirichlet accepted; read by forward.cache_info and reset
+# by forward.clear_caches
 solve_counts = {"factorizations": 0, "cg_columns": 0, "cg_iterations": 0,
                 "worst_residual": 0.0}
 
@@ -301,16 +327,21 @@ class _GridOperators:
             arr.setflags(write=False)
 
     def fast_poisson_factors(self, grid: BoxGrid):
-        """``(sines, eigenvalues)`` of :func:`_fast_poisson` on ``grid``, the
-        grid of these operators: one :func:`_sine_matrix` per axis, slowest
-        first, and :func:`stencil_eigenvalues`, read-only and built on first
-        call (only the CG path of a 3D grid asks)."""
+        """``(sines, depth)`` of :func:`_cg_plan` on ``grid``, the grid of
+        these operators: one :func:`_sine_matrix` per axis but the depth
+        axis (the last, slowest in the lattice), slowest first, and the
+        depth axis's second difference ``[-1, 2, -1] / h^2`` on its interior
+        nodes as a dense matrix; read-only and built on first call (only the
+        CG path of a 3D grid asks)."""
         if self._fast_poisson_factors is None:
-            sines = [_sine_matrix(n - 1) for n in reversed(grid.cells_per_axis)]
-            eigenvalues = stencil_eigenvalues(grid)
-            for arr in (*sines, eigenvalues):
+            sines = [_sine_matrix(n - 1)
+                     for n in reversed(grid.cells_per_axis[:-1])]
+            m, h = grid.cells_per_axis[-1] - 1, grid.spacing[-1]
+            depth = (2.0 * np.eye(m) - np.eye(m, k=1)
+                     - np.eye(m, k=-1)) / (h * h)
+            for arr in (*sines, depth):
                 arr.setflags(write=False)
-            self._fast_poisson_factors = sines, eigenvalues
+            self._fast_poisson_factors = sines, depth
         return self._fast_poisson_factors
 
 
@@ -367,6 +398,12 @@ class HelmholtzSystem:
                              self.grid.boundary_nodes)
         rows.data *= self.grid.cell_volume()
         return rows
+
+    @cached_property
+    def _plan(self):
+        """The :func:`_cg_plan` of this system (None: LU), built on its first
+        solve and kept as long as the system."""
+        return _cg_plan(self)
 
     @property
     def factorization(self):
@@ -426,9 +463,11 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
     although ``g`` and ``f`` are finite is refused before either method
     runs, with a :class:`NumericalFailureError` that names it. Every column
     must reach a residual of ``SOLVER_RTOL`` relative to its own right-hand
-    side, otherwise :class:`NumericalFailureError` reports the worst column
-    at the caller's scale; a non-finite residual always fails. The boundary
-    trace of the result equals ``g`` exactly.
+    side; on the CG path, the columns that miss it first get one more CG
+    solve on their true residual, whose solution corrects them. A column
+    that still misses makes :class:`NumericalFailureError` report the worst
+    column at the caller's scale; a non-finite residual always fails. The
+    boundary trace of the result equals ``g`` exactly.
     """
     grid = sys.grid
     g = np.asarray(g, dtype=float)
@@ -459,46 +498,65 @@ def solve_dirichlet(sys: HelmholtzSystem, g, f=None) -> np.ndarray:
             details["column"] = int(overflowed[0])
         raise NumericalFailureError("right-hand side is not finite", details)
 
-    plan = _cg_plan(sys)
+    plan = sys._plan
     if plan is None:
         u_i = sys.factorization.solve(rhs)
         method = "direct solve"
     else:
-        u_i = _cg_solve(sys, rhs, *plan)
+        u_i = _cg_solve(sys, rhs, plan)
+        solve_counts["cg_columns"] += b.shape[1]
         method = "preconditioned CG solve"
     # both methods return Fortran order; the sparse product below would copy
     # it to C order, so copy it once here and keep only that copy
     u_i = np.ascontiguousarray(u_i)
+    x = u_i.reshape(b.shape)  # a view: u_i is C-ordered
     residual = sys.interior_matrix.dot(u_i).reshape(b.shape)
     residual -= b
-    residual = np.sqrt(_column_dots(residual, residual))
-    # a zero right-hand side has the zero solution; no relative target applies.
-    # Written as "not within target" so that a NaN residual fails too, and an
-    # infinite one as well.
-    solved = rhs_norm != 0
-    failing = np.flatnonzero(solved & ~((residual <= SOLVER_RTOL * rhs_norm)
-                                        & np.isfinite(residual)))
+    residual_norm = np.sqrt(_column_dots(residual, residual))
+    failing = _missed_target(residual_norm, rhs_norm)
+    if failing.size and plan is not None:
+        # one refinement pass: CG on the true residual A x - b of the
+        # columns that missed, whose solution is the error of x
+        x[:, failing] -= _cg_solve(sys, residual[:, failing], plan)
+        residual = sys.interior_matrix.dot(x[:, failing])
+        residual -= b[:, failing]
+        residual_norm[failing] = np.sqrt(_column_dots(residual, residual))
+        failing = _missed_target(residual_norm, rhs_norm)
+    # the residual and right-hand-side blocks are spent; the field below
+    # takes their memory
+    del residual, rhs, b
     if failing.size:
-        j = int(failing[np.argmax(residual[failing] / rhs_norm[failing])])
+        j = int(failing[np.argmax(residual_norm[failing] / rhs_norm[failing])])
         rhs_j = float(np.ldexp(rhs_norm[j], scale[j]))
-        details = {"residual": float(np.ldexp(residual[j], scale[j])),
+        details = {"residual": float(np.ldexp(residual_norm[j], scale[j])),
                    "rhs_norm": rhs_j, "target": SOLVER_RTOL * rhs_j}
         if g.ndim == 2:
             details["column"] = j
         raise NumericalFailureError(f"{method} missed the residual target",
                                     details)
+    solved = rhs_norm != 0
     solve_counts["worst_residual"] = float(np.max(
-        residual[solved] / rhs_norm[solved],
+        residual_norm[solved] / rhs_norm[solved],
         initial=solve_counts["worst_residual"]))
     scaled = np.flatnonzero(scale)
     if scaled.size:
-        x = u_i.reshape(b.shape)  # a view: u_i is C-ordered
         x[:, scaled] = np.ldexp(x[:, scaled], scale[scaled])
 
     u = np.empty((grid.n_nodes,) + g.shape[1:])
     u[grid.interior_nodes] = u_i
     u[grid.boundary_nodes] = g
     return u
+
+
+def _missed_target(residual_norm: np.ndarray,
+                   rhs_norm: np.ndarray) -> np.ndarray:
+    """Columns whose residual norm is not within ``SOLVER_RTOL`` of their
+    right-hand side's norm. A zero right-hand side has the zero solution,
+    and no relative target applies. Written as "not within target", so that
+    a NaN residual fails too, and an infinite one as well."""
+    within = (residual_norm <= SOLVER_RTOL * rhs_norm) \
+        & np.isfinite(residual_norm)
+    return np.flatnonzero((rhs_norm != 0) & ~within)
 
 
 # A column whose norm lies in this range keeps every sum of squares of its CG
@@ -551,25 +609,74 @@ def _cg_iteration_cap(delta: float, kappa: float) -> int:
     return max(1, int(np.ceil(need)))
 
 
+class _CgPlan(NamedTuple):
+    """The preconditioner of one system's CG solves, from :func:`_cg_plan`:
+    ``P = L_h - diag(s)`` with one shift per interior depth layer, which
+    the orthonormal eigenvectors ``q`` of the depth factor and the sine
+    matrices of the other axes diagonalize. ``inverse`` holds the
+    reciprocal eigenvalues of ``P`` over the interior lattice, x fastest,
+    ``d = s - omega^2 c`` the diagonal by which the interior matrix exceeds
+    ``P`` on every interior node, and ``delta`` and ``kappa`` the arguments
+    of :func:`_cg_iteration_cap`."""
+
+    q: np.ndarray
+    inverse: np.ndarray
+    d: np.ndarray
+    delta: float
+    kappa: float
+
+
 def _cg_plan(sys_: HelmholtzSystem):
-    """``(sigma, cap)`` of the preconditioned CG solve of a 3D system whose
-    interior matrix is certified positive definite,
-    ``omega^2 max c < lambda_h,1``, the first of :func:`stencil_eigenvalues`;
-    None for every other system."""
+    """The :class:`_CgPlan` of a 3D system whose interior matrix is
+    certified positive definite, ``omega^2 max c < lambda_h,1`` over the
+    interior node coefficients; None for every other system.
+
+    The depth factor ``D_zz - diag(s)`` of ``P`` (module docstring) gets
+    one ``eigh``. Of the two shift profiles, per layer and constant, the
+    plan takes the one with the smaller ``delta``, the layered one on a
+    tie. The constant profile always certifies ``delta < 1``; only the
+    rounding of ``theta_1`` can break that, for ``omega^2 max c`` within
+    rounding of ``lambda_h,1``, and then the system goes to LU. ``d`` is
+    written into the copy of the interior coefficients, the shift
+    broadcast along each layer, and ``inverse`` into the eigenvalue
+    lattice, so the plan keeps two arrays of ``n_interior`` entries and
+    makes no other of that size."""
     grid = sys_.grid
     if grid.dim != 3:
         return None
-    c = sys_.node_coeff[grid.interior_nodes]
-    c_min, c_max = float(c.min()), float(c.max())
-    _, lam = _grid_operators(grid).fast_poisson_factors(grid)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    _, depth = _grid_operators(grid).fast_poisson_factors(grid)
+    lam_x, lam_y, lam_z = axis_eigenvalues(grid)
     w2 = sys_.omega2
+    # the copy becomes d below
+    d = sys_.node_coeff[grid.interior_nodes]
+    layers = d.reshape(lam_z.size, -1)
+    lo, hi = layers.min(axis=1), layers.max(axis=1)
+    c_min, c_max = float(lo.min()), float(hi.max())
+    lam_min = lam_z[0] + (lam_y[0] + lam_x[0])
     if not w2 * c_max < lam_min:
         return None
-    sigma = 0.5 * w2 * (c_min + c_max)
-    delta = 0.5 * w2 * (c_max - c_min) / (lam_min - sigma)
+    best = None
+    for shift, spread in (
+            (0.5 * w2 * (lo + hi), 0.5 * w2 * float(np.max(hi - lo))),
+            (np.full(lo.size, 0.5 * w2 * (c_min + c_max)),
+             0.5 * w2 * (c_max - c_min))):
+        theta, q = np.linalg.eigh(depth - np.diag(shift))
+        margin = theta[0] + (lam_y[0] + lam_x[0])
+        delta = spread / margin if margin > 0.0 else np.inf
+        if best is None or delta < best[0]:
+            best = delta, shift, theta, q
+        if delta == 0.0:
+            break
+    delta, shift, theta, q = best
+    if not delta < 1.0:
+        return None
+    inverse = _lattice(np.add, [lam_x, lam_y, theta])
+    np.reciprocal(inverse, out=inverse)
+    layers *= -w2
+    layers += shift[:, None]
+    lam_max = lam_z[-1] + (lam_y[-1] + lam_x[-1])
     kappa = (lam_max - w2 * c_min) / (lam_min - w2 * c_max)
-    return sigma, _cg_iteration_cap(delta, kappa)
+    return _CgPlan(q, inverse, d, float(delta), float(kappa))
 
 
 def _sine_matrix(m: int) -> np.ndarray:
@@ -580,30 +687,32 @@ def _sine_matrix(m: int) -> np.ndarray:
     return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * np.outer(k, k))
 
 
-def _sine_transform(v: np.ndarray, sines, work) -> np.ndarray:
-    """Orthonormal DST-I over the interior lattice of every row of the
-    ``(k, n_interior)`` block ``v``.
+def _sine_transform(v: np.ndarray, matrices, work) -> np.ndarray:
+    """One orthonormal matrix per axis over the interior lattice of every
+    row of the ``(k, n_interior)`` block ``v``.
 
     The nodes run x-fastest, so the C-ordered block is the lattice
-    ``(k, n_z, .., n_x)``. ``sines`` holds one :func:`_sine_matrix` per axis
-    in that order, slowest first. Every axis but the fastest is applied by
-    one batched matrix product over the block viewed as ``(lead, m_a,
-    rest)``: one product per row for the slowest axis, one per row and
-    slower index for a middle one. The fastest axis is one product per row
-    from the right, over the block viewed as ``(k, rest, m_x)``, since the
-    sine matrices are symmetric; at these sizes OpenBLAS runs that faster
-    than one product over all rows. No product needs a transpose. The
-    products are written alternately into ``work``, a pair of flat arrays
-    of at least ``v.size`` entries, beginning with ``work[0]``; the result
-    is a view of one of them. If ``work[0]`` holds ``v``, numpy copies
-    ``v`` before the first product.
+    ``(k, n_z, .., n_x)``. ``matrices`` holds one matrix per axis in that
+    order, slowest first: any square matrix for the slowest axis, a
+    symmetric one (a :func:`_sine_matrix`) for every other. Every axis but
+    the fastest is applied by one batched matrix product from the left
+    over the block viewed as ``(lead, m_a, rest)``: one product per row for
+    the slowest axis, one per row and slower index for a middle one. The
+    fastest axis is one product per row from the right, over the block
+    viewed as ``(k, rest, m_x)``, which is the product from the left only
+    because its matrix is symmetric; at these sizes OpenBLAS runs that
+    faster than one product over all rows. No product needs a transpose.
+    The products are written alternately into ``work``, a pair of flat
+    arrays of at least ``v.size`` entries, beginning with ``work[0]``; the
+    result is a view of one of them. If ``work[0]`` holds ``v``, numpy
+    copies ``v`` before the first product.
     """
     rows = v.shape[0]
     z, lead = v, rows
-    for i, s in enumerate(sines):
+    for i, s in enumerate(matrices):
         m = s.shape[0]
         out = work[i % 2][:v.size]
-        if i < len(sines) - 1:
+        if i < len(matrices) - 1:
             z = np.matmul(s, z.reshape(lead, m, -1),
                           out=out.reshape(lead, m, -1))
             lead *= m
@@ -613,27 +722,28 @@ def _sine_transform(v: np.ndarray, sines, work) -> np.ndarray:
     return z.reshape(v.shape)
 
 
-def _fast_poisson(grid: BoxGrid, sigma: float, work):
-    """``(L_h - sigma I)^-1`` on ``(k, n_interior)`` blocks, one right-hand
-    side per row, applied exactly by the orthonormal DST-I over the interior
-    lattice, which diagonalizes ``L_h``: one :func:`_sine_matrix` per axis,
-    applied by :func:`_sine_transform`, around a division of every row by
-    :func:`stencil_eigenvalues` minus ``sigma``, both read from the grid's
-    :meth:`_GridOperators.fast_poisson_factors`. ``sigma`` must lie below
-    ``lambda_h,1``. The transforms run in ``work``, a pair of flat arrays
-    that each hold a block. The result is a view of ``work[1]``, valid until
-    the next call, and ``work[0]`` is free again on return."""
-    sines, eigenvalues = _grid_operators(grid).fast_poisson_factors(grid)
-    inverse = 1.0 / (eigenvalues - sigma)
-    # the first transform ends in work[(len(sines) - 1) % 2]; the second
+def _fast_poisson(grid: BoxGrid, plan: _CgPlan, work):
+    """``P^-1`` of the plan on ``(k, n_interior)`` blocks, one right-hand
+    side per row, applied exactly by :func:`_sine_transform`: ``Q^T`` on
+    the depth axis and a :func:`_sine_matrix` on each other axis (from
+    :meth:`_GridOperators.fast_poisson_factors`), a multiplication of every
+    row by ``plan.inverse``, and ``Q`` and the same sine matrices back. The
+    transforms run in ``work``, a pair of flat arrays that each hold a
+    block. The result is a view of ``work[1]``, valid until the next call,
+    and ``work[0]`` is free again on return."""
+    sines, _ = _grid_operators(grid).fast_poisson_factors(grid)
+    forward = (np.ascontiguousarray(plan.q.T), *sines)
+    back = (plan.q, *sines)
+    inverse = plan.inverse
+    # the first transform ends in work[(len(forward) - 1) % 2]; the second
     # begins in the other block, so that numpy need not copy its input, and
     # so ends in work[1]
-    second = work[::-1] if len(sines) % 2 else work
+    second = work[::-1] if len(forward) % 2 else work
 
     def precondition(r):
-        z = _sine_transform(r, sines, work)
+        z = _sine_transform(r, forward, work)
         z *= inverse
-        return _sine_transform(z, sines, second)
+        return _sine_transform(z, back, second)
 
     return precondition
 
@@ -644,22 +754,26 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None]).reshape(u.shape[0])
 
 
-def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
-              cap: int) -> np.ndarray:
+def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray,
+              plan: _CgPlan) -> np.ndarray:
     """Interior solution of every column of ``rhs`` by CG preconditioned with
-    :func:`_fast_poisson`; :func:`solve_dirichlet` hands it every nonzero
-    finite column with its norm inside ``_NORM_RANGE``. The columns share
-    each transform but keep their own step lengths. A zero column is left
-    out and solved by zero; all other columns iterate together until the
-    last of them is within ``CG_RTOL`` of its right-hand side, or for ``cap``
-    iterations. A NaN residual ends the loop as well, for the residual check
-    of :func:`solve_dirichlet` to report.
+    :func:`_fast_poisson` of the system's ``plan``; :func:`solve_dirichlet`
+    hands it every nonzero finite column with its norm inside
+    ``_NORM_RANGE``, and the true residual of the columns that missed the
+    target. The columns share each transform but keep their own step
+    lengths. A zero column is left out and solved by zero; all other
+    columns iterate together until the last of them is within ``CG_RTOL``
+    of its right-hand side, or for the :func:`_cg_iteration_cap` of the
+    plan's ``delta`` and ``kappa``. A NaN residual ends the loop as well,
+    for the residual check of :func:`solve_dirichlet` to report. The
+    iterations count in ``solve_counts``; the columns are counted by the
+    caller.
 
     The loop applies no sparse matrix: with the splitting of the module
-    docstring, ``w = (L_h - sigma I) p`` follows ``w <- r + beta w`` and the
-    matrix times ``p`` is ``w + d p``, ``d = sigma - omega^2 c``. The
-    recurrence drifts from the true product by rounding only, and the
-    residual check of :func:`solve_dirichlet` applies the true matrix.
+    docstring, ``w = P p`` follows ``w <- r + beta w`` and the matrix times
+    ``p`` is ``w + d p``, ``d = plan.d``. The recurrence drifts from the
+    true product by rounding only, and the residual check of
+    :func:`solve_dirichlet` applies the true matrix.
 
     The blocks run transposed, one right-hand side per C-ordered row. The
     residuals, directions and ``w``, and the two work blocks of the
@@ -698,8 +812,9 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     out = np.zeros((columns, n))
     x = out if k == columns else np.zeros((k, n))
 
-    precondition = _fast_poisson(sys_.grid, sigma, work)
-    d = sigma - sys_.omega2 * sys_.node_coeff[sys_.grid.interior_nodes]
+    precondition = _fast_poisson(sys_.grid, plan, work)
+    d = plan.d
+    cap = _cg_iteration_cap(plan.delta, plan.kappa)
     rz = None
     iterations = 0
     while k and iterations < cap:
@@ -728,7 +843,6 @@ def _cg_solve(sys_: HelmholtzSystem, rhs: np.ndarray, sigma: float,
     if x is not out:
         out[active] = x
     pool.append(blocks)
-    solve_counts["cg_columns"] += columns
     solve_counts["cg_iterations"] += iterations
     return out.T.reshape(rhs.shape)
 
@@ -775,10 +889,19 @@ def normal_derivative_adjoint(grid: BoxGrid, positions) -> np.ndarray:
     with ``E`` the returned dense ``(n_interior, len(positions))`` array, the
     transpose of the stencil's rows at ``positions`` restricted to the
     interior columns. Solving against ``E`` gives the adjoint fields of the
-    receiver samples.
+    receiver samples. The boundary node itself is never interior, so each
+    column holds at most the two inward taps of its stencil row, -4 and 1
+    over ``2 h``, written into a zero block where their nodes are interior.
     """
     positions = np.asarray(positions, dtype=np.int64)
     ops = _grid_operators(grid)
-    return (ops.normal_stencil[positions][:, grid.interior_nodes].toarray()
-            / ops.two_h[positions, None]).T
+    # the inward taps of each stencil row, its second and third entries
+    nodes = ops.normal_stencil.indices.reshape(-1, 3)[positions, 1:]
+    taps = (ops.normal_stencil.data.reshape(-1, 3)[positions, 1:]
+            / ops.two_h[positions, None])
+    inside = grid.boundary_position[nodes] < 0
+    out = np.zeros((positions.size, grid.n_interior))
+    out[np.nonzero(inside)[0],
+        np.searchsorted(grid.interior_nodes, nodes[inside])] = taps[inside]
+    return out.T
 

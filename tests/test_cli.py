@@ -294,7 +294,9 @@ def test_campaign_frees_every_system_after_its_cell(tmp_path, monkeypatch,
 
 def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
     # every system of an 8^3 top-mode campaign lies in the first window, so
-    # CG solves it and no LU is computed; the constants match an all-LU run
+    # CG solves it and no LU is computed; both models vary with depth only,
+    # so the layered preconditioner solves every block in one iteration.
+    # The constants match an all-LU run
     def campaign(name):
         cfg = base_config(tmp_path / name)
         cfg["grid"] = {"extents": [1.0, 1.0, 1.0], "cells": [8, 8, 8]}
@@ -310,6 +312,10 @@ def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
         forward.clear_caches()
         return read_records_csv(tmp_path / name / "records.csv"), info
 
+    block_solves = []
+    cg_solve = solver._cg_solve
+    monkeypatch.setattr(solver, "_cg_solve", lambda *args: (
+        block_solves.append(args[1].shape), cg_solve(*args))[1])
     with caplog.at_level("INFO", logger="helmstab"):
         cg_records, info = campaign("cg")
     assert info["factorizations"] == 0
@@ -320,6 +326,7 @@ def test_3d_campaign_solves_by_cg_without_an_lu(tmp_path, monkeypatch, caplog):
     assert len(logged) == 2
     assert tuple(map(sum, zip(*logged))) == (info["cg_columns"],
                                              info["cg_iterations"])
+    assert info["cg_iterations"] == len(block_solves) > 0
 
     monkeypatch.setattr(solver, "_cg_plan", lambda sys_: None)
     lu_records, info = campaign("lu")
